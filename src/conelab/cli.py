@@ -1,8 +1,8 @@
 """Command line entry point.
 
     conelab <subcommand> [--config PATH] [--R 16,32,64] [--delta ...]
-            [--kind a,b] [--seed 0,1] [--n N] [--gamma sqrt|full|G]
-            [--eps E] [--q Q] [--workers N] [--out DIR] [--force]
+            [--kind a,b] [--seed 0,1] [--n N] [--gamma sqrt|full|both|G]
+            [--q Q] [--workers N] [--out DIR] [--force]
 
 Subcommands: gen (write a measure/configuration file) plus the pipelines
 decay, maximal, pairs, sharpness, sigma, duality, and all.  Flags are
@@ -22,8 +22,9 @@ from .experiments import (BudgetExceededError, ExperimentConfig, PIPELINE_NAMES,
 from .measures import MAXIMAL_RADII, generate, generate_config, save_config, save_measure
 
 _LIST_KEYS = {"R": int, "delta": float, "kind": str, "seed": int}
-_SCALAR_KEYS = {"n": int, "gamma": str, "eps": float, "q": float,
-                "workers": int, "out": str}
+_SCALAR_KEYS = {"n": int, "gamma": str, "q": float, "workers": int, "out": str}
+# flag and config-file keys whose ExperimentConfig field has another name
+_CONFIG_FIELDS = {"kind": "kinds", "seed": "seeds"}
 
 
 def _parse_list(conv):
@@ -62,7 +63,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_parse_list(int), help="comma-separated seeds")
     p.add_argument("--n", type=int, help="configuration size")
     p.add_argument("--gamma", help="sharpness branch: sqrt, full, both, or an integer")
-    p.add_argument("--eps", type=float, help="global epsilon (default 0.05)")
     p.add_argument("--q", type=float, help="quadrature oversampling factor")
     p.add_argument("--workers", type=int, help="parallel sweep points")
     p.add_argument("--out", help="output directory (or file for gen)")
@@ -139,20 +139,8 @@ def main(argv=None) -> int:
         values = _collect(args)
         if args.command == "gen":
             return run_gen(values)
-        cfg = ExperimentConfig(
-            experiment=args.command,
-            R=values.get("R", ()),
-            delta=values.get("delta", ()),
-            kinds=values.get("kind", ()),
-            seeds=values.get("seed", (0,)),
-            n=values.get("n"),
-            gamma=values.get("gamma", "both"),
-            eps=values.get("eps", 0.05),
-            q=values.get("q"),
-            out=values.get("out", "runs"),
-            workers=values.get("workers", 1),
-            force=values.get("force", False),
-        )
+        cfg = ExperimentConfig(experiment=args.command,
+                               **{_CONFIG_FIELDS.get(k, k): v for k, v in values.items()})
         summaries = run_experiment(cfg)
     except BudgetExceededError as err:
         print(f"conelab: {err}", file=sys.stderr)

@@ -7,6 +7,11 @@ configuration and versions.  All numbers are formatted with %.12g and all
 randomness is seeded per task, so reruns with the same configuration are
 byte-identical; sweep points may evaluate in parallel worker processes
 without affecting the output.
+
+Five pipelines are sweeps run by `run_sweep` from two tables: `DEFAULTS`
+(what each pipeline sweeps when the configuration leaves it open, shared
+with the evaluation budget) and `SWEEPS` (each sweep's point function and
+output layout).  `sigma` profiles one fixed set of points instead.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -52,7 +58,6 @@ class ExperimentConfig:
     seeds: tuple = (0,)
     n: int | None = None
     gamma: str = "both"          # sharpness branch: 'sqrt', 'full', 'both', or an int
-    eps: float = 0.05
     q: float | None = None       # None = per-pipeline default
     out: str = "runs"
     workers: int = 1
@@ -81,6 +86,37 @@ class ExperimentConfig:
                 raise ValueError("when both are given, delta must equal 1/R pairwise")
 
 
+@dataclass(frozen=True)
+class Defaults:
+    """What a pipeline sweeps where its configuration leaves it open."""
+
+    axis: str = "R"            # the ExperimentConfig field holding the sweep values
+    values: tuple = ()
+    kinds: tuple = ()          # the generator kinds the pipeline understands
+    q: float | None = None     # quadrature oversampling
+
+
+DEFAULTS = {
+    "decay": Defaults("R", (16, 32, 64, 128), DECAY_KINDS, 2.0),
+    "maximal": Defaults("delta", tuple(2.0 ** -k for k in range(5, 9)), CONFIG_KINDS),
+    "pairs": Defaults("delta", (2.0 ** -6, 2.0 ** -8), CONFIG_KINDS),
+    "sharpness": Defaults("R", (16, 32, 64), q=8.0),
+    "sigma": Defaults(q=8.0),
+    "duality": Defaults("R", (32,), DECAY_KINDS, 2.0),
+}
+
+
+def _scope(experiment: str, cfg: ExperimentConfig) -> tuple:
+    """(sweep values, kinds, q) of one pipeline: configured, else its defaults.
+
+    Kinds the pipeline does not understand are skipped, so a shared config
+    (the `all` experiment) can name kinds that other sweeps own.
+    """
+    d = DEFAULTS[experiment]
+    kinds = tuple(k for k in cfg.kinds if k in d.kinds) or d.kinds
+    return getattr(cfg, d.axis) or d.values, kinds, cfg.q or d.q
+
+
 # ---------------------------------------------------------------------------
 # formatting and file helpers
 
@@ -93,11 +129,6 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _fittable(xs) -> bool:
-    """A slope fit needs 3 points and at least 2 distinct x values."""
-    return len(xs) >= 3 and min(xs) < max(xs)
-
-
 def write_csv(path, header, rows) -> None:
     """RFC-quoted CSV with one header row; missing keys write as empty."""
     with open(path, "w", newline="") as fh:
@@ -106,6 +137,13 @@ def write_csv(path, header, rows) -> None:
         for row in rows:
             writer.writerow([format_value(row[k]) if k in row and row[k] is not None
                              else "" for k in header])
+
+
+def _write_pair(out: Path, stem: str, header, rows, series, lines=(), **labels) -> list:
+    """Write the table <stem>.csv and its figure <stem>.svg; returns both names."""
+    write_csv(out / f"{stem}.csv", header, rows)
+    svg_scatter(out / f"{stem}.svg", series, lines, **labels)
+    return [f"{stem}.csv", f"{stem}.svg"]
 
 
 def config_items(cfg: ExperimentConfig) -> list:
@@ -141,6 +179,22 @@ def _run_tasks(fn, tasks, workers: int):
         return list(pool.map(fn, tasks))
 
 
+def _fit_rows(groups, x) -> list:
+    """One `fit` row (log-log ratio against x) per (label, rows) group.
+
+    A group is fitted when it has 3 points and at least 2 distinct x values;
+    its fit row carries the label fields.
+    """
+    out = []
+    for label, pts in groups:
+        xs = [x(r) for r in pts]
+        if len(xs) >= 3 and min(xs) < max(xs):
+            fit = fit_exponent(xs, [r["ratio"] for r in pts])
+            out.append({"row": "fit", **label, "slope": fit.slope,
+                        "intercept": fit.intercept, "residual_max": fit.residual_max})
+    return out
+
+
 def _gamma_branches(spec: str):
     if spec == "both":
         return [("sqrt", None), ("full", None)]
@@ -157,52 +211,43 @@ def _branch_gamma(branch: str, fixed, R: int) -> int:
     return int(fixed)
 
 
+def _circle_count(n, delta: float) -> int:
+    """Configured circle count, else 1/(2 delta)."""
+    return n or int(round(0.5 / delta))
+
+
 # ---------------------------------------------------------------------------
 # kernel-evaluation budget
 
 
-def _select_kinds(cfg: ExperimentConfig, allowed: tuple) -> tuple:
-    """Kinds this sweep understands; fall back to `allowed` so a shared
-    config (the `all` experiment) can name kinds other sweeps own."""
-    chosen = tuple(k for k in cfg.kinds if k in allowed)
-    return chosen or allowed
-
-
 def estimate_evals(experiment: str, cfg: ExperimentConfig) -> float:
-    q = cfg.q or (8.0 if experiment in ("sharpness", "sigma") else 2.0)
+    values, kinds, q = _scope(experiment, cfg)
+    seeds = len(cfg.seeds)
     total = 0.0
     if experiment == "decay":
-        Rs = cfg.R or (16, 32, 64, 128)
-        kinds = _select_kinds(cfg, DECAY_KINDS)
-        for R in Rs:
+        for R in values:
             nodes = (q * (3.5 * R + 16)) * (q * (3 * R + 16))
-            total += len(cfg.seeds) * sum(
+            total += seeds * sum(
                 (math.sqrt(R) if k == "light_tube" else R) * nodes for k in kinds)
     elif experiment == "sharpness":
-        Rs = cfg.R or (16, 32, 64)
-        for R in Rs:
+        for R in values:
             for branch, fixed in _gamma_branches(cfg.gamma):
                 g = _branch_gamma(branch, fixed, R)
                 total += g * 4 ** 3 * q * (2 * g + 32) * 64
     elif experiment == "sigma":
         total = 2 * 11 * (q * 300) ** 2 * 4
     elif experiment == "maximal":
-        deltas = cfg.delta or tuple(2.0 ** -k for k in range(5, 9))
-        kinds = _select_kinds(cfg, CONFIG_KINDS)
-        for d in deltas:
-            n = cfg.n or int(round(0.5 / d))
+        for d in values:
+            n = _circle_count(cfg.n, d)
             # span raster touches ~4*pi*r*delta/h^2 cells per annulus
             # (h = delta/4) plus one cumsum over the grid per config
-            total += len(kinds) * len(cfg.seeds) * (n * 160.0 / d + (8.8 / d) ** 2)
+            total += len(kinds) * seeds * (n * 160.0 / d + (8.8 / d) ** 2)
     elif experiment == "pairs":
-        deltas = cfg.delta or (2.0 ** -6, 2.0 ** -8)
-        for d in deltas:
-            n = cfg.n or int(round(0.5 / d))
-            total += 2 * len(cfg.seeds) * (n * n + n / d)
+        for d in values:
+            n = _circle_count(cfg.n, d)
+            total += 2 * seeds * (n * n + n / d)
     elif experiment == "duality":
-        Rs = cfg.R or (32,)
-        kinds = _select_kinds(cfg, DECAY_KINDS)
-        total = sum(len(kinds) * len(cfg.seeds) * R * 64 * 4000 for R in Rs)
+        total = sum(len(kinds) * seeds * R * 64 * 4000 for R in values)
     return total
 
 
@@ -216,42 +261,51 @@ def check_budget(experiment: str, cfg: ExperimentConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sweep points (top-level functions so worker processes can import them)
+# sweep points (top-level functions so worker processes can import them);
+# each takes one task tuple and returns its data rows
+
+
+def _swept_measure(kind: str, R: int, seed: int, n):
+    """Cube measure of a sweep point and its generator parameter as text.
+
+    random_frostman takes the configured n (default R); the tube families
+    keep their generator defaults.
+    """
+    if kind == "random_frostman":
+        return generate(kind, R, seed, n=n or R), f"n={n or R}"
+    param = f"length={R}" if kind == "vertical_tube" else f"gamma={int(round(math.sqrt(R)))}"
+    return generate(kind, R, seed), param
+
+
+def _swept_config(kind: str, delta: float, seed: int, n):
+    """Circle configuration of a sweep point, in the maximal-function band."""
+    return generate_config(kind, delta, _circle_count(n, delta), seed,
+                           radius_band=MAXIMAL_RADII)
 
 
 def _decay_point(task):
     kind, R, seed, n, q = task
-    params = {} if kind in ("light_tube", "vertical_tube", "knapp_pair") else \
-        {"n": n or R}
-    nu = generate(kind, R, seed, **params)
+    nu, params = _swept_measure(kind, R, seed, n)
     rep = decay_ratio(nu, q)
-    if kind == "light_tube":
-        param_str = f"gamma={int(round(math.sqrt(R)))}"
-    elif kind == "vertical_tube":
-        param_str = f"length={R}"
-    elif kind == "knapp_pair":
-        param_str = f"gamma={int(round(math.sqrt(R)))}"
-    else:
-        param_str = f"n={params['n']}"
-    return {"row": "data", "kind": kind, "R": R, "seed": seed, "params": param_str,
-            "mass": rep["mass"], "decay_mean": rep["decay_mean"],
-            "plank_lower": rep["plank_lower"], "plank_upper": rep["plank_upper"],
-            "ratio": rep["ratio"]}
+    return [{"row": "data", "kind": kind, "R": R, "seed": seed, "params": params,
+             "mass": rep["mass"], "decay_mean": rep["decay_mean"],
+             "plank_lower": rep["plank_lower"], "plank_upper": rep["plank_upper"],
+             "ratio": rep["ratio"]}]
 
 
 def _maximal_point(task):
-    kind, delta, seed, n = task
-    config = generate_config(kind, delta, n, seed, radius_band=MAXIMAL_RADII)
+    kind, delta, seed, n, _ = task
+    config = _swept_config(kind, delta, seed, n)
     rep = wolff_example_check(config)
-    return {"row": "data", "kind": kind, "delta": delta, "seed": seed,
-            "params": f"n={config.count}", "count": config.count,
-            "l32_norm": rep["l32_norm"], "l32_dyadic": rep["l32_dyadic"],
-            "ratio": rep["ratio"], "ratio_dyadic": rep["ratio_dyadic"]}
+    return [{"row": "data", "kind": kind, "delta": delta, "seed": seed,
+             "params": f"n={config.count}", "count": config.count,
+             "l32_norm": rep["l32_norm"], "l32_dyadic": rep["l32_dyadic"],
+             "ratio": rep["ratio"], "ratio_dyadic": rep["ratio_dyadic"]}]
 
 
 def _pairs_point(task):
-    kind, delta, seed, n = task
-    config = generate_config(kind, delta, n, seed, radius_band=MAXIMAL_RADII)
+    kind, delta, seed, n, _ = task
+    config = _swept_config(kind, delta, seed, n)
     table = classify_pairs(config)
     rows = []
     bound = 32.0 * math.log2(1.0 / delta) ** 3
@@ -270,208 +324,180 @@ def _pairs_point(task):
 def _sharpness_point(task):
     branch, R, gamma, q = task
     rep = knapp_sharpness(R, gamma, q=q)
-    return {"row": "data", "branch": branch, "R": R, "gamma": gamma,
-            "weighted_l2": rep["weighted_l2"], "f_norm2": rep["f_norm2"],
-            "ratio": rep["ratio"]}
+    return [{"row": "data", "branch": branch, "R": R, "gamma": gamma,
+             "weighted_l2": rep["weighted_l2"], "f_norm2": rep["f_norm2"],
+             "ratio": rep["ratio"]}]
 
 
 def _duality_point(task):
     kind, R, seed, n, q = task
-    params = {} if kind in ("light_tube", "vertical_tube", "knapp_pair") else \
-        {"n": n or R}
-    nu = generate(kind, R, seed, **params)
+    nu, _ = _swept_measure(kind, R, seed, n)
     op = build_extension_operator(nu, q=q, seed=seed)
     rep = bbcr_equivalence_check(op, seed=seed)
     rng = np.random.default_rng(seed)
     subs = [np.ones(nu.mass), (np.arange(nu.mass) % 2).astype(float), rng.random(nu.mass)]
     trans = transference_check(nu, subs, q=q, seed=seed)
-    return {"row": "data", "kind": kind, "R": R, "seed": seed,
-            "mass": nu.mass, "u_l2_lower": rep["U_L2"], "u_l2_upper": rep["U_L2_upper"],
-            "u_l1_lower": rep["U_L1"], "ratio": rep["ratio"],
-            "lambda_star": rep["lambda_star"], "transference_ok": trans["ok"]}
+    return [{"row": "data", "kind": kind, "R": R, "seed": seed,
+             "mass": nu.mass, "u_l2_lower": rep["U_L2"], "u_l2_upper": rep["U_L2_upper"],
+             "u_l1_lower": rep["U_L1"], "ratio": rep["ratio"],
+             "lambda_star": rep["lambda_star"], "transference_ok": trans["ok"]}]
+
+
+# ---------------------------------------------------------------------------
+# sweep summaries: (data rows, fit rows) -> the entries after "files"
+
+
+def _decay_summary(rows, fits) -> dict:
+    return {"fits": {f["kind"]: f["slope"] for f in fits if f["kind"] != "pooled"},
+            "pooled_slope": next((f["slope"] for f in fits if f["kind"] == "pooled"), None),
+            "max_ratio": max(r["ratio"] for r in rows)}
+
+
+def _maximal_summary(rows, fits) -> dict:
+    slopes = {f"{f['kind']}/{f['seed']}": f["slope"] for f in fits}
+    return {"max_slope": max(slopes.values(), default=None), "slopes": slopes}
+
+
+def _pairs_summary(rows, fits) -> dict:
+    return {"max_ratio_over_bound":
+            max((r["ratio"] / r["log_bound"] for r in rows), default=0.0)}
+
+
+def _sharpness_summary(rows, fits) -> dict:
+    return {"ratios": [r["ratio"] for r in rows],
+            "slopes": {f["branch"]: f["slope"] for f in fits}}
+
+
+def _duality_summary(rows, fits) -> dict:
+    return {"ratios": [r["ratio"] for r in rows],
+            "transference_ok": all(r["transference_ok"] for r in rows)}
 
 
 # ---------------------------------------------------------------------------
 # pipelines
 
 
-def decay_sweep(cfg: ExperimentConfig, out: Path) -> dict:
-    Rs = cfg.R or (16, 32, 64, 128)
-    kinds = _select_kinds(cfg, DECAY_KINDS)
-    q = cfg.q or 2.0
-    tasks = [(kind, R, seed, cfg.n, q)
-             for kind in kinds for R in Rs for seed in cfg.seeds]
-    rows = _run_tasks(_decay_point, tasks, cfg.workers)
-    header = ["row", "kind", "R", "seed", "params", "mass", "decay_mean",
-              "plank_lower", "plank_upper", "ratio", "slope", "intercept",
-              "residual_max"]
-    fit_rows, fits = [], {}
-    for kind in kinds:
-        pts = [r for r in rows if r["kind"] == kind]
-        if _fittable([r["R"] for r in pts]):
-            fit = fit_exponent([r["R"] for r in pts], [r["ratio"] for r in pts])
-            fits[kind] = fit
-            fit_rows.append({"row": "fit", "kind": kind, "slope": fit.slope,
-                             "intercept": fit.intercept,
-                             "residual_max": fit.residual_max})
-    pooled = fit_exponent([r["R"] for r in rows], [r["ratio"] for r in rows]) \
-        if _fittable([r["R"] for r in rows]) else None
-    if pooled is not None:
-        fit_rows.append({"row": "fit", "kind": "pooled", "slope": pooled.slope,
-                         "intercept": pooled.intercept,
-                         "residual_max": pooled.residual_max})
-    write_csv(out / "decay_ratio.csv", header, rows + fit_rows)
-    series = [(kind, [r["R"] for r in rows if r["kind"] == kind],
-               [r["ratio"] for r in rows if r["kind"] == kind]) for kind in kinds]
-    lines = [("pooled", pooled.slope, pooled.intercept)] if pooled else []
-    svg_scatter(out / "decay_ratio.svg", series, lines,
-                title="decay mean over sqrt(P) * mass", xlabel="R", ylabel="ratio")
-    return {"files": ["decay_ratio.csv", "decay_ratio.svg"],
-            "fits": {k: f.slope for k, f in fits.items()},
-            "pooled_slope": pooled.slope if pooled else None,
-            "max_ratio": max(r["ratio"] for r in rows)}
+@dataclass(frozen=True)
+class Sweep:
+    """How a sweep turns its points into one CSV/SVG pair and a summary.
+
+    The figure plots `y` against `x`, one series per value of the row field
+    `series`: a generator kind, or for sharpness a gamma branch.  `fit`
+    selects the log-log fits of ratio against x written as `fit` rows: one
+    per series ("series"), one per series and seed ("seed"), or none;
+    `pooled` adds one over all rows, labelled "pooled".  The figure draws
+    the pooled fit when there is one, else the per-series fits.
+    """
+
+    point: Callable              # task -> data rows
+    stem: str                    # writes <stem>.csv and <stem>.svg
+    header: tuple
+    title: str
+    xlabel: str
+    summary: Callable            # (data rows, fit rows) -> summary entries
+    x: Callable = lambda r: r["R"]
+    y: Callable = lambda r: r["ratio"]
+    series: str = "kind"
+    fit: str | None = None
+    pooled: bool = False
 
 
-def maximal_sweep(cfg: ExperimentConfig, out: Path) -> dict:
-    deltas = cfg.delta or tuple(2.0 ** -k for k in range(5, 9))
-    kinds = _select_kinds(cfg, CONFIG_KINDS)
-    tasks = [(kind, d, seed, cfg.n or int(round(0.5 / d)))
-             for kind in kinds for d in deltas for seed in cfg.seeds]
-    rows = _run_tasks(_maximal_point, tasks, cfg.workers)
-    header = ["row", "kind", "delta", "seed", "params", "count", "l32_norm",
-              "l32_dyadic", "ratio", "ratio_dyadic", "slope", "intercept",
-              "residual_max"]
-    fit_rows, slopes = [], {}
-    for kind in kinds:
-        for seed in cfg.seeds:
-            pts = [r for r in rows if r["kind"] == kind and r["seed"] == seed]
-            if _fittable([r["delta"] for r in pts]):
-                fit = fit_exponent([1.0 / r["delta"] for r in pts],
-                                   [r["ratio"] for r in pts])
-                slopes[(kind, seed)] = fit.slope
-                fit_rows.append({"row": "fit", "kind": kind, "seed": seed,
-                                 "slope": fit.slope, "intercept": fit.intercept,
-                                 "residual_max": fit.residual_max})
-    write_csv(out / "wolff_ratio.csv", header, rows + fit_rows)
-    series = [(kind, [1.0 / r["delta"] for r in rows if r["kind"] == kind],
-               [r["ratio"] for r in rows if r["kind"] == kind]) for kind in kinds]
-    svg_scatter(out / "wolff_ratio.svg", series, [],
-                title="L3/2 multiplicity over (delta n)^(2/3)",
-                xlabel="1/delta", ylabel="ratio")
-    return {"files": ["wolff_ratio.csv", "wolff_ratio.svg"],
-            "max_slope": max(slopes.values(), default=None),
-            "slopes": {f"{k}/{s}": v for (k, s), v in slopes.items()}}
+SWEEPS = {
+    "decay": Sweep(
+        _decay_point, "decay_ratio",
+        ("row", "kind", "R", "seed", "params", "mass", "decay_mean", "plank_lower",
+         "plank_upper", "ratio", "slope", "intercept", "residual_max"),
+        "decay mean over sqrt(P) * mass", "R", _decay_summary,
+        fit="series", pooled=True),
+    "maximal": Sweep(
+        _maximal_point, "wolff_ratio",
+        ("row", "kind", "delta", "seed", "params", "count", "l32_norm", "l32_dyadic",
+         "ratio", "ratio_dyadic", "slope", "intercept", "residual_max"),
+        "L3/2 multiplicity over (delta n)^(2/3)", "1/delta", _maximal_summary,
+        x=lambda r: 1.0 / r["delta"], fit="seed"),
+    "pairs": Sweep(
+        _pairs_point, "pair_counts",
+        ("row", "kind", "delta", "seed", "params", "D", "count", "gamma", "tau_D",
+         "ratio", "log_bound"),
+        "tangent pairs over gamma^(1/2) (D/delta)^(1/2) n", "D/delta", _pairs_summary,
+        x=lambda r: r["D"] / r["delta"], y=lambda r: max(r["ratio"], 1e-12)),
+    "sharpness": Sweep(
+        _sharpness_point, "knapp_sharpness",
+        ("row", "branch", "R", "gamma", "weighted_l2", "f_norm2", "ratio", "slope",
+         "intercept", "residual_max"),
+        "Knapp ratio: weighted L2 over gamma^(1/2) |f|^2", "R", _sharpness_summary,
+        series="branch", fit="series"),
+    "duality": Sweep(
+        _duality_point, "duality",
+        ("row", "kind", "R", "seed", "mass", "u_l2_lower", "u_l2_upper", "u_l1_lower",
+         "ratio", "lambda_star", "transference_ok"),
+        "L2 norm over L1 constant / mass^(1/2)", "R", _duality_summary),
+}
 
 
-def pairs_sweep(cfg: ExperimentConfig, out: Path) -> dict:
-    deltas = cfg.delta or (2.0 ** -6, 2.0 ** -8)
-    kinds = _select_kinds(cfg, CONFIG_KINDS)
-    tasks = [(kind, d, seed, cfg.n or int(round(0.5 / d)))
-             for kind in kinds for d in deltas for seed in cfg.seeds]
-    nested = _run_tasks(_pairs_point, tasks, cfg.workers)
-    rows = [r for chunk in nested for r in chunk]
-    header = ["row", "kind", "delta", "seed", "params", "D", "count", "gamma",
-              "tau_D", "ratio", "log_bound"]
-    write_csv(out / "pair_counts.csv", header, rows)
-    series = [(kind, [r["D"] / r["delta"] for r in rows if r["kind"] == kind],
-               [max(r["ratio"], 1e-12) for r in rows if r["kind"] == kind])
-              for kind in kinds]
-    svg_scatter(out / "pair_counts.svg", series, [],
-                title="tangent pairs over gamma^(1/2) (D/delta)^(1/2) n",
-                xlabel="D/delta", ylabel="ratio")
-    worst = max((r["ratio"] / r["log_bound"] for r in rows), default=0.0)
-    return {"files": ["pair_counts.csv", "pair_counts.svg"],
-            "max_ratio_over_bound": worst}
-
-
-def sharpness_sweep(cfg: ExperimentConfig, out: Path) -> dict:
-    Rs = cfg.R or (16, 32, 64)
-    q = cfg.q or 8.0
-    tasks = [(branch, R, _branch_gamma(branch, fixed, R), q)
-             for branch, fixed in _gamma_branches(cfg.gamma) for R in Rs]
-    rows = _run_tasks(_sharpness_point, tasks, cfg.workers)
-    header = ["row", "branch", "R", "gamma", "weighted_l2", "f_norm2", "ratio",
-              "slope", "intercept", "residual_max"]
-    fit_rows, fits = [], {}
-    branches = sorted({r["branch"] for r in rows})
-    for branch in branches:
-        pts = [r for r in rows if r["branch"] == branch]
-        if _fittable([r["R"] for r in pts]):
-            fit = fit_exponent([r["R"] for r in pts], [r["ratio"] for r in pts])
-            fits[branch] = fit
-            fit_rows.append({"row": "fit", "branch": branch, "slope": fit.slope,
-                             "intercept": fit.intercept,
-                             "residual_max": fit.residual_max})
-    write_csv(out / "knapp_sharpness.csv", header, rows + fit_rows)
-    series = [(branch, [r["R"] for r in rows if r["branch"] == branch],
-               [r["ratio"] for r in rows if r["branch"] == branch])
-              for branch in branches]
-    lines = [(b, f.slope, f.intercept) for b, f in fits.items()]
-    svg_scatter(out / "knapp_sharpness.svg", series, lines,
-                title="Knapp ratio: weighted L2 over gamma^(1/2) |f|^2",
-                xlabel="R", ylabel="ratio")
-    return {"files": ["knapp_sharpness.csv", "knapp_sharpness.svg"],
-            "ratios": [r["ratio"] for r in rows],
-            "slopes": {b: f.slope for b, f in fits.items()}}
+def run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
+    """Run the sweep `cfg.experiment` and write its CSV/SVG pair under `out`."""
+    sweep = SWEEPS[cfg.experiment]
+    values, kinds, q = _scope(cfg.experiment, cfg)
+    if sweep.series == "branch":
+        branches = _gamma_branches(cfg.gamma)
+        tasks = [(branch, R, _branch_gamma(branch, fixed, R), q)
+                 for branch, fixed in branches for R in values]
+        labels = sorted(branch for branch, _ in branches)
+    else:
+        tasks = [(kind, v, seed, cfg.n, q)
+                 for kind in kinds for v in values for seed in cfg.seeds]
+        labels = kinds
+    rows = [row for chunk in _run_tasks(sweep.point, tasks, cfg.workers) for row in chunk]
+    series = {s: [r for r in rows if r[sweep.series] == s] for s in labels}
+    groups = []
+    if sweep.fit == "series":
+        groups = [({sweep.series: s}, pts) for s, pts in series.items()]
+    elif sweep.fit == "seed":
+        groups = [({sweep.series: s, "seed": seed}, [r for r in pts if r["seed"] == seed])
+                  for s, pts in series.items() for seed in cfg.seeds]
+    if sweep.pooled:
+        groups.append(({sweep.series: "pooled"}, rows))
+    fits = _fit_rows(groups, sweep.x)
+    if sweep.pooled:
+        drawn = [f for f in fits if f[sweep.series] == "pooled"]
+    else:
+        drawn = fits if sweep.fit == "series" else []
+    files = _write_pair(
+        out, sweep.stem, sweep.header, rows + fits,
+        [(s, [sweep.x(r) for r in pts], [sweep.y(r) for r in pts])
+         for s, pts in series.items()],
+        [(f[sweep.series], f["slope"], f["intercept"]) for f in drawn],
+        title=sweep.title, xlabel=sweep.xlabel, ylabel="ratio")
+    return {"files": files, **sweep.summary(rows, fits)}
 
 
 def sigma_decay(cfg: ExperimentConfig, out: Path) -> dict:
-    rep = stationary_phase_diagnostic(q=cfg.q or 8.0)
+    rep = stationary_phase_diagnostic(q=cfg.q or DEFAULTS["sigma"].q)
     on_rows = [{"row": "data", "radius": float(r), "value": float(v)}
                for r, v in zip(rep["radii"], rep["on_cone"])]
     fit = fit_exponent(rep["radii"], rep["on_cone"])
     on_rows.append({"row": "fit", "slope": fit.slope, "intercept": fit.intercept,
                     "residual_max": fit.residual_max})
-    write_csv(out / "sigma_oncone.csv",
-              ["row", "radius", "value", "slope", "intercept", "residual_max"], on_rows)
-    svg_scatter(out / "sigma_oncone.svg",
-                [("on-cone", rep["radii"], rep["on_cone"])],
-                [("fit", fit.slope, fit.intercept)],
-                title="sigma_check decay along the cone", xlabel="|x|", ylabel="|value|")
+    files = _write_pair(out, "sigma_oncone",
+                        ["row", "radius", "value", "slope", "intercept", "residual_max"],
+                        on_rows, [("on-cone", rep["radii"], rep["on_cone"])],
+                        [("fit", fit.slope, fit.intercept)],
+                        title="sigma_check decay along the cone", xlabel="|x|",
+                        ylabel="|value|")
     tr_rows = [{"row": "data", "distance": float(d), "value": float(v)}
                for d, v in zip(rep["distances"], rep["transverse"])]
     tr_rows.append({"row": "check", "transverse_ratio": rep["transverse_ratio"],
                     "doubling_rel": rep["doubling_rel"]})
-    write_csv(out / "sigma_transverse.csv",
-              ["row", "distance", "value", "transverse_ratio", "doubling_rel"], tr_rows)
-    svg_scatter(out / "sigma_transverse.svg",
-                [("|x|=50", [max(d, 0.5) for d in rep["distances"]], rep["transverse"])],
-                title="sigma_check decay off the cone",
-                xlabel="cone distance (0 plotted at 0.5)", ylabel="|value|")
-    return {"files": ["sigma_oncone.csv", "sigma_oncone.svg",
-                      "sigma_transverse.csv", "sigma_transverse.svg"],
-            "slope": fit.slope, "transverse_ratio": rep["transverse_ratio"],
+    files += _write_pair(out, "sigma_transverse",
+                         ["row", "distance", "value", "transverse_ratio", "doubling_rel"],
+                         tr_rows,
+                         [("|x|=50", [max(d, 0.5) for d in rep["distances"]],
+                           rep["transverse"])],
+                         title="sigma_check decay off the cone",
+                         xlabel="cone distance (0 plotted at 0.5)", ylabel="|value|")
+    return {"files": files, "slope": fit.slope, "transverse_ratio": rep["transverse_ratio"],
             "doubling_rel": rep["doubling_rel"]}
-
-
-def duality_check(cfg: ExperimentConfig, out: Path) -> dict:
-    Rs = cfg.R or (32,)
-    kinds = _select_kinds(cfg, DECAY_KINDS)
-    q = cfg.q or 2.0
-    tasks = [(kind, R, seed, cfg.n, q)
-             for kind in kinds for R in Rs for seed in cfg.seeds]
-    rows = _run_tasks(_duality_point, tasks, cfg.workers)
-    header = ["row", "kind", "R", "seed", "mass", "u_l2_lower", "u_l2_upper",
-              "u_l1_lower", "ratio", "lambda_star", "transference_ok"]
-    write_csv(out / "duality.csv", header, rows)
-    series = [(kind, [r["R"] for r in rows if r["kind"] == kind],
-               [r["ratio"] for r in rows if r["kind"] == kind]) for kind in kinds]
-    svg_scatter(out / "duality.svg", series, [],
-                title="L2 norm over L1 constant / mass^(1/2)",
-                xlabel="R", ylabel="ratio")
-    return {"files": ["duality.csv", "duality.svg"],
-            "ratios": [r["ratio"] for r in rows],
-            "transference_ok": all(r["transference_ok"] for r in rows)}
-
-
-PIPELINES = {
-    "decay": decay_sweep,
-    "maximal": maximal_sweep,
-    "pairs": pairs_sweep,
-    "sharpness": sharpness_sweep,
-    "sigma": sigma_decay,
-    "duality": duality_check,
-}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -486,9 +512,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         out = Path(cfg.out) / name
         out.mkdir(parents=True, exist_ok=True)
         start = time.perf_counter()
-        summary = PIPELINES[name](replace(cfg, experiment=name), out)
+        one = replace(cfg, experiment=name)
+        summary = (sigma_decay if name == "sigma" else run_sweep)(one, out)
         wall = {name: time.perf_counter() - start}
-        write_manifest(out / "manifest.txt", replace(cfg, experiment=name),
-                       wall, summary["files"])
+        write_manifest(out / "manifest.txt", one, wall, summary["files"])
         summaries[name] = summary
     return summaries

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Lightplank, LightlikeBasis, SpacetimePoint
 from .measures import CubeMeasure, max_plank_mass, rescale_to_Q
 from .tangency import classify_pairs
 
@@ -274,13 +273,6 @@ def knapp_sector(gamma: float):
 def knapp_center(R: int) -> np.ndarray:
     """Anchor cube center for the Knapp tube, mid-height in B_R."""
     return np.array([R / 2 - 0.5, R / 2 + 0.5, 1.5 * R + 0.5])
-
-
-def knapp_plank(R: int, gamma: float) -> Lightplank:
-    """Dual plank of the phi = 0 sector, translated into B_R."""
-    basis = LightlikeBasis.from_planar(np.array([1.0, 0.0]))
-    return Lightplank(SpacetimePoint.from_array(knapp_center(R)), basis,
-                      (0.25, 0.25 * math.sqrt(gamma), 0.25 * gamma))
 
 
 def knapp_tube_measure(R: int, gamma: int, include_rest: bool = True) -> CubeMeasure:

@@ -297,47 +297,49 @@ def _vertical_tube(rng, R: int, length: int) -> np.ndarray:
     return np.column_stack([np.full(length, a[0]), np.full(length, a[1]), R + k])
 
 
-def _frostman_cubes(rng, R: int, n: int) -> np.ndarray:
-    """Rejection sampling down a dyadic tree of balls with per-node capacity 4r.
+def _frostman_sample(draw, n: int, base: float, span: float, max_attempts: int) -> list:
+    """Rejection sampling down a dyadic tree of balls with per-node capacity 4 r/base.
 
-    Every accepted point increments the counters of all (r/2)-grid balls
-    containing it at each dyadic level r; any true ball B(x, r) sits inside
-    some tree ball of radius 2r, giving frostman_constant <= 8.
+    `draw()` proposes one point; a point already placed is skipped.  Every
+    accepted point increments the counters of all (r/2)-grid balls
+    containing it at each dyadic level r >= base; any true ball B(x, r)
+    sits inside some tree ball of radius 2r, giving a Frostman constant
+    <= 8 at base scale `base`.  Stops after n points or `max_attempts`
+    draws, whichever comes first.
     """
-    levels = [2.0 ** k for k in range(0, int(math.ceil(math.log2(2 * R))) + 2)]
+    levels = [base * 2.0 ** k for k in
+              range(0, int(math.ceil(math.log2(span / base * 2))) + 2)]
     counters: dict[tuple, int] = {}
     ring = np.array([[i, j, k] for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)])
-
-    def node_keys(p):
-        keys = []
-        for li, r in enumerate(levels):
-            step = 0.5 * r
-            base = np.round(p / step).astype(np.int64)
-            nodes = base + ring
-            d = np.linalg.norm(nodes * step - p, axis=1)
-            for node in nodes[d <= r]:
-                keys.append((li, int(node[0]), int(node[1]), int(node[2])))
-        return keys
-
     out = []
     seen = set()
     attempts = 0
-    while len(out) < n:
+    while len(out) < n and attempts < max_attempts:
         attempts += 1
-        if attempts > 500 * n:
-            raise RuntimeError("frostman sampler failed to place points")
-        corner = (int(rng.integers(0, R)), int(rng.integers(0, R)), int(rng.integers(R, 2 * R)))
-        if corner in seen:
+        p = draw()
+        if tuple(p) in seen:
             continue
-        p = np.array(corner, dtype=float) + 0.5
-        keys = node_keys(p)
-        if any(counters.get(key, 0) + 1 > 4 * levels[key[0]] for key in keys):
+        keys = []
+        bad = False
+        for li, r in enumerate(levels):
+            step = 0.5 * r
+            nodes = np.round(p / step).astype(np.int64) + ring
+            d = np.linalg.norm(nodes * step - p, axis=1)
+            for node in nodes[d <= r]:
+                key = (li, int(node[0]), int(node[1]), int(node[2]))
+                keys.append(key)
+                if counters.get(key, 0) + 1 > 4 * (r / base):
+                    bad = True
+                    break
+            if bad:
+                break
+        if bad:
             continue
         for key in keys:
             counters[key] = counters.get(key, 0) + 1
-        seen.add(corner)
-        out.append(corner)
-    return np.array(out, dtype=np.int64)
+        seen.add(tuple(p))
+        out.append(p)
+    return out
 
 
 def generate(kind: str, R: int, seed: int = 0, **params) -> CubeMeasure:
@@ -380,7 +382,15 @@ def generate(kind: str, R: int, seed: int = 0, **params) -> CubeMeasure:
     n = int(params.get("n", R))
     if not 1 <= n <= R:
         raise ValueError("n must lie in [1, R]")
-    return CubeMeasure(R, _frostman_cubes(rng, R, n))
+
+    def corner_center():
+        corner = (rng.integers(0, R), rng.integers(0, R), rng.integers(R, 2 * R))
+        return np.array(corner, dtype=float) + 0.5
+
+    centers = _frostman_sample(corner_center, n, 1.0, R, 500 * n)
+    if len(centers) < n:
+        raise RuntimeError("frostman sampler failed to place points")
+    return CubeMeasure(R, np.floor(centers).astype(np.int64))
 
 
 def generate_config(kind: str, delta: float, n: int, seed: int = 0,
@@ -410,34 +420,9 @@ def generate_config(kind: str, delta: float, n: int, seed: int = 0,
     if kind != "random_frostman":
         raise ValueError(f"unknown config kind {kind!r}")
     span = max(hi - lo, planar_box[1] - planar_box[0])
-    levels = [delta * 2.0 ** k for k in
-              range(0, int(math.ceil(math.log2(span / delta * 2))) + 2)]
-    counters: dict[tuple, int] = {}
-    ring = np.array([[i, j, k] for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)])
-    out = []
-    attempts = 0
-    while len(out) < n and attempts < 2000 * n:
-        attempts += 1
-        p = np.array([rng.uniform(*planar_box), rng.uniform(*planar_box), rng.uniform(lo, hi)])
-        keys = []
-        bad = False
-        for li, r in enumerate(levels):
-            step = 0.5 * r
-            nodes = np.round(p / step).astype(np.int64) + ring
-            d = np.linalg.norm(nodes * step - p, axis=1)
-            for node in nodes[d <= r]:
-                key = (li, int(node[0]), int(node[1]), int(node[2]))
-                keys.append(key)
-                if counters.get(key, 0) + 1 > 4 * (r / delta):
-                    bad = True
-                    break
-            if bad:
-                break
-        if bad:
-            continue
-        for key in keys:
-            counters[key] = counters.get(key, 0) + 1
-        out.append(p)
+    out = _frostman_sample(
+        lambda: np.array([rng.uniform(*planar_box), rng.uniform(*planar_box), rng.uniform(lo, hi)]),
+        n, delta, span, 2000 * n)
     if len(out) < n:
         raise RuntimeError(f"placed only {len(out)}/{n} circles at delta={delta}")
     return CircleConfig(np.array(out), delta=delta)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -101,40 +100,30 @@ def _half_angle(rect: DeltaTauRectangle, r: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(c, -1.0, 1.0))
 
 
-@lru_cache(maxsize=200_000)
-def _sample_points_cached(rect: DeltaTauRectangle) -> np.ndarray:
-    v3, delta = rect.core.h, rect.delta
-    theta0 = rect.arc_angle
-
-    pts = []
-    # 24 + 24 points on the outer and inner band boundary arcs.
-    for r in (v3 + delta, v3 - delta):
-        psi = float(_half_angle(rect, np.array([r]))[0])
-        phi = np.linspace(-psi, psi, 24)
-        pts.append(np.column_stack([np.full(24, r), phi]))
-    # 8 + 8 points on each end cap, following the chord-limited angle.
-    r_cap = np.linspace(v3 - delta, v3 + delta, 8)
-    psi_cap = _half_angle(rect, r_cap)
-    pts.append(np.column_stack([r_cap, psi_cap]))
-    pts.append(np.column_stack([r_cap, -psi_cap]))
-    # 16 interior points on a 4x4 (radius x angle-fraction) grid.
-    fr = np.array([-0.6, -0.2, 0.2, 0.6])
-    r_in = v3 + delta * fr
-    psi_in = _half_angle(rect, r_in)
-    rr, ff = np.meshgrid(r_in, fr, indexing="ij")
-    pp = psi_in[:, None] * ff[None, :]
-    pts.append(np.column_stack([rr.ravel(), pp.ravel()]))
-
-    polar = np.vstack(pts)
-    ang = theta0 + polar[:, 1]
-    out = rect.core.planar + polar[:, [0]] * np.column_stack([np.cos(ang), np.sin(ang)])
-    out.setflags(write=False)
-    return out
+# angle fractions (of the chord-limited half angle) and radius fractions (of
+# delta) of the 4 x 4 interior sample grid
+_INTERIOR_FRACTIONS = np.array([-0.6, -0.2, 0.2, 0.6])
 
 
 def rect_sample_points(rect: DeltaTauRectangle) -> np.ndarray:
-    """The fixed (80, 2) array of 64 boundary + 16 interior sample points."""
-    return _sample_points_cached(rect)
+    """The fixed (80, 2) array of 64 boundary + 16 interior sample points.
+
+    In polar coordinates about the core, in this order: 24 + 24 points on
+    the outer and inner band boundary arcs, 8 + 8 points on the two end
+    caps following the chord-limited angle, and 16 interior points on a
+    4 x 4 (radius x angle-fraction) grid.
+    """
+    v3, delta = rect.core.h, rect.delta
+    r_cap = np.linspace(v3 - delta, v3 + delta, 8)
+    r_in = v3 + delta * _INTERIOR_FRACTIONS
+    psi = _half_angle(rect, np.concatenate(([v3 + delta, v3 - delta], r_cap, r_in)))
+    psi_cap, psi_in = psi[2:10], psi[10:]
+    radius = np.concatenate((np.full(24, v3 + delta), np.full(24, v3 - delta),
+                             r_cap, r_cap, np.repeat(r_in, 4)))
+    phi = np.concatenate((np.linspace(-psi[0], psi[0], 24), np.linspace(-psi[1], psi[1], 24),
+                          psi_cap, -psi_cap, (psi_in[:, None] * _INTERIOR_FRACTIONS).ravel()))
+    ang = rect.arc_angle + phi
+    return rect.core.planar + radius[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
 
 
 class SubResolutionArcError(ValueError):
@@ -315,12 +304,6 @@ def greedy_maximal_incomparable(rects: list[DeltaTauRectangle], A: float) -> lis
         kept.append(i)
         buckets.setdefault(key, []).append(i)
     return [rects[i] for i in kept]
-
-
-def packing_count(envelope: DeltaTauRectangle, rects: list[DeltaTauRectangle], A: float) -> int:
-    """Number of greedy-incomparable members whose samples lie in the envelope."""
-    inside = [r for r in rects if bool(np.all(rect_contains(envelope, rect_sample_points(r))))]
-    return len(greedy_maximal_incomparable(inside, A))
 
 
 def intersect_angle(v, w) -> float:

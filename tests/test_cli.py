@@ -21,7 +21,6 @@ class TestConfigFile:
             "seed=0,1,2\n"
             "n=24\n"
             "gamma=sqrt\n"
-            "eps=0.1\n"
             "q=2\n"
             "workers=2\n"
             "out=runs/x\n"
@@ -32,9 +31,12 @@ class TestConfigFile:
         assert values["kind"] == ("light_tube", "wolff_radii")
         assert values["seed"] == (0, 1, 2)
         assert values["n"] == 24 and values["gamma"] == "sqrt"
-        assert values["eps"] == 0.1 and values["q"] == 2.0
+        assert values["q"] == 2.0
         assert values["workers"] == 2 and values["out"] == "runs/x"
         assert values["force"] is True
+        cfg.write_text("eps=0.1\n")
+        with pytest.raises(ValueError, match="unknown key 'eps'"):
+            parse_config_file(cfg)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.conf"
@@ -125,6 +127,13 @@ class TestPipelines:
         assert self.run_pairs(b) == 0
         for name in ("pair_counts.csv", "pair_counts.svg"):
             assert (a / "pairs" / name).read_bytes() == (b / "pairs" / name).read_bytes()
+
+    def test_workers_match_serial_run(self, tmp_path):
+        sweep = ["decay", "--R", "16", "--kind", "light_tube,vertical_tube", "--seed", "0,1"]
+        for workers in ("1", "2"):
+            assert main(sweep + ["--workers", workers, "--out", str(tmp_path / workers)]) == 0
+        serial, pooled = (tmp_path / w / "decay" / "decay_ratio.csv" for w in ("1", "2"))
+        assert serial.read_bytes() == pooled.read_bytes()
 
     def test_unknown_kind_exits_2(self, tmp_path, capsys):
         code = main(["pairs", "--delta", "0.03125", "--kind", "nope",
