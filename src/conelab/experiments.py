@@ -33,7 +33,8 @@ from .fourier import (MAX_KERNEL_EVALS, decay_ratio, knapp_sharpness,
                       stationary_phase_diagnostic)
 from .maximal import wolff_example_check
 from .measures import MAXIMAL_RADII, generate, generate_config
-from .operators import bbcr_equivalence_check, build_extension_operator, transference_check
+from .operators import (MAX_COLUMNS, bbcr_equivalence_check, build_extension_operator,
+                        transference_check)
 from .svgplot import svg_scatter
 from .tangency import classify_pairs, pair_count
 
@@ -245,9 +246,9 @@ def estimate_evals(experiment: str, cfg: ExperimentConfig) -> float:
     elif experiment == "pairs":
         for d in values:
             n = _circle_count(cfg.n, d)
-            total += 2 * seeds * (n * n + n / d)
+            total += len(kinds) * seeds * (n * n + n / d)
     elif experiment == "duality":
-        total = sum(len(kinds) * seeds * R * 64 * 4000 for R in values)
+        total = sum(len(kinds) * seeds * R * 64 * MAX_COLUMNS for R in values)
     return total
 
 
@@ -312,7 +313,7 @@ def _pairs_point(task):
     for D in table.dyadic_D():
         if D < 8 * delta:
             continue
-        rep = pair_count(config, D)
+        rep = pair_count(config, table, D)
         rows.append({"row": "data", "kind": kind, "delta": delta, "seed": seed,
                      "params": f"n={config.count}", "D": rep["D"],
                      "count": rep["count"], "gamma": rep["gamma"],
@@ -336,7 +337,7 @@ def _duality_point(task):
     rep = bbcr_equivalence_check(op, seed=seed)
     rng = np.random.default_rng(seed)
     subs = [np.ones(nu.mass), (np.arange(nu.mass) % 2).astype(float), rng.random(nu.mass)]
-    trans = transference_check(nu, subs, q=q, seed=seed)
+    trans = transference_check(op, subs, seed=seed)
     return [{"row": "data", "kind": kind, "R": R, "seed": seed,
              "mass": nu.mass, "u_l2_lower": rep["U_L2"], "u_l2_upper": rep["U_L2_upper"],
              "u_l1_lower": rep["U_L1"], "ratio": rep["ratio"],

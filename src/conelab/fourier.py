@@ -39,6 +39,8 @@ from .tangency import classify_pairs
 
 BUMP_ORDER = 2  # Gevrey exponent of the amplitude's flatness at rho = 1, 2
 MAX_KERNEL_EVALS = 2 * 10 ** 9
+PHI_BATCH = 8  # phi nodes per decay_mean batch
+SAMPLES_PER_UNIT = 1024  # radial-table samples per unit of u, at least
 
 
 def smooth_bump(rho) -> np.ndarray:
@@ -150,8 +152,7 @@ class RadialTable:
         return np.where(u >= 0, vals, np.conj(vals))
 
 
-def radial_transform_table(quad: ConeQuadrature, g_rho, u_max: float,
-                           samples_per_unit: int = 1024) -> RadialTable:
+def radial_transform_table(quad: ConeQuadrature, g_rho, u_max: float) -> RadialTable:
     """Tabulate the radial transform of g * amplitude out to |u| <= u_max."""
     g = np.ones_like(quad.rho) if g_rho is None else np.asarray(g_rho(quad.rho), dtype=float)
     if np.iscomplexobj(g):
@@ -160,7 +161,7 @@ def radial_transform_table(quad: ConeQuadrature, g_rho, u_max: float,
     n_rho = len(quad.rho)
     # G(k du) = exp(2 pi i rho_0 k du) * sum_j c_j exp(2 pi i j k / n_pad)
     # with rho_j = rho_0 + j drho and n_pad = 1 / (drho du): exact DFT samples.
-    n_pad = 1 << int(math.ceil(math.log2(samples_per_unit / quad.drho)))
+    n_pad = 1 << int(math.ceil(math.log2(SAMPLES_PER_UNIT / quad.drho)))
     du = 1.0 / (quad.drho * n_pad)
     n_keep = int(u_max / du) + 2
     if n_keep > n_pad:
@@ -171,14 +172,13 @@ def radial_transform_table(quad: ConeQuadrature, g_rho, u_max: float,
     return RadialTable(du, values)
 
 
-def extension_separable(points, quad: ConeQuadrature, g_rho=None, h_phi=None,
-                        samples_per_unit: int = 1024) -> np.ndarray:
+def extension_separable(points, quad: ConeQuadrature, g_rho=None, h_phi=None) -> np.ndarray:
     """Ef for f(rho, phi) = g(rho) h(phi) via the tabulated radial transform."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     h = np.ones_like(quad.phi) if h_phi is None else np.asarray(h_phi(quad.phi))
     planar = np.hypot(pts[:, 0], pts[:, 1]) if len(pts) else np.zeros(0)
     u_max = float(np.max(planar + np.abs(pts[:, 2]), initial=0.0)) + 1.0
-    table = radial_transform_table(quad, g_rho, u_max, samples_per_unit)
+    table = radial_transform_table(quad, g_rho, u_max)
     e1, e2 = np.cos(quad.phi), np.sin(quad.phi)
     out = np.empty(len(pts), dtype=complex)
     chunk = max(1, int(2 * 10 ** 6 / max(len(quad.phi), 1)))
@@ -204,7 +204,7 @@ def nu_hat(nu: CubeMeasure, xi) -> np.ndarray:
     return form * phases.sum(axis=1)
 
 
-def decay_mean(nu: CubeMeasure, q: float = 2.0, phi_batch: int = 8) -> float:
+def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
     """integral over the segment of |nu_hat|^2 dsigma, dsigma = a rho drho dphi.
 
     Bandwidths come from the center-difference spread of the measure; the
@@ -223,8 +223,8 @@ def decay_mean(nu: CubeMeasure, q: float = 2.0, phi_batch: int = 8) -> float:
     w_rho = quad.amplitude * quad.radial_weight
     total = 0.0
     n_rho = len(rho)
-    for s in range(0, len(quad.phi), phi_batch):
-        phi = quad.phi[s:s + phi_batch]
+    for s in range(0, len(quad.phi), PHI_BATCH):
+        phi = quad.phi[s:s + PHI_BATCH]
         k = (centers[:, 0] * np.cos(phi)[:, None]
              + centers[:, 1] * np.sin(phi)[:, None] + centers[:, 2])  # (b, nc)
         z0 = np.exp(-2j * math.pi * rho[0] * k)

@@ -16,7 +16,8 @@ The L1(dnu) constant is sup-based and only ever lower-bracketed, by random
 unit densities plus dual-ascent iterates f <- A*(sign pattern).  The
 level-set check realizes the dyadic pigeonholing that converts between the
 L1 and L2 forms of the estimate, and the transference report verifies the
-monotonicity mechanism (h nu stays a positive measure for 0 <= h <= 1).
+monotonicity mechanism (h nu stays a positive measure for 0 <= h <= 1) on
+the same built operator.  Each density is applied once; its image gives both norms.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import ConeQuadrature, cube_midpoints, extension_bandwidths, make_quadrature
+from .fourier import cube_midpoints, extension_bandwidths, make_quadrature
 from .measures import CubeMeasure, max_plank_mass
 
 POWER_TOL = 1e-8
 POWER_MAX_ITERS = 10 ** 4
 MAX_COLUMNS = 4000
+DUAL_ITERS = 20
 
 
 @dataclass(frozen=True)
@@ -54,13 +56,22 @@ class DiscreteExtensionOperator:
         """Image of the density f (values on kept nodes): sqrt(1/m^3) Ef at samples."""
         return self.matrix @ (np.sqrt(self.node_weight) * f_nodes)
 
+    def image_l2(self, y: np.ndarray) -> float:
+        """integral |Ef|^2 dnu of an image y = apply(f)."""
+        return float(np.sum(np.abs(y) ** 2))
+
+    def image_l1(self, y: np.ndarray, h: np.ndarray | None = None) -> float:
+        """integral |Ef| d(h nu) of an image y = apply(f); h per cube, default 1."""
+        mags = np.abs(y) if h is None else np.abs(y).reshape(self.nu.mass, -1) * h[:, None]
+        return float(np.sum(mags)) / math.sqrt(self.m ** 3)
+
     def sample_l2(self, f_nodes: np.ndarray) -> float:
         """integral |Ef|^2 dnu of the node density f via the matrix."""
-        return float(np.sum(np.abs(self.apply(f_nodes)) ** 2))
+        return self.image_l2(self.apply(f_nodes))
 
     def sample_l1(self, f_nodes: np.ndarray) -> float:
-        """integral |Ef| dnu: per-cube average of |Ef| over the m^3 samples."""
-        return float(np.sum(np.abs(self.apply(f_nodes)))) / math.sqrt(self.m ** 3)
+        """integral |Ef| dnu of the node density f via the matrix."""
+        return self.image_l1(self.apply(f_nodes))
 
     def density_norm(self, f_nodes: np.ndarray) -> float:
         """|f|_{L2(dsigma)} of the node density."""
@@ -68,25 +79,19 @@ class DiscreteExtensionOperator:
 
 
 def build_extension_operator(nu: CubeMeasure, q: float = 2.0, m: int = 4,
-                             max_columns: int = MAX_COLUMNS, seed: int = 0,
-                             phi_window: float | None = None) -> DiscreteExtensionOperator:
+                             max_columns: int = MAX_COLUMNS,
+                             seed: int = 0) -> DiscreteExtensionOperator:
     """Assemble the operator matrix for nu at m^3 midpoint samples per cube.
 
     Columns beyond max_columns are subsampled uniformly at random (seeded)
     with node weights rescaled by kept/total so weighted sums stay unbiased;
-    the subsampling is recorded in `meta`.  phi_window restricts the density
-    domain to the angular sector |phi| <= phi_window / 2 (for sector
-    witnesses); weights are not rescaled by the window.
+    the subsampling is recorded in `meta`.
     """
     pts = cube_midpoints(nu, m)
     quad = make_quadrature(*extension_bandwidths(pts), q)
     rho = np.repeat(quad.rho, len(quad.phi))
     phi = np.tile(quad.phi, len(quad.rho))
     weight = np.repeat(quad.amplitude * quad.radial_weight, len(quad.phi)) * quad.dphi
-    if phi_window is not None:
-        wrapped = np.minimum(phi, 2 * math.pi - phi)
-        keep = np.abs(wrapped) <= phi_window / 2
-        rho, phi, weight = rho[keep], phi[keep], weight[keep]
     total = len(rho)
     meta = {"nodes_total": total, "nodes_kept": total, "q": q, "seed": seed}
     if total > max_columns:
@@ -119,15 +124,16 @@ def _norm_upper(matrix: np.ndarray) -> float:
 
 
 def operator_norm(op: DiscreteExtensionOperator, tol: float = POWER_TOL,
-                  max_iters: int = POWER_MAX_ITERS, seed: int = 0,
-                  return_vector: bool = False):
+                  max_iters: int = POWER_MAX_ITERS, seed: int = 0) -> dict:
     """Largest singular value by power iteration on A*A with a bracket.
 
     Returns a dict with the Rayleigh lower bound (`lower`, also `estimate`),
-    the norm-bound ceiling (`upper`), and the iteration count; non-convergence
-    raises PowerIterationError carrying the bracket so far.
+    the norm-bound ceiling (`upper`), the iteration count and the unit right
+    singular vector (`vector`); non-convergence raises PowerIterationError
+    carrying the bracket so far.
     """
     a = op.matrix
+    a_adj = a.conj().T
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
@@ -139,26 +145,21 @@ def operator_norm(op: DiscreteExtensionOperator, tol: float = POWER_TOL,
         if s == 0.0:
             sigma = 0.0
             break
-        v_next = a.conj().T @ w
+        v_next = a_adj @ w
         v_next /= np.linalg.norm(v_next)
-        if abs(s - sigma) <= tol * max(s, 1e-300):
-            sigma = s
-            v = v_next
+        converged = abs(s - sigma) <= tol * max(s, 1e-300)
+        sigma, v = s, v_next
+        if converged:
             break
-        sigma = s
-        v = v_next
     else:
         raise PowerIterationError(
             f"no convergence in {max_iters} iterations; bracket [{sigma}, {upper}]",
             (sigma, upper))
-    out = {"estimate": sigma, "lower": sigma, "upper": upper, "iterations": k}
-    if return_vector:
-        out["vector"] = v
-    return out
+    return {"estimate": sigma, "lower": sigma, "upper": upper, "iterations": k,
+            "vector": v}
 
 
-def l1_constant(op: DiscreteExtensionOperator, trials: int = 100,
-                dual_iters: int = 20, seed: int = 0) -> float:
+def l1_constant(op: DiscreteExtensionOperator, trials: int = 100, seed: int = 0) -> float:
     """Lower bracket of the L1(dnu) constant: max |Ef|_{L1} over unit f.
 
     Random complex Gaussian densities plus dual-ascent iterates
@@ -174,34 +175,33 @@ def l1_constant(op: DiscreteExtensionOperator, trials: int = 100,
     def score(f):
         norm = op.density_norm(f)
         if norm == 0.0:
-            return 0.0, f
-        f = f / norm
-        l1 = op.sample_l1(f)
-        l2 = math.sqrt(op.sample_l2(f))
+            return 0.0, None
+        y = op.apply(f / norm)
+        l1 = op.image_l1(y)
+        l2 = math.sqrt(op.image_l2(y))
         if l1 > l2 * sqrt_mass * (1 + 1e-9):
             raise RuntimeError("L1 trial exceeded its Cauchy-Schwarz ceiling")
-        return l1, f
+        return l1, y
 
-    best, best_f = 0.0, None
+    best, best_y = 0.0, None
     for _ in range(trials):
-        f = rng.standard_normal(ncols) + 1j * rng.standard_normal(ncols)
-        l1, f = score(f)
+        l1, y = score(rng.standard_normal(ncols) + 1j * rng.standard_normal(ncols))
         if l1 >= best:
-            best, best_f = l1, f
-    if best_f is None:
+            best, best_y = l1, y
+    if best_y is None:
         return 0.0
-    f = best_f
-    for _ in range(dual_iters):
-        y = op.apply(f)
+    y = best_y
+    a_adj = op.matrix.conj().T
+    w = np.sqrt(op.node_weight)
+    for _ in range(DUAL_ITERS):
         mags = np.abs(y)
         sign = np.where(mags > 0, y / np.where(mags > 0, mags, 1.0), 0.0)
-        g = op.matrix.conj().T @ sign
-        w = np.sqrt(op.node_weight)
+        g = a_adj @ sign
         f_new = np.divide(g, w, out=np.zeros_like(g), where=w > 0)  # back to density values
-        l1, f_new = score(f_new)
+        l1, y_new = score(f_new)
         if l1 <= best:
             break
-        best, f = l1, f_new
+        best, y = l1, y_new
     return best
 
 
@@ -211,8 +211,7 @@ def dyadic_levels(z_max: float, z_min: float) -> np.ndarray:
     return z_max * 2.0 ** (-0.5 * np.arange(1, steps + 1))
 
 
-def bbcr_equivalence_check(op: DiscreteExtensionOperator, nu: CubeMeasure | None = None,
-                           seed: int = 0) -> dict:
+def bbcr_equivalence_check(op: DiscreteExtensionOperator, seed: int = 0) -> dict:
     """Dyadic pigeonholing on the worst density plus the L1/L2 consistency ratio.
 
     For the top singular vector f: per-cube RMS values z of Ef satisfy
@@ -225,9 +224,8 @@ def bbcr_equivalence_check(op: DiscreteExtensionOperator, nu: CubeMeasure | None
     the report carries the ratio U_L2^(1/2) / (U_L1 / mass^(1/2)) that the
     L1<->L2 equivalence keeps bounded both ways.
     """
-    if nu is None:
-        nu = op.nu
-    norm = operator_norm(op, seed=seed, return_vector=True)
+    nu = op.nu
+    norm = operator_norm(op, seed=seed)
     y = op.matrix @ norm["vector"]  # the vector is already a unit coefficient vector
     per_cube = np.sum(np.abs(y.reshape(nu.mass, -1)) ** 2, axis=1)
     z = np.sqrt(per_cube)  # per-cube RMS of Ef; sum z^2 = weighted L2
@@ -259,33 +257,31 @@ def bbcr_equivalence_check(op: DiscreteExtensionOperator, nu: CubeMeasure | None
     }
 
 
-def transference_check(nu: CubeMeasure, subweights, q: float = 2.0, m: int = 4,
-                       trials: int = 20, seed: int = 0) -> dict:
+def transference_check(op: DiscreteExtensionOperator, subweights, trials: int = 20,
+                       seed: int = 0) -> dict:
     """Monotonicity of mass, plank mass, and L1 norms under densities h.
 
-    Each h (array over cubes, values in [0, 1]) defines the positive measure
-    h nu; the report asserts mass(h nu) <= mass(nu), P_upper(h nu) <=
-    P_upper(nu), and per random trial f that |Ef|_{L1(h nu)} <= |Ef|_{L1(nu)}.
+    Each h (array over cubes of op.nu, values in [0, 1]) defines the positive
+    measure h nu; the report asserts mass(h nu) <= mass(nu), P_upper(h nu) <=
+    P_upper(nu), and per random trial f (seeded) that
+    |Ef|_{L1(h nu)} <= |Ef|_{L1(nu)}.
     """
+    nu = op.nu
     hs = [np.asarray(h, dtype=float).reshape(-1) for h in subweights]
     for h in hs:
         if len(h) != nu.mass:
             raise ValueError("h must assign one value per cube")
         if h.min(initial=0.0) < 0.0 or h.max(initial=0.0) > 1.0:
             raise ValueError("h values must lie in [0, 1]")
-    op = build_extension_operator(nu, q=q, m=m, seed=seed)
-    rng = np.random.default_rng(seed)
-    fs = []
-    for _ in range(trials):
-        f = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
-        fs.append(f / op.density_norm(f))
-    base_abs = [np.abs(op.apply(f).reshape(nu.mass, -1)) for f in fs]
-    base_l1 = [float(s.sum()) / math.sqrt(op.m ** 3) for s in base_abs]
+    rng, n = np.random.default_rng(seed), op.shape[1]
+    fs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(trials)]
+    images = [op.apply(f / op.density_norm(f)) for f in fs]
+    base_l1 = [op.image_l1(y) for y in images]
     _, p_upper = max_plank_mass(nu)
     rows = []
     for h in hs:
         _, p_upper_h = max_plank_mass(nu, weights=h)
-        l1_h = [float((s * h[:, None]).sum()) / math.sqrt(op.m ** 3) for s in base_abs]
+        l1_h = [op.image_l1(y, h) for y in images]
         ok = (float(h.sum()) <= nu.mass + 1e-9
               and p_upper_h <= p_upper + 1e-9
               and all(a <= b + 1e-9 * max(b, 1) for a, b in zip(l1_h, base_l1)))

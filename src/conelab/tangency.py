@@ -121,16 +121,16 @@ def common_plank(v, w, delta: float) -> Lightplank:
                       (delta, delta / tau, delta / tau ** 2))
 
 
-def pair_count(config: CircleConfig, D: float) -> dict:
+def pair_count(config: CircleConfig, table: PairTable, D: float) -> dict:
     """Tangent pairs at separation ~D against the plank-multiplicity bound.
 
     ratio = |pairs with d in [D, 2D), Delta <= 2 delta|
             / (gamma^(1/2) (D/delta)^(1/2) |X|)
-    with gamma the doubled-plank multiplicity at tau_D = sqrt(delta/D).
+    with gamma the doubled-plank multiplicity at tau_D = sqrt(delta/D), and
+    table = classify_pairs(config), built once for all bands.
     """
     if D < 8 * config.delta:
         raise ValueError("D below 8*delta")
-    table = classify_pairs(config)
     count = int(np.sum(table.band_mask(D) & table.tangent_mask()))
     tau_D = math.sqrt(config.delta / D)
     gamma = max(gamma_tau(config, tau_D), 1)

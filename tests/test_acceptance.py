@@ -154,7 +154,7 @@ def test_criterion_5_pair_count_bound():
                 for D in table.dyadic_D():
                     if D < 8 * delta:
                         continue
-                    ratio = pair_count(config, D)["ratio"]
+                    ratio = pair_count(config, table, D)["ratio"]
                     worst_rel = max(worst_rel, ratio / bound)
                     bands += 1
     record(5, "pair-count bound", worst_rel <= 1.0,
@@ -227,7 +227,7 @@ def test_criterion_8_duality_transference():
             rng = np.random.default_rng(seed)
             subs = [np.ones(nu.mass), (np.arange(nu.mass) % 2).astype(float),
                     rng.random(nu.mass)]
-            trans_ok &= transference_check(nu, subs, q=2.0, seed=seed)["ok"]
+            trans_ok &= transference_check(op, subs, seed=seed)["ok"]
     in_window = all(1 / 64 <= r <= 64 for r in ratios)
     record(8, "duality and transference", in_window and rayleigh_ok and trans_ok,
            f"bbcr ratios [{min(ratios):.3f}, {max(ratios):.3f}] in [1/64, 64] "

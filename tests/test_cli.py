@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conelab.cli import main, parse_config_file
+from conelab.experiments import ExperimentConfig, estimate_evals
 from conelab.measures import load_config, load_measure
 
 
@@ -129,11 +130,15 @@ class TestPipelines:
             assert (a / "pairs" / name).read_bytes() == (b / "pairs" / name).read_bytes()
 
     def test_workers_match_serial_run(self, tmp_path):
-        sweep = ["decay", "--R", "16", "--kind", "light_tube,vertical_tube", "--seed", "0,1"]
-        for workers in ("1", "2"):
-            assert main(sweep + ["--workers", workers, "--out", str(tmp_path / workers)]) == 0
-        serial, pooled = (tmp_path / w / "decay" / "decay_ratio.csv" for w in ("1", "2"))
-        assert serial.read_bytes() == pooled.read_bytes()
+        for experiment, csv_name in (("decay", "decay_ratio.csv"), ("duality", "duality.csv")):
+            sweep = [experiment, "--R", "16", "--kind", "light_tube,vertical_tube",
+                     "--seed", "0,1"]
+            for workers in ("1", "2"):
+                out = tmp_path / experiment / workers
+                assert main(sweep + ["--workers", workers, "--out", str(out)]) == 0
+            serial, pooled = (tmp_path / experiment / w / experiment / csv_name
+                              for w in ("1", "2"))
+            assert serial.read_bytes() == pooled.read_bytes()
 
     def test_unknown_kind_exits_2(self, tmp_path, capsys):
         code = main(["pairs", "--delta", "0.03125", "--kind", "nope",
@@ -152,6 +157,12 @@ class TestPipelines:
         err = capsys.readouterr().err
         assert "budget" in err and "force" in err
         assert not (tmp_path / "pairs").exists()
+
+    def test_pairs_estimate_scales_with_kinds(self):
+        both = estimate_evals("pairs", ExperimentConfig(experiment="pairs"))
+        one = estimate_evals("pairs", ExperimentConfig(experiment="pairs",
+                                                       kinds=("wolff_radii",)))
+        assert one == pytest.approx(both / 2, rel=1e-12)
 
 
 class TestEntryPoint:

@@ -115,15 +115,6 @@ class TestAssembly:
         assert float(np.sum(sub.node_weight)) == pytest.approx(
             float(np.sum(full.node_weight)), rel=0.2)
 
-    def test_phi_window_restricts_nodes(self):
-        nu = generate("light_tube", 8, 0)
-        full = build_extension_operator(nu, q=2.0, m=2, max_columns=10 ** 6)
-        win = build_extension_operator(nu, q=2.0, m=2, max_columns=10 ** 6,
-                                       phi_window=math.pi / 2)
-        assert win.shape[1] < full.shape[1]
-        wrapped = np.minimum(win.phi, 2 * math.pi - win.phi)
-        assert np.all(np.abs(wrapped) <= math.pi / 4 + 1e-12)
-
 
 class TestL1Constant:
     def test_requires_enough_trials(self):
@@ -201,7 +192,8 @@ class TestTransference:
     def test_monotone_under_subweights(self):
         nu = generate("light_tube", 8, 0)
         ones = np.ones(nu.mass)
-        res = transference_check(nu, [ones, 0.5 * ones, np.zeros(nu.mass)], m=2, trials=5)
+        op = build_extension_operator(nu, m=2)
+        res = transference_check(op, [ones, 0.5 * ones, np.zeros(nu.mass)], trials=5)
         assert res["ok"]
         assert res["sub"][0]["mass"] == pytest.approx(nu.mass)
         # h = 1/2 scales every L1 norm exactly by 1/2
@@ -212,14 +204,15 @@ class TestTransference:
         nu = generate("random_frostman", 8, 2)
         rng = np.random.default_rng(7)
         hs = [rng.uniform(0, 1, nu.mass) for _ in range(3)]
-        res = transference_check(nu, hs, m=2, trials=5)
+        res = transference_check(build_extension_operator(nu, m=2), hs, trials=5)
         assert res["ok"] and all(r["p_upper"] <= res["p_upper"] + 1e-9 for r in res["sub"])
 
     def test_validation(self):
         nu = generate("light_tube", 8, 0)
+        op = build_extension_operator(nu, m=2)
         with pytest.raises(ValueError):
-            transference_check(nu, [np.ones(nu.mass + 1)], m=2, trials=5)
+            transference_check(op, [np.ones(nu.mass + 1)], trials=5)
         with pytest.raises(ValueError):
-            transference_check(nu, [np.full(nu.mass, 1.5)], m=2, trials=5)
+            transference_check(op, [np.full(nu.mass, 1.5)], trials=5)
         with pytest.raises(ValueError):
-            transference_check(nu, [np.full(nu.mass, -0.1)], m=2, trials=5)
+            transference_check(op, [np.full(nu.mass, -0.1)], trials=5)

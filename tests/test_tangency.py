@@ -153,12 +153,13 @@ class TestPairCount:
     def test_frozen_wolff_values(self):
         config = generate_config("wolff_radii", 2.0 ** -6, 32, seed=0,
                                  radius_band=MAXIMAL_RADII)
-        out = pair_count(config, 0.125)
+        table = classify_pairs(config)
+        out = pair_count(config, table, 0.125)
         assert out["count"] == 39
         assert out["gamma"] == 10
         assert out["tau_D"] == pytest.approx(math.sqrt(config.delta / 0.125), rel=1e-12)
         assert out["ratio"] == pytest.approx(0.136260392379, rel=1e-9)
-        out2 = pair_count(config, 0.25)
+        out2 = pair_count(config, table, 0.25)
         assert out2["count"] == 2
         assert out2["ratio"] == pytest.approx(0.00494105884401, rel=1e-9)
 
@@ -166,7 +167,7 @@ class TestPairCount:
         config = generate_config("random_frostman", 2.0 ** -6, 20, seed=2,
                                  radius_band=MAXIMAL_RADII)
         D = 0.125
-        out = pair_count(config, D)
+        out = pair_count(config, classify_pairs(config), D)
         ref = sum(1 for _, _, d, dd in brute_force_pairs(config.circles)
                   if D <= d < 2 * D and dd <= 2 * config.delta)
         assert out["count"] == ref
@@ -175,7 +176,7 @@ class TestPairCount:
         config = generate_config("wolff_radii", 2.0 ** -6, 8, seed=0,
                                  radius_band=MAXIMAL_RADII)
         with pytest.raises(ValueError):
-            pair_count(config, 4 * config.delta)
+            pair_count(config, classify_pairs(config), 4 * config.delta)
 
 
 class TestNuMultiplicity:
