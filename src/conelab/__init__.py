@@ -11,7 +11,6 @@ from .fitting import ScalingFit, fit_exponent
 from .fourier import (
     decay_by_classes,
     decay_mean,
-    decay_pair_sum,
     decay_ratio,
     extension_direct,
     extension_separable,

@@ -13,9 +13,9 @@ vanishes to infinite order at both endpoints) and uniform nodes in phi
 spacing resolves the integrand's bandwidth; callers state the bandwidth and
 an oversampling factor.
 
-For radially-times-angularly separable f the phi sum factors through the
-radial transform G(u) = sum_rho g a rho drho exp(2 pi i rho u), which is
-sampled exactly on a fine u-grid by a zero-padded FFT and then interpolated;
+For purely angular f = h(phi) the phi sum factors through the radial
+transform G(u) = sum_rho a rho drho exp(2 pi i rho u), which is sampled
+exactly on a fine u-grid by a zero-padded FFT and then interpolated;
 Ef(x) = sum_phi h(phi) dphi G(x' . e(phi) + x3).  The direct and separable
 routes agree to the interpolation error and the direct route stays available
 as a cross-check.
@@ -41,6 +41,7 @@ BUMP_ORDER = 2  # Gevrey exponent of the amplitude's flatness at rho = 1, 2
 MAX_KERNEL_EVALS = 2 * 10 ** 9
 PHI_BATCH = 8  # phi nodes per decay_mean batch
 SAMPLES_PER_UNIT = 1024  # radial-table samples per unit of u, at least
+NEAR_EPS = 0.05  # decay_by_classes: the near class reaches separation R^(10 NEAR_EPS)
 
 
 def smooth_bump(rho) -> np.ndarray:
@@ -152,12 +153,9 @@ class RadialTable:
         return np.where(u >= 0, vals, np.conj(vals))
 
 
-def radial_transform_table(quad: ConeQuadrature, g_rho, u_max: float) -> RadialTable:
-    """Tabulate the radial transform of g * amplitude out to |u| <= u_max."""
-    g = np.ones_like(quad.rho) if g_rho is None else np.asarray(g_rho(quad.rho), dtype=float)
-    if np.iscomplexobj(g):
-        raise ValueError("separable path needs a real radial profile")
-    c = g * quad.amplitude * quad.radial_weight
+def radial_transform_table(quad: ConeQuadrature, u_max: float) -> RadialTable:
+    """Tabulate the radial transform of the amplitude out to |u| <= u_max."""
+    c = quad.amplitude * quad.radial_weight
     n_rho = len(quad.rho)
     # G(k du) = exp(2 pi i rho_0 k du) * sum_j c_j exp(2 pi i j k / n_pad)
     # with rho_j = rho_0 + j drho and n_pad = 1 / (drho du): exact DFT samples.
@@ -172,13 +170,13 @@ def radial_transform_table(quad: ConeQuadrature, g_rho, u_max: float) -> RadialT
     return RadialTable(du, values)
 
 
-def extension_separable(points, quad: ConeQuadrature, g_rho=None, h_phi=None) -> np.ndarray:
-    """Ef for f(rho, phi) = g(rho) h(phi) via the tabulated radial transform."""
+def extension_separable(points, quad: ConeQuadrature, h_phi=None) -> np.ndarray:
+    """Ef for f(rho, phi) = h(phi) via the tabulated radial transform."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     h = np.ones_like(quad.phi) if h_phi is None else np.asarray(h_phi(quad.phi))
     planar = np.hypot(pts[:, 0], pts[:, 1]) if len(pts) else np.zeros(0)
     u_max = float(np.max(planar + np.abs(pts[:, 2]), initial=0.0)) + 1.0
-    table = radial_transform_table(quad, g_rho, u_max)
+    table = radial_transform_table(quad, u_max)
     e1, e2 = np.cos(quad.phi), np.sin(quad.phi)
     out = np.empty(len(pts), dtype=complex)
     chunk = max(1, int(2 * 10 ** 6 / max(len(quad.phi), 1)))
@@ -275,25 +273,19 @@ def knapp_center(R: int) -> np.ndarray:
     return np.array([R / 2 - 0.5, R / 2 + 0.5, 1.5 * R + 0.5])
 
 
-def knapp_tube_measure(R: int, gamma: int, include_rest: bool = True) -> CubeMeasure:
-    """Light tube along the plank's long axis, optionally padded to mass R.
+def knapp_tube_measure(R: int, gamma: int) -> CubeMeasure:
+    """Light tube of length gamma along the plank's long axis.
 
-    The tube of length gamma has cube centers c0 + k(-1, 0, 1) so the
-    modulated sector extension is coherent on it; with include_rest a far
-    vertical tube tops the mass up to R where the extension has decayed.
+    Its cube centers are c0 + k(-1, 0, 1), so the modulated sector
+    extension is coherent on it.
     """
     c0 = knapp_center(R)
     ks = np.arange(gamma) - gamma // 2
-    tube = np.column_stack([
+    return CubeMeasure(R, np.column_stack([
         (c0[0] - 0.5 - ks).astype(np.int64),
         np.full(len(ks), int(c0[1] - 0.5)),
         (c0[2] - 0.5 + ks).astype(np.int64),
-    ])
-    rest = R - gamma if include_rest else 0
-    vert = np.column_stack([
-        np.full(rest, R - 1), np.full(rest, 0), np.arange(R, R + rest)
-    ]) if rest > 0 else np.empty((0, 3), dtype=np.int64)
-    return CubeMeasure(R, np.vstack([tube, vert]))
+    ]))
 
 
 def cube_midpoints(nu: CubeMeasure, m: int) -> np.ndarray:
@@ -303,13 +295,12 @@ def cube_midpoints(nu: CubeMeasure, m: int) -> np.ndarray:
     return (nu.cubes[:, None, :] + offs[None, :, :]).reshape(-1, 3)
 
 
-def weighted_l2(nu: CubeMeasure, g_rho=None, h_phi=None, shift=None,
-                q: float = 2.0, m: int = 4, f=None) -> float:
+def weighted_l2(nu: CubeMeasure, h_phi=None, shift=None, q: float = 2.0, m: int = 4) -> float:
     """integral |Ef|^2 dnu: per-cube average of m^3 midpoint samples.
 
-    Separable f = g(rho) h(phi) uses the tabulated radial transform; an
-    arbitrary f(rho, phi) falls back to the direct sum.  `shift` evaluates
-    the modulation exp(-2 pi i shift . xi) f, i.e. Ef translated by shift.
+    f = h(phi) goes through the tabulated radial transform.  `shift`
+    evaluates the modulation exp(-2 pi i shift . xi) f, i.e. Ef translated
+    by shift.
     """
     if m < 2:
         raise ValueError("need at least 2 samples per axis")
@@ -317,14 +308,11 @@ def weighted_l2(nu: CubeMeasure, g_rho=None, h_phi=None, shift=None,
     if shift is not None:
         pts = pts - np.asarray(shift, dtype=float)
     quad = make_quadrature(*extension_bandwidths(pts), q)
-    if f is not None:
-        vals = extension_direct(pts, quad, f=f)
-    else:
-        vals = extension_separable(pts, quad, g_rho, h_phi)
+    vals = extension_separable(pts, quad, h_phi)
     return float(np.sum(np.abs(vals) ** 2)) / m ** 3
 
 
-def knapp_sharpness(R: int, gamma: int, q: float = 2.0, m: int = 4) -> dict:
+def knapp_sharpness(R: int, gamma: int, q: float = 2.0) -> dict:
     """Sharpness ratio of the weighted L^2 bound on the aligned light tube.
 
     ratio = integral(|Ef|^2 dnu) / (gamma^(1/2) |f|^2_{L2(dsigma)}) for the
@@ -334,9 +322,9 @@ def knapp_sharpness(R: int, gamma: int, q: float = 2.0, m: int = 4) -> dict:
     """
     if not 1 <= gamma <= R:
         raise ValueError("gamma must lie in [1, R]")
-    nu = knapp_tube_measure(R, gamma, include_rest=False)
+    nu = knapp_tube_measure(R, gamma)
     h_phi, width = knapp_sector(gamma)
-    wl2 = weighted_l2(nu, None, h_phi, shift=knapp_center(R), q=q, m=m)
+    wl2 = weighted_l2(nu, h_phi, shift=knapp_center(R), q=q)
     quad = make_quadrature(8, 8, q)
     f_norm2 = float(np.sum(quad.amplitude * quad.radial_weight)) * width
     ratio = wl2 / (math.sqrt(gamma) * f_norm2)
@@ -396,29 +384,22 @@ def _pair_kernel_values(nu: CubeMeasure, q: float):
     return float(vals[0].real), vals[1:].real
 
 
-def decay_pair_sum(nu: CubeMeasure, q: float = 2.0) -> float:
-    """decay_mean by the kernel route: sum of K(c' - c) over all cube pairs.
+def decay_by_classes(nu: CubeMeasure, q: float = 2.0) -> dict:
+    """decay_mean by the kernel route, grouped by separation classes.
 
-    K(x) = integral |cube transform|^2 exp(2 pi i x.xi) dsigma, so summing
-    over ordered center pairs reproduces integral |nu_hat|^2 dsigma exactly;
-    quadratic in the mass, kept as an independent cross-check.
-    """
-    k0, off = _pair_kernel_values(nu, q)
-    return nu.mass * k0 + 2.0 * float(np.sum(off))
-
-
-def decay_by_classes(nu: CubeMeasure, q: float = 2.0, eps: float = 0.05) -> dict:
-    """Pair-sum route regrouped by separation classes of the rescaled family.
-
-    Off-diagonal pairs split into a near class (cube-scale separation at
-    most R^(10 eps)) and dyadic bands [D, 2D) of the rescaled separation;
-    the partition is exact, so diag + near + sum of bands equals the plain
-    pair sum and the table shows which separations carry the decay mean.
+    K(x) = integral |cube transform|^2 exp(2 pi i x.xi) dsigma, so the sum
+    of K(c' - c) over ordered center pairs, `total`, reproduces integral
+    |nu_hat|^2 dsigma exactly; it is quadratic in the mass and serves as an
+    independent cross-check.  Off-diagonal pairs split into a near class
+    (cube-scale separation at most R^(10 NEAR_EPS)) and dyadic bands
+    [D, 2D) of the rescaled separation; the partition is exact, so diag +
+    near + sum of bands equals the total and the table shows which
+    separations carry the decay mean.
     """
     k0, off = _pair_kernel_values(nu, q)
     contrib = 2.0 * off
     table = classify_pairs(rescale_to_Q(nu))
-    near = table.d / table.delta <= nu.R ** (10.0 * eps)
+    near = table.d / table.delta <= nu.R ** (10.0 * NEAR_EPS)
     bands = {}
     for D in table.dyadic_D():
         mask = table.band_mask(D) & ~near

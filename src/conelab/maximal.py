@@ -12,10 +12,11 @@ measure how strongly the family overlaps, and the ratio
 annuli themselves -- is the quantity the circular maximal inequality
 controls up to factors logarithmic in 1/delta.
 
-Fields are rasterized exactly (per-row chord spans of each annulus) on a
-square grid of spacing delta/4 covering [-window, window]^2; the default
-window 1.1 fits every admissible configuration.  Point evaluations of the
-multiplicity never rasterize and work at any scale.
+Every annulus cell set (fields, masks, maximal-function averages) comes
+from the per-row chord spans of the annulus on a grid of spacing delta/4
+over [-1.1, 1.1]^2, which fits every admissible configuration; every
+multiplicity statistic is read from one histogram of the integer field.
+Point evaluations of the multiplicity never rasterize and work at any scale.
 """
 
 from __future__ import annotations
@@ -53,25 +54,14 @@ class RasterGrid:
         return self.h * self.h
 
 
-def default_grid(delta: float, window: float = DEFAULT_WINDOW) -> RasterGrid:
-    return RasterGrid(h=delta / GRID_FACTOR, window=window)
-
-
-def _check_window(config: CircleConfig, window: float, thickness: float | None = None) -> None:
-    c = config.circles
-    if len(c) == 0:
-        return
-    if thickness is None:
-        thickness = config.delta
-    reach = np.max(np.abs(c[:, :2]).max(axis=1) + c[:, 2] + thickness)
-    if reach > window:
-        raise ValueError(f"annuli reach {reach:.3f} beyond raster window {window}")
+def default_grid(delta: float) -> RasterGrid:
+    return RasterGrid(h=delta / GRID_FACTOR, window=DEFAULT_WINDOW)
 
 
 def annulus_mask(circle, delta: float, grid: RasterGrid) -> np.ndarray:
     """Boolean raster of one annulus (cells within delta of the circle)."""
-    field, _ = _rasterize_annuli([circle], delta, grid, dtype=np.int32)
-    return field > 0
+    spans = [_annulus_spans(circle, delta, grid)]
+    return _raster(spans, [1], len(grid.nodes_1d), np.int32) > 0
 
 
 def _annulus_spans(circle, delta: float, grid: RasterGrid):
@@ -100,45 +90,59 @@ def _annulus_spans(circle, delta: float, grid: RasterGrid):
     right0 = np.ceil((a1 + wi - x0) / h).astype(np.int64)
     right1 = np.floor((a1 + wo - x0) / h).astype(np.int64)
     merge = left1 >= right0  # chords meet: count the union once
-    out_rows, out_s, out_e = [], [], []
-    m = merge & (left0 <= right1)
-    out_rows.append(rows[m]); out_s.append(left0[m]); out_e.append(right1[m])
-    k = ~merge & (left0 <= left1)
-    out_rows.append(rows[k]); out_s.append(left0[k]); out_e.append(left1[k])
-    k = ~merge & (right0 <= right1)
-    out_rows.append(rows[k]); out_s.append(right0[k]); out_e.append(right1[k])
-    rows = np.concatenate(out_rows)
-    starts = np.clip(np.concatenate(out_s), 0, n - 1)
-    ends = np.clip(np.concatenate(out_e), 0, n - 1)
-    return rows, starts, ends
+    chords = ((merge & (left0 <= right1), left0, right1),
+              (~merge & (left0 <= left1), left0, left1),
+              (~merge & (right0 <= right1), right0, right1))
+    return (np.concatenate([rows[k] for k, _, _ in chords]),
+            np.clip(np.concatenate([s[k] for k, s, _ in chords]), 0, n - 1),
+            np.clip(np.concatenate([e[k] for k, _, e in chords]), 0, n - 1))
 
 
-def _rasterize_annuli(circles, delta: float, grid: RasterGrid, values=None,
-                      dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of annulus indicators (times per-circle values) plus cell counts."""
-    n = len(grid.nodes_1d)
+def _span_cells(spans) -> int:
+    return int(np.sum(spans[2] - spans[1] + 1))
+
+
+def _raster(spans, values, n: int, dtype) -> np.ndarray:
+    """Sum over annuli of value times indicator, from their row spans."""
     diff = np.zeros((n, n + 1), dtype=dtype)
-    counts = np.zeros(len(circles))
-    for k, circle in enumerate(circles):
-        rows, starts, ends = _annulus_spans(circle, delta, grid)
-        counts[k] = float(np.sum(ends - starts + 1))
-        v = 1 if values is None else values[k]
-        if v == 0 or len(rows) == 0:
-            continue
+    for (rows, starts, ends), v in zip(spans, values):
         np.add.at(diff, (rows, starts), v)
         np.add.at(diff, (rows, ends + 1), -v)
-    return np.cumsum(diff, axis=1)[:, :n], counts
+    return np.cumsum(diff, axis=1)[:, :n]
 
 
-def multiplicity_field(config: CircleConfig, lam: float = 1.0,
+def _row_prefix(f: np.ndarray) -> np.ndarray:
+    """Row prefix sums of |f| behind a zero column: a span sums in two lookups."""
+    prefix = np.zeros((f.shape[0], f.shape[1] + 1))
+    np.cumsum(np.abs(f), axis=1, out=prefix[:, 1:])
+    return prefix
+
+
+def _span_sum(prefix: np.ndarray, spans) -> float:
+    rows, starts, ends = spans
+    return float(np.sum(prefix[rows, ends + 1] - prefix[rows, starts]))
+
+
+def multiplicity_field(config: CircleConfig,
                        grid: RasterGrid | None = None) -> tuple[np.ndarray, RasterGrid]:
-    """Exact annulus-count raster m(x) at thickness lam * delta."""
+    """Exact annulus-count raster m(x), as int16."""
     if grid is None:
         grid = default_grid(config.delta)
-    delta = lam * config.delta
-    _check_window(config, grid.window, thickness=delta)
-    field, _ = _rasterize_annuli(config.circles, delta, grid, dtype=np.int32)
+    c = config.circles
+    reach = np.max(np.abs(c[:, :2]).max(axis=1) + c[:, 2] + config.delta, initial=0.0)
+    if reach > grid.window:
+        raise ValueError(f"annuli reach {reach:.3f} beyond raster window {grid.window}")
+    spans = [_annulus_spans(circle, config.delta, grid) for circle in c]
+    field = _raster(spans, [1] * len(spans), len(grid.nodes_1d), np.int32)
     return field.astype(np.int16), grid
+
+
+def _multiplicity_histogram(config: CircleConfig, grid: RasterGrid | None):
+    """Cell counts at multiplicity 0, 1, ..., max of the raster, and |m|_{3/2}."""
+    m, grid = multiplicity_field(config, grid=grid)
+    hist = np.bincount(m.ravel())
+    l32 = float(np.sum(hist * np.arange(len(hist)) ** 1.5) * grid.cell_area) ** (2.0 / 3.0)
+    return hist, l32, grid
 
 
 def multiplicity_at(config: CircleConfig, points, lam: float = 1.0) -> np.ndarray:
@@ -166,11 +170,11 @@ def annulus_average(f: np.ndarray, grid: RasterGrid, a, r: float, delta: float) 
     """
     if math.hypot(a[0], a[1]) + r + delta > grid.window:
         raise ValueError("annulus reaches beyond the raster window")
-    mask = annulus_mask((a[0], a[1], r), delta, grid)
-    cells = int(mask.sum())
+    spans = _annulus_spans((a[0], a[1], r), delta, grid)
+    cells = _span_cells(spans)
     if cells == 0:
         raise ValueError("annulus thinner than the grid resolution")
-    return float(np.sum(np.abs(f)[mask])) / cells
+    return _span_sum(_row_prefix(f), spans) / cells
 
 
 def radius_grid(delta: float) -> np.ndarray:
@@ -195,21 +199,19 @@ def maximal_function(f: np.ndarray, delta: float, grid: RasterGrid,
     step = delta / 2
     c1d = CENTER_BOX[0] + step * np.arange(int(math.floor(
         (CENTER_BOX[1] - CENTER_BOX[0]) / step)) + 1)
-    af = np.abs(f)
-    xs = grid.nodes_1d
+    prefix = _row_prefix(f)
     value = np.zeros(len(radii))
     upper = np.zeros(len(radii))
     for a1 in c1d:
         for a2 in c1d:
-            d2 = (xs[None, :] - a1) ** 2 + (xs[:, None] - a2) ** 2
             for k, r in enumerate(radii):
-                thin = (d2 >= max(r - delta, 0.0) ** 2) & (d2 <= (r + delta) ** 2)
-                cells = int(thin.sum())
+                thin = _annulus_spans((a1, a2, r), delta, grid)
+                cells = _span_cells(thin)
                 if cells == 0:
                     continue
-                value[k] = max(value[k], float(np.sum(af[thin])) / cells)
-                thick = (d2 >= max(r - 2 * delta, 0.0) ** 2) & (d2 <= (r + 2 * delta) ** 2)
-                upper[k] = max(upper[k], float(np.sum(af[thick])) / cells)
+                value[k] = max(value[k], _span_sum(prefix, thin) / cells)
+                thick = _annulus_spans((a1, a2, r), 2 * delta, grid)
+                upper[k] = max(upper[k], _span_sum(prefix, thick) / cells)
     return {"radii": radii, "value": value, "upper": upper}
 
 
@@ -252,22 +254,22 @@ class WeightedFamily:
         return radius_grid(self.delta)
 
 
-def weighted_field(family: WeightedFamily, grid: RasterGrid | None = None,
-                   normalized: bool = False) -> tuple[np.ndarray, RasterGrid]:
-    """Raster of g = sum_r w(r) 1_{C(a(r),r)}; normalized divides each
-    indicator by its rasterized area so the annulus integral of f becomes
-    an average."""
+def weighted_field(family: WeightedFamily,
+                   grid: RasterGrid | None = None) -> tuple[np.ndarray, RasterGrid]:
+    """Raster of g = sum_r w(r) delta 1_{C(a(r),r)} / area(C(a(r),r)).
+
+    Each indicator is divided by its rasterized area, so the integral of
+    g |f| is a weighted sum of annulus averages of f.
+    """
     if grid is None:
         grid = default_grid(family.delta)
-    circles = [(a1, a2, r) for (a1, a2), r in zip(family.centers, family.radii)]
-    _, counts = _rasterize_annuli(circles, family.delta, grid, values=np.zeros(len(circles)))
+    spans = [_annulus_spans((a1, a2, r), family.delta, grid)
+             for (a1, a2), r in zip(family.centers, family.radii)]
+    counts = np.array([float(_span_cells(s)) for s in spans])
     if np.any(counts == 0):
         raise ValueError("annulus thinner than the grid resolution")
-    values = np.asarray(family.weights, dtype=float)
-    if normalized:
-        values = values * family.delta / (counts * grid.cell_area)
-    g, _ = _rasterize_annuli(circles, family.delta, grid, values=values)
-    return g, grid
+    values = family.weights * family.delta / (counts * grid.cell_area)
+    return _raster(spans, values, len(grid.nodes_1d), np.float64), grid
 
 
 def wolff_duality_check(f: np.ndarray, family: WeightedFamily,
@@ -281,16 +283,16 @@ def wolff_duality_check(f: np.ndarray, family: WeightedFamily,
     the domination exact; `slack` covers off-grid centers via the doubled
     bracket.
     """
-    g, grid = weighted_field(family, grid, normalized=True)
+    g, grid = weighted_field(family, grid)
     lhs = float(np.sum(g * np.abs(f)) * grid.cell_area)
     mf = maximal_function(f, family.delta, grid, radii=family.radii)
-    rhs = radial_lp(family.weights, family.delta, 1.5) * radial_lp(mf["value"], family.delta, 3.0)
-    rhs_upper = radial_lp(family.weights, family.delta, 1.5) * radial_lp(mf["upper"], family.delta, 3.0)
-    return {"lhs": lhs, "rhs": rhs, "rhs_upper": rhs_upper,
-            "ok": lhs <= 1.05 * rhs}
+    w32 = radial_lp(family.weights, family.delta, 1.5)
+    rhs = w32 * radial_lp(mf["value"], family.delta, 3.0)
+    rhs_upper = w32 * radial_lp(mf["upper"], family.delta, 3.0)
+    return {"lhs": lhs, "rhs": rhs, "rhs_upper": rhs_upper, "ok": lhs <= 1.05 * rhs}
 
 
-def wolff_example_check(config: CircleConfig, grid: RasterGrid | None = None) -> dict:
+def wolff_example_check(config: CircleConfig) -> dict:
     """Ratio |g_delta|_{3/2} / (delta |X|)^(2/3) for a circle family.
 
     Radius-separated (one radius per delta-interval) and Frostman families
@@ -298,11 +300,9 @@ def wolff_example_check(config: CircleConfig, grid: RasterGrid | None = None) ->
     the dyadic level-set form (sum over levels j of j^(3/2) area(g in
     [j, 2j))), which bracket each other within 2^(3/2).
     """
-    m, grid = multiplicity_field(config, grid=grid)
-    mf = m.astype(np.float64)
-    l32_cells = lp_norm(mf, grid, 1.5)
-    levels = 2 ** np.arange(max(int(m.max(initial=1)).bit_length(), 1))
-    dyadic = sum(float(j) ** 1.5 * float(np.sum((mf >= j) & (mf < 2 * j))) * grid.cell_area
+    hist, l32_cells, grid = _multiplicity_histogram(config, None)
+    levels = 2 ** np.arange(max(len(hist) - 1, 1).bit_length())
+    dyadic = sum(float(j) ** 1.5 * float(np.sum(hist[j:2 * j])) * grid.cell_area
                  for j in levels)
     trivial = (config.delta * config.count) ** (2.0 / 3.0)
     return {
@@ -343,12 +343,11 @@ def maximal_stats(config: CircleConfig, grid: RasterGrid | None = None) -> dict:
     and the maximal-function bound keeps its growth in 1/delta logarithmic
     for radius-separated families.
     """
-    m, grid = multiplicity_field(config, grid=grid)
-    mf = m.astype(np.float64)
-    total = float(mf.sum()) * grid.cell_area
-    l2 = float((mf * mf).sum()) * grid.cell_area
-    l32 = float((mf ** 1.5).sum()) * grid.cell_area
-    support = float((m > 0).sum()) * grid.cell_area
+    hist, l32, grid = _multiplicity_histogram(config, grid)
+    k = np.arange(len(hist))
+    total = float(np.sum(hist * k)) * grid.cell_area
+    l2 = float(np.sum(hist * k * k)) * grid.cell_area
+    support = float(np.sum(hist[1:])) * grid.cell_area
     trivial = (config.delta * config.count) ** (2.0 / 3.0)
     return {
         "delta": config.delta,
@@ -356,9 +355,9 @@ def maximal_stats(config: CircleConfig, grid: RasterGrid | None = None) -> dict:
         "grid_h": grid.h,
         "total_area": total,
         "l2_mass": l2,
-        "l32_norm": l32 ** (2.0 / 3.0),
-        "l32_ratio": l32 ** (2.0 / 3.0) / trivial,
+        "l32_norm": l32,
+        "l32_ratio": l32 / trivial,
         "support_area": support,
-        "sup_multiplicity": int(m.max(initial=0)),
+        "sup_multiplicity": len(hist) - 1,
         "overlap_ratio": l2 / total if total > 0 else 0.0,
     }

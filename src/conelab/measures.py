@@ -196,18 +196,19 @@ def max_plank_mass(nu: CubeMeasure, weights=None):
     return lower, upper
 
 
+def _gamma_tau_scan(config: CircleConfig, tau: float, widen: int) -> int:
+    d = config.delta
+    return _max_lattice_plank_count(config.circles, (d, d / tau, d / tau ** 2), 0.5 * tau, widen)
+
+
 def gamma_tau_bracket(config: CircleConfig, tau: float) -> tuple[int, int]:
     """Bracket for the largest circle count in a delta x delta/tau x delta/tau^2 plank."""
-    d = config.delta
-    half = (d, d / tau, d / tau ** 2)
-    lower = _max_lattice_plank_count(config.circles, half, 0.5 * tau, widen=1)
-    upper = _max_lattice_plank_count(config.circles, half, 0.5 * tau, widen=2)
-    return lower, upper
+    return _gamma_tau_scan(config, tau, 1), gamma_tau(config, tau)
 
 
 def gamma_tau(config: CircleConfig, tau: float) -> int:
     """Doubled-plank upper value for the plank multiplicity gamma_tau."""
-    return gamma_tau_bracket(config, tau)[1]
+    return _gamma_tau_scan(config, tau, 2)
 
 
 @lru_cache(maxsize=None)
@@ -394,20 +395,18 @@ def generate(kind: str, R: int, seed: int = 0, **params) -> CubeMeasure:
 
 
 def generate_config(kind: str, delta: float, n: int, seed: int = 0,
-                    radius_band: tuple[float, float] = Q_RADII,
-                    planar_box: tuple[float, float] | None = None) -> CircleConfig:
+                    radius_band: tuple[float, float] = Q_RADII) -> CircleConfig:
     """Unit-scale circle configurations of centers and radii.
 
-    Centers default to the Q planar box for the Q radius band and to the
-    wider maximal-function box otherwise.  wolff_radii places at most one
+    Centers lie in the Q planar box for the Q radius band and in the wider
+    maximal-function box otherwise.  wolff_radii places at most one
     radius per delta-interval of the band (n capped at the band capacity);
     random_frostman rejection-samples against a dyadic ball tree at base
     scale delta (capacity 4 r/delta).
     """
     rng = np.random.default_rng(seed)
     lo, hi = radius_band
-    if planar_box is None:
-        planar_box = Q_PLANAR if radius_band == Q_RADII else MAXIMAL_PLANAR
+    planar_box = Q_PLANAR if radius_band == Q_RADII else MAXIMAL_PLANAR
     if kind == "wolff_radii":
         capacity = int((hi - lo) / delta)
         if capacity < 1:

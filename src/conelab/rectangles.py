@@ -37,7 +37,6 @@ from .geometry import (
     LightlikeBasis,
     Lightplank,
     SpacetimePoint,
-    planar_angle,
 )
 
 # Comparability decision constant: thresholds A^(1/C0) and A^C0 bracket the
@@ -212,11 +211,12 @@ def _separation_batch(core: np.ndarray, u: np.ndarray, cores: np.ndarray,
     ub = u + us[ok]
     ub /= np.hypot(ub[:, 0], ub[:, 1])[:, None]
     dv = core - cores[ok]
-    s = np.abs(-dv[:, 0] * ub[:, 0] - dv[:, 1] * ub[:, 1] - dv[:, 2]) / SQRT2 / delta
-    m = np.abs(-dv[:, 0] * ub[:, 1] + dv[:, 1] * ub[:, 0]) / (delta / tau)
-    l = np.abs(-dv[:, 0] * ub[:, 0] - dv[:, 1] * ub[:, 1] + dv[:, 2]) / SQRT2 / (delta / tau ** 2)
+    along = dv[:, 0] * ub[:, 0] + dv[:, 1] * ub[:, 1]
+    s = np.abs(along + dv[:, 2]) / SQRT2 / delta
+    m = np.abs(dv[:, 1] * ub[:, 0] - dv[:, 0] * ub[:, 1]) / (delta / tau)
+    l = np.abs(dv[:, 2] - along) / SQRT2 / (delta / tau ** 2)
     ang = np.abs(np.arctan2(cross[ok], dots[ok])) / tau
-    sep[ok] = np.max(np.column_stack([s, m, l, ang]), axis=1)
+    sep[ok] = np.maximum(np.maximum(s, m), np.maximum(l, ang))
     return sep
 
 
@@ -285,25 +285,17 @@ def greedy_maximal_incomparable(rects: list[DeltaTauRectangle], A: float) -> lis
     thresh = A ** (C0 / 2)
     cores = np.array([r.core.to_array() for r in rects])
     us = np.array([r.arc_center for r in rects])
-    angs = np.array([r.arc_angle for r in rects])
-
-    width = thresh * tau
-    nb = max(1, int(math.ceil(2 * math.pi / min(width, 2 * math.pi))))
-    buckets: dict[int, list[int]] = {}
-    kept: list[int] = []
-    for i in range(len(rects)):
-        key = int(((angs[i] + math.pi) / (2 * math.pi)) * nb) % nb
-        neighbors: list[int] = []
-        for k in ((key - 1) % nb, key, (key + 1) % nb) if nb > 2 else range(nb):
-            neighbors.extend(buckets.get(k, ()))
-        if neighbors:
-            idx = np.asarray(sorted(set(neighbors)))
-            sep = _separation_batch(cores[i], us[i], cores[idx], us[idx], delta, tau)
-            if np.min(sep) <= thresh:
-                continue
-        kept.append(i)
-        buckets.setdefault(key, []).append(i)
-    return [rects[i] for i in kept]
+    # kept members' cores and arc directions fill the front of these buffers
+    kept_cores, kept_us = np.empty_like(cores), np.empty_like(us)
+    kept: list[DeltaTauRectangle] = []
+    for i, rect in enumerate(rects):
+        n = len(kept)
+        if n and np.min(_separation_batch(cores[i], us[i], kept_cores[:n], kept_us[:n],
+                                          delta, tau)) <= thresh:
+            continue
+        kept_cores[n], kept_us[n] = cores[i], us[i]
+        kept.append(rect)
+    return kept
 
 
 def intersect_angle(v, w) -> float:

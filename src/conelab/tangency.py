@@ -30,12 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .geometry import (COORD_TOL, Lightplank, LightlikeBasis, SpacetimePoint,
-                       membership_dilation, nearest_cone_point)
+from .geometry import COORD_TOL, Lightplank, LightlikeBasis, SpacetimePoint, nearest_cone_point
 from .measures import CircleConfig, gamma_tau
 from .rectangles import DeltaTauRectangle, greedy_maximal_incomparable, rect_sample_points
 
 TANGENT_SLACK = 2.0  # pairs with Delta <= TANGENT_SLACK * delta count as tangent
+GEOM_EPS = 0.1  # main_geom_check compares rectangles at level A = delta^(-GEOM_EPS)
 
 
 @dataclass(frozen=True)
@@ -182,13 +182,12 @@ def candidate_rectangles(config: CircleConfig, tau: float) -> list[DeltaTauRecta
     return rects
 
 
-def main_geom_check(config: CircleConfig, tau: float | None = None,
-                    eps: float = 0.1) -> dict:
+def main_geom_check(config: CircleConfig, tau: float | None = None) -> dict:
     """Multiplicity histogram over candidate rectangles with incidence bounds.
 
     For each dyadic multiplicity class M (rectangles contained in [M, 2M)
     annuli) a maximal pairwise A-incomparable subfamily R_M is extracted
-    with A = delta^(-eps), and the largest normalized count
+    with A = delta^(-GEOM_EPS), and the largest normalized count
     M^(3/2) |R_M| tau / |X| is reported raw and divided by the two
     candidate logarithmic normalizations.
     """
@@ -197,7 +196,7 @@ def main_geom_check(config: CircleConfig, tau: float | None = None,
         tau = math.sqrt(delta)
     if not delta <= tau <= 1:
         raise ValueError("tau must lie in [delta, 1]")
-    A = delta ** (-eps)
+    A = delta ** (-GEOM_EPS)
     rects = candidate_rectangles(config, tau)
     mult = np.array([nu_multiplicity(config, r) for r in rects])
     buckets = []
@@ -220,5 +219,5 @@ def main_geom_check(config: CircleConfig, tau: float | None = None,
         "buckets": buckets,
         "max_value": worst,
         "log3_normalized": worst / max(logs, 1.0) ** 3,
-        "eps_normalized": worst * delta ** eps,
+        "eps_normalized": worst * delta ** GEOM_EPS,
     }

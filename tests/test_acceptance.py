@@ -37,7 +37,6 @@ from conelab.fitting import fit_exponent
 from conelab.fourier import (
     decay_by_classes,
     decay_mean,
-    decay_pair_sum,
     decay_ratio,
     knapp_sharpness,
     stationary_phase_diagnostic,
@@ -199,8 +198,8 @@ def test_criterion_7_route_equivalence():
                 if nu.mass > 32:
                     continue
                 mean = decay_mean(nu)
-                pair = decay_pair_sum(nu)
                 cls = decay_by_classes(nu)
+                pair = cls["total"]
                 classwise = cls["diag"] + cls["near"] + sum(cls["bands"].values())
                 rel = max(abs(mean - pair), abs(mean - classwise)) / abs(pair)
                 worst = max(worst, rel)

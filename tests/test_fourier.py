@@ -21,7 +21,6 @@ from scipy.special import j0
 from conelab.fourier import (
     decay_by_classes,
     decay_mean,
-    decay_pair_sum,
     decay_ratio,
     extension_direct,
     extension_separable,
@@ -194,7 +193,7 @@ class TestDecayRoutes:
     def test_mean_equals_pair_sum(self, kind, R):
         nu = generate(kind, R, 0)
         mean = decay_mean(nu)
-        pair = decay_pair_sum(nu)
+        pair = decay_by_classes(nu)["total"]
         assert mean == pytest.approx(pair, rel=1e-10)
 
     def test_classes_partition_total(self):
@@ -202,7 +201,6 @@ class TestDecayRoutes:
         cls = decay_by_classes(nu)
         parts = cls["diag"] + cls["near"] + sum(cls["bands"].values())
         assert parts == pytest.approx(cls["total"], rel=1e-12)
-        assert cls["total"] == pytest.approx(decay_pair_sum(nu), rel=1e-12)
 
     def test_diag_is_mass_times_self_energy(self):
         # the diagonal class collects i == j pairs: mass * (cube self-interaction);
@@ -210,7 +208,7 @@ class TestDecayRoutes:
         nu = generate("vertical_tube", 8, 0)
         cls = decay_by_classes(nu)
         single = CubeMeasure(8, nu.cubes[:1].copy())
-        assert cls["diag"] == pytest.approx(nu.mass * decay_pair_sum(single), rel=1e-6)
+        assert cls["diag"] == pytest.approx(nu.mass * decay_by_classes(single)["total"], rel=1e-6)
 
     # frozen R=16, seed 0, q=2 regression values
     FROZEN_RATIO = {

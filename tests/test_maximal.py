@@ -24,7 +24,7 @@ from conelab.maximal import (
     wolff_duality_check,
     wolff_example_check,
 )
-from conelab.measures import MAXIMAL_RADII, CircleConfig, generate_config
+from conelab.measures import ALPHA0, MAXIMAL_RADII, CircleConfig, generate_config
 
 
 def reference_mask(circle, delta, grid):
@@ -153,6 +153,21 @@ class TestMaximalFunction:
         assert out["value"][k] >= 0.999  # up to boundary-cell roundoff
         assert np.all(out["value"] <= 1.0 + 1e-12)
 
+    def test_value_is_max_of_annulus_averages(self):
+        # one annulus rule: the maximal function reads the same cells, by the
+        # same sums, as annulus_average at each scan-lattice center
+        delta = 2.0 ** -6
+        grid = default_grid(delta)
+        f = np.random.default_rng(3).normal(size=(len(grid.nodes_1d),) * 2)
+        radii = radius_grid(delta)[:2]
+        out = maximal_function(f, delta, grid, radii=radii)
+        step = delta / 2
+        c1d = step * np.arange(int(math.floor(2 * ALPHA0 / step)) + 1)
+        for k, r in enumerate(radii):
+            best = max(annulus_average(f, grid, (a1, a2), r, delta)
+                       for a1 in c1d for a2 in c1d)
+            assert out["value"][k] == best
+
 
 class TestWeightedFamily:
     def make_family(self, delta=2.0 ** -8, seed=0):
@@ -175,7 +190,7 @@ class TestWeightedFamily:
 
     def test_weighted_field_mass(self):
         family = self.make_family()
-        g, grid = weighted_field(family, normalized=True)
+        g, grid = weighted_field(family)
         # area-normalized indicators integrate to delta each
         total = float(g.sum()) * grid.cell_area
         assert total == pytest.approx(family.delta * family.weights.sum(), rel=1e-9)

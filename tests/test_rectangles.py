@@ -205,6 +205,19 @@ class TestGreedy:
         for r in rects:
             assert any(comparable(r, k, 2.0) is not None for k in kept)
 
+    def test_comparable_pair_far_apart_in_angle(self):
+        # arc angles 0.374 apart on one core: separation 4.234 <= A^3 = 4.287,
+        # yet wider than 2 pi / ceil(2 pi / (A^3 tau)), so an index of angle
+        # buckets that width would keep both
+        delta = 2.0 ** -7
+        tau, A = math.sqrt(delta), delta ** -0.1
+        core = SpacetimePoint(0.0, 0.0, 0.75)
+        t1 = -math.pi + 6 * 2 * math.pi / 17 - 1e-6
+        r1, r2 = (DeltaTauRectangle(core, (math.cos(t), math.sin(t)), delta, tau)
+                  for t in (t1, t1 + 0.37426))
+        assert comparable(r1, r2, A) is not None
+        assert greedy_maximal_incomparable([r1, r2], A) == [r1]
+
 
 class TestIntersectAngle:
     def test_hand_values(self):
