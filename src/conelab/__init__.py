@@ -27,10 +27,7 @@ from .maximal import (
     RasterGrid,
     WeightedFamily,
     annulus_average,
-    lp_norm,
     maximal_function,
-    maximal_stats,
-    multiplicity_at,
     multiplicity_field,
     wolff_duality_check,
     wolff_example_check,
@@ -41,7 +38,6 @@ from .measures import (
     Q_RADII,
     CircleConfig,
     CubeMeasure,
-    energy,
     generate,
     generate_config,
     load_config,
@@ -60,6 +56,6 @@ from .operators import (
     transference_check,
 )
 from .rectangles import DeltaTauRectangle, greedy_maximal_incomparable
-from .tangency import classify_pairs, common_plank, main_geom_check, pair_count, tangent_pairs
+from .tangency import classify_pairs, common_plank, main_geom_check, pair_count
 
 __version__ = "0.1.0"

@@ -18,14 +18,9 @@ import numpy as np
 class ScalingFit:
     """Least-squares line ln(value) = slope * ln(scale) + intercept."""
 
-    log_x: np.ndarray
-    log_y: np.ndarray
     slope: float
     intercept: float
     residual_max: float
-
-    def predict(self, x) -> np.ndarray:
-        return np.exp(self.slope * np.log(np.asarray(x, dtype=float)) + self.intercept)
 
 
 def fit_exponent(xs, ys) -> ScalingFit:
@@ -47,7 +42,4 @@ def fit_exponent(xs, ys) -> ScalingFit:
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
-    lx.setflags(write=False)
-    ly.setflags(write=False)
-    return ScalingFit(lx, ly, float(slope), float(intercept),
-                      float(np.max(np.abs(resid))))
+    return ScalingFit(float(slope), float(intercept), float(np.max(np.abs(resid))))

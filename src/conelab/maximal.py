@@ -2,21 +2,14 @@
 
 For a configuration X of circles at resolution delta, each circle (a, r)
 thickens to the annulus C = {x : | |x - a| - r | <= delta}.  The
-multiplicity field m(x) counts the annuli containing x; its integrals
+multiplicity field m(x) counts the annuli containing x; its L^{3/2} norm
+over the trivial value (delta |X|)^(2/3) is the quantity the circular
+maximal inequality controls up to factors logarithmic in 1/delta.
 
-    integral m   = total annulus area,
-    integral m^2 = pair overlap area,
-
-measure how strongly the family overlaps, and the ratio
-(integral m^2) / (integral m) -- the average multiplicity seen by the
-annuli themselves -- is the quantity the circular maximal inequality
-controls up to factors logarithmic in 1/delta.
-
-Every annulus cell set (fields, masks, maximal-function averages) comes
+Every annulus cell set (fields and maximal-function averages) comes
 from the per-row chord spans of the annulus on a grid of spacing delta/4
 over [-1.1, 1.1]^2, which fits every admissible configuration; every
 multiplicity statistic is read from one histogram of the integer field.
-Point evaluations of the multiplicity never rasterize and work at any scale.
 """
 
 from __future__ import annotations
@@ -46,22 +39,12 @@ class RasterGrid:
         return -self.window + self.h * np.arange(n)
 
     @property
-    def size(self) -> int:
-        return len(self.nodes_1d) ** 2
-
-    @property
     def cell_area(self) -> float:
         return self.h * self.h
 
 
 def default_grid(delta: float) -> RasterGrid:
     return RasterGrid(h=delta / GRID_FACTOR, window=DEFAULT_WINDOW)
-
-
-def annulus_mask(circle, delta: float, grid: RasterGrid) -> np.ndarray:
-    """Boolean raster of one annulus (cells within delta of the circle)."""
-    spans = [_annulus_spans(circle, delta, grid)]
-    return _raster(spans, [1], len(grid.nodes_1d), np.int32) > 0
 
 
 def _annulus_spans(circle, delta: float, grid: RasterGrid):
@@ -135,31 +118,6 @@ def multiplicity_field(config: CircleConfig,
     spans = [_annulus_spans(circle, config.delta, grid) for circle in c]
     field = _raster(spans, [1] * len(spans), len(grid.nodes_1d), np.int32)
     return field.astype(np.int16), grid
-
-
-def _multiplicity_histogram(config: CircleConfig, grid: RasterGrid | None):
-    """Cell counts at multiplicity 0, 1, ..., max of the raster, and |m|_{3/2}."""
-    m, grid = multiplicity_field(config, grid=grid)
-    hist = np.bincount(m.ravel())
-    l32 = float(np.sum(hist * np.arange(len(hist)) ** 1.5) * grid.cell_area) ** (2.0 / 3.0)
-    return hist, l32, grid
-
-
-def multiplicity_at(config: CircleConfig, points, lam: float = 1.0) -> np.ndarray:
-    """Annulus count at arbitrary points, no raster (works at any scale)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    c = config.circles
-    if len(c) == 0:
-        return np.zeros(len(pts), dtype=int)
-    d = np.hypot(pts[:, 0, None] - c[None, :, 0], pts[:, 1, None] - c[None, :, 1])
-    return np.sum(np.abs(d - c[None, :, 2]) <= lam * config.delta, axis=1).astype(int)
-
-
-def lp_norm(values: np.ndarray, grid: RasterGrid, p: float) -> float:
-    """(sum |cell|^p h^2)^(1/p) over the raster."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return float(np.sum(np.abs(values) ** p) * grid.cell_area) ** (1.0 / p)
 
 
 def annulus_average(f: np.ndarray, grid: RasterGrid, a, r: float, delta: float) -> float:
@@ -300,7 +258,10 @@ def wolff_example_check(config: CircleConfig) -> dict:
     the dyadic level-set form (sum over levels j of j^(3/2) area(g in
     [j, 2j))), which bracket each other within 2^(3/2).
     """
-    hist, l32_cells, grid = _multiplicity_histogram(config, None)
+    m, grid = multiplicity_field(config)
+    hist = np.bincount(m.ravel())
+    l32_cells = float(np.sum(hist * np.arange(len(hist)) ** 1.5)
+                      * grid.cell_area) ** (2.0 / 3.0)
     levels = 2 ** np.arange(max(len(hist) - 1, 1).bit_length())
     dyadic = sum(float(j) ** 1.5 * float(np.sum(hist[j:2 * j])) * grid.cell_area
                  for j in levels)
@@ -312,52 +273,4 @@ def wolff_example_check(config: CircleConfig) -> dict:
         "l32_dyadic": dyadic ** (2.0 / 3.0),
         "ratio": l32_cells / trivial,
         "ratio_dyadic": dyadic ** (2.0 / 3.0) / trivial,
-    }
-
-
-def save_grid(path, values: np.ndarray, grid: RasterGrid) -> None:
-    """Write a raster as row-major float64 plus a text sidecar '<path>.meta'."""
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    arr.tofile(str(path))
-    with open(str(path) + ".meta", "w") as fh:
-        fh.write(f"origin={-grid.window!r}\nh={grid.h!r}\n"
-                 f"rows={arr.shape[0]}\ncols={arr.shape[1]}\n")
-
-
-def load_grid(path) -> tuple[np.ndarray, RasterGrid]:
-    meta = {}
-    with open(str(path) + ".meta") as fh:
-        for line in fh:
-            key, _, value = line.strip().partition("=")
-            meta[key] = value
-    rows, cols = int(meta["rows"]), int(meta["cols"])
-    values = np.fromfile(str(path), dtype=np.float64).reshape(rows, cols)
-    return values, RasterGrid(h=float(meta["h"]), window=-float(meta["origin"]))
-
-
-def maximal_stats(config: CircleConfig, grid: RasterGrid | None = None) -> dict:
-    """Overlap statistics of the annulus family.
-
-    overlap_ratio = (integral m^2) / (integral m) >= 1 is the average
-    multiplicity weighted by the annuli; near-disjoint families give ~1,
-    and the maximal-function bound keeps its growth in 1/delta logarithmic
-    for radius-separated families.
-    """
-    hist, l32, grid = _multiplicity_histogram(config, grid)
-    k = np.arange(len(hist))
-    total = float(np.sum(hist * k)) * grid.cell_area
-    l2 = float(np.sum(hist * k * k)) * grid.cell_area
-    support = float(np.sum(hist[1:])) * grid.cell_area
-    trivial = (config.delta * config.count) ** (2.0 / 3.0)
-    return {
-        "delta": config.delta,
-        "count": config.count,
-        "grid_h": grid.h,
-        "total_area": total,
-        "l2_mass": l2,
-        "l32_norm": l32,
-        "l32_ratio": l32 / trivial,
-        "support_area": support,
-        "sup_multiplicity": len(hist) - 1,
-        "overlap_ratio": l2 / total if total > 0 else 0.0,
     }

@@ -24,16 +24,12 @@ shifted unit planks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 ALPHA0 = 1.0 / 100.0
 
@@ -89,7 +85,6 @@ class CircleConfig:
     circles: np.ndarray
     delta: float
     nominal_R: int | None = None
-    scale: float | None = None  # multiply cube-scale distances by this to get config scale
 
     def __post_init__(self):
         c = np.asarray(self.circles, dtype=float).reshape(-1, 3)
@@ -196,66 +191,22 @@ def max_plank_mass(nu: CubeMeasure, weights=None):
     return lower, upper
 
 
-def _gamma_tau_scan(config: CircleConfig, tau: float, widen: int) -> int:
-    d = config.delta
-    return _max_lattice_plank_count(config.circles, (d, d / tau, d / tau ** 2), 0.5 * tau, widen)
-
-
-def gamma_tau_bracket(config: CircleConfig, tau: float) -> tuple[int, int]:
-    """Bracket for the largest circle count in a delta x delta/tau x delta/tau^2 plank."""
-    return _gamma_tau_scan(config, tau, 1), gamma_tau(config, tau)
-
-
 def gamma_tau(config: CircleConfig, tau: float) -> int:
-    """Doubled-plank upper value for the plank multiplicity gamma_tau."""
-    return _gamma_tau_scan(config, tau, 2)
+    """Doubled-plank upper value for the plank multiplicity gamma_tau.
 
-
-@lru_cache(maxsize=None)
-def _self_energy_table() -> dict:
-    try:
-        text = resources.files("conelab").joinpath("data/self_energy.json").read_text()
-        return {float(k): float(v) for k, v in json.loads(text).items()}
-    except (FileNotFoundError, OSError):
-        return {}
-
-
-@lru_cache(maxsize=64)
-def cube_self_energy(alpha: float, samples: int = 10 ** 6) -> float:
-    """s(alpha) = E |U - V|^(-alpha) for U, V iid uniform on a unit cube.
-
-    Values for common alpha ship as packaged data; otherwise a fixed-seed
-    Monte Carlo estimate is computed once per process.
+    gamma_tau is the largest circle count in a delta x delta/tau x
+    delta/tau^2 plank; the scan runs the doubled family of such planks.
     """
-    table = _self_energy_table()
-    if alpha in table:
-        return table[alpha]
-    rng = np.random.default_rng(7)
-    u = rng.random((samples, 3))
-    v = rng.random((samples, 3))
-    r = np.linalg.norm(u - v, axis=1)
-    return float(np.mean(r ** (-alpha)))
-
-
-def energy(nu: CubeMeasure, alpha: float) -> float:
-    """alpha-energy: ordered cross pairs by center distance plus mass * s(alpha)."""
-    if not 0 < alpha < 3:
-        raise ValueError("alpha must lie in (0, 3) for an integrable self term")
-    c = nu.centers
-    if len(c) == 0:
-        return 0.0
-    cross = 0.0
-    if len(c) > 1:
-        cross = 2.0 * float(np.sum(pdist(c) ** (-alpha)))
-    return cross + nu.mass * cube_self_energy(alpha)
+    d = config.delta
+    return _max_lattice_plank_count(config.circles, (d, d / tau, d / tau ** 2), 0.5 * tau, 2)
 
 
 def rescale_to_Q(nu: CubeMeasure) -> CircleConfig:
     """Map cube centers into Q by x -> x/R followed by the 2*alpha0 similarity.
 
     (x', x3) -> (2*alpha0*x', 1 - alpha0 + 2*alpha0*(x3 - 1)); both blocks
-    carry the same factor 2*alpha0/R from cube scale, recorded in `scale`,
-    and one unit cube maps to resolution delta = 2*alpha0/R.
+    carry the same factor 2*alpha0/R from cube scale, so one unit cube maps
+    to resolution delta = 2*alpha0/R.
     """
     t = nu.centers / nu.R
     circles = np.column_stack([
@@ -263,8 +214,7 @@ def rescale_to_Q(nu: CubeMeasure) -> CircleConfig:
         2 * ALPHA0 * t[:, 1],
         1.0 - ALPHA0 + 2 * ALPHA0 * (t[:, 2] - 1.0),
     ])
-    s = 2 * ALPHA0 / nu.R
-    return CircleConfig(circles, delta=s, nominal_R=nu.R, scale=s)
+    return CircleConfig(circles, delta=2 * ALPHA0 / nu.R, nominal_R=nu.R)
 
 
 # ---------------------------------------------------------------------------
@@ -465,5 +415,4 @@ def load_config(path: str | Path) -> CircleConfig:
         nominal = int(body[0][2:])
         body = body[1:]
     circles = np.array([[float(t) for t in ln.split()] for ln in body])
-    scale = delta if nominal is not None else None
-    return CircleConfig(circles.reshape(-1, 3), delta=delta, nominal_R=nominal, scale=scale)
+    return CircleConfig(circles.reshape(-1, 3), delta=delta, nominal_R=nominal)

@@ -65,14 +65,6 @@ class DiscreteExtensionOperator:
         mags = np.abs(y) if h is None else np.abs(y).reshape(self.nu.mass, -1) * h[:, None]
         return float(np.sum(mags)) / math.sqrt(self.m ** 3)
 
-    def sample_l2(self, f_nodes: np.ndarray) -> float:
-        """integral |Ef|^2 dnu of the node density f via the matrix."""
-        return self.image_l2(self.apply(f_nodes))
-
-    def sample_l1(self, f_nodes: np.ndarray) -> float:
-        """integral |Ef| dnu of the node density f via the matrix."""
-        return self.image_l1(self.apply(f_nodes))
-
     def density_norm(self, f_nodes: np.ndarray) -> float:
         """|f|_{L2(dsigma)} of the node density."""
         return math.sqrt(float(np.sum(self.node_weight * np.abs(f_nodes) ** 2)))

@@ -314,21 +314,30 @@ def intersect_angle(v, w) -> float:
     return math.acos(max(-1.0, min(1.0, c)))
 
 
-def annuli_intersection_area(v, w, delta: float, samples: int = 10 ** 6,
-                             seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo area of the intersection of two delta-annuli.
+def _disk_lens_area(b: float, R1: float, R2: float) -> float:
+    """Area of the intersection of two disks with center distance b."""
+    if b >= R1 + R2:
+        return 0.0
+    if b <= abs(R1 - R2):
+        return math.pi * min(R1, R2) ** 2
+    a1 = math.acos((b * b + R1 * R1 - R2 * R2) / (2 * b * R1))
+    a2 = math.acos((b * b + R2 * R2 - R1 * R1) / (2 * b * R2))
+    tri = 0.5 * math.sqrt(max((-b + R1 + R2) * (b + R1 - R2)
+                              * (b - R1 + R2) * (b + R1 + R2), 0.0))
+    return R1 * R1 * a1 + R2 * R2 * a2 - tri
 
-    Uniform samples over the bounding square of the first annulus; returns
-    (area, standard_error).
+
+def exact_annuli_area(v, w, delta: float) -> float:
+    """Closed-form area of the intersection of two delta-annuli.
+
+    The width-2delta annulus is the outer disk minus the inner disk, so
+    the intersection area is an alternating sum of four disk-lens areas.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    half = v[2] + delta
-    box_area = (2.0 * half) ** 2
-    rng = np.random.default_rng(seed)
-    pts = v[:2] + rng.uniform(-half, half, size=(samples, 2))
-    in_v = np.abs(np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1]) - v[2]) < delta
-    in_w = np.abs(np.hypot(pts[:, 0] - w[0], pts[:, 1] - w[1]) - w[2]) < delta
-    hits = int(np.count_nonzero(in_v & in_w))
-    p = hits / samples
-    return box_area * p, box_area * math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
+    b = float(np.hypot(v[0] - w[0], v[1] - w[1]))
+    r, s = float(v[2]), float(w[2])
+    return (_disk_lens_area(b, r + delta, s + delta)
+            - _disk_lens_area(b, r + delta, s - delta)
+            - _disk_lens_area(b, r - delta, s + delta)
+            + _disk_lens_area(b, r - delta, s - delta))

@@ -77,15 +77,6 @@ def classify_pairs(config: CircleConfig) -> PairTable:
     return PairTable(i, j, planar + radial, np.abs(planar - radial), config.delta)
 
 
-def tangent_pairs(config: CircleConfig, min_D: float | None = None):
-    """Index pairs tangent at resolution delta with d >= min_D (default 8 delta)."""
-    table = classify_pairs(config)
-    if min_D is None:
-        min_D = 8 * config.delta
-    mask = table.tangent_mask() & (table.d >= min_D)
-    return table.i[mask], table.j[mask], table.d[mask], table.delta_defect[mask]
-
-
 def common_plank(v, w, delta: float) -> Lightplank:
     """Lightplank witnessing the tangency of circles v and w at resolution delta.
 

@@ -39,7 +39,8 @@ class TestFitExponent:
         xs = np.array([1.0, 3.0, 9.0, 27.0])
         ys = 2.5 * xs ** -1.5
         fit = fit_exponent(xs, ys)
-        assert np.allclose(fit.predict(xs), ys, rtol=1e-12)
+        predicted = np.exp(fit.slope * np.log(xs) + fit.intercept)
+        assert np.allclose(predicted, ys, rtol=1e-12)
 
     @given(st.floats(-3, 3), st.floats(0.1, 10))
     @settings(max_examples=30, deadline=None)
@@ -67,12 +68,6 @@ class TestFitExponent:
             fit_exponent([1.0, -2.0, 3.0], [1.0, 1.0, 2.0])
         with pytest.raises(ValueError):
             fit_exponent([1.0, 2.0, 3.0], [1.0, math.inf, 2.0])
-
-    def test_log_arrays_frozen(self):
-        fit = fit_exponent([1.0, 2.0, 4.0], [1.0, 2.0, 4.0])
-        with pytest.raises(ValueError):
-            fit.log_x[0] = 99.0
-
 
 class TestSvgScatter:
     def make(self, tmp_path, **kwargs):

@@ -10,10 +10,7 @@ from conelab.measures import (
     MAXIMAL_RADII,
     CircleConfig,
     CubeMeasure,
-    cube_self_energy,
-    energy,
     gamma_tau,
-    gamma_tau_bracket,
     generate,
     generate_config,
     load_config,
@@ -132,43 +129,13 @@ class TestGammaTau:
         base = np.array([0.01, 0.01, 1.0])
         jitter = np.random.default_rng(0).uniform(-0.1 * delta, 0.1 * delta, (6, 3))
         config = CircleConfig(base + jitter, delta=delta)
-        lower, upper = gamma_tau_bracket(config, tau)
-        assert lower >= 6
-        assert upper >= lower
-        assert gamma_tau(config, tau) == upper
+        assert gamma_tau(config, tau) >= 6
 
     def test_spread_radii_low_multiplicity(self):
         config = generate_config("wolff_radii", 2.0 ** -6, 32, seed=0,
                                  radius_band=MAXIMAL_RADII)
         tau = math.sqrt(config.delta)
-        lower, upper = gamma_tau_bracket(config, tau)
-        assert upper < config.count
-        assert lower >= 1
-
-
-class TestEnergy:
-    def test_two_cube_hand_value(self):
-        nu = CubeMeasure(8, [[0, 0, 8], [3, 4, 8]])
-        alpha = 1.5
-        expected = 2.0 * 5.0 ** -alpha + 2 * cube_self_energy(alpha)
-        assert energy(nu, alpha) == pytest.approx(expected, rel=1e-12)
-
-    def test_self_energy_unit_cube_mean_inverse_distance(self):
-        # E|U-V|^(-1) for iid uniform points in a unit cube is ~1.8823.
-        assert cube_self_energy(1.0) == pytest.approx(1.8823, abs=0.01)
-        assert cube_self_energy(2.0) > cube_self_energy(1.0)
-
-    def test_alpha_range(self):
-        nu = generate("random_frostman", 16, 0)
-        with pytest.raises(ValueError):
-            energy(nu, 0.0)
-        with pytest.raises(ValueError):
-            energy(nu, 3.0)
-
-    def test_energy_monotone_under_inclusion(self):
-        nu = generate("random_frostman", 16, 0)
-        sub = CubeMeasure(nu.R, nu.cubes[: nu.mass // 2])
-        assert energy(sub, 2.0) < energy(nu, 2.0)
+        assert 1 <= gamma_tau(config, tau) < config.count
 
 
 class TestRescaleToQ:
@@ -176,7 +143,6 @@ class TestRescaleToQ:
         nu = CubeMeasure(16, [[0, 0, 16], [15, 15, 31]])
         config = rescale_to_Q(nu)
         assert config.delta == pytest.approx(2 * ALPHA0 / 16, rel=1e-15)
-        assert config.scale == config.delta
         assert config.nominal_R == 16
         t = nu.centers / nu.R
         expected = np.column_stack([
@@ -195,7 +161,7 @@ class TestRescaleToQ:
     def test_tangency_distances_scale_exactly(self):
         nu = generate("random_frostman", 16, seed=2)
         config = rescale_to_Q(nu)
-        s = config.scale
+        s = config.delta
         cc = nu.centers
         # tangency distance d = planar distance + radius difference
         i, j = 0, nu.mass - 1
@@ -266,7 +232,7 @@ class TestPersistence:
         save_config(path, config)
         back = load_config(path)
         assert back.nominal_R == 16
-        assert back.scale == config.scale
+        assert back.delta == config.delta
         assert np.allclose(back.circles, config.circles, rtol=0, atol=0)
 
     def test_missing_headers(self, tmp_path):

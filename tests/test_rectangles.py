@@ -11,10 +11,10 @@ from conelab.geometry import Lightplank, SpacetimePoint, plank_membership
 from conelab.rectangles import (
     DeltaTauRectangle,
     SubResolutionArcError,
-    annuli_intersection_area,
     comparable,
     comparability_separation,
     dual_rectangle,
+    exact_annuli_area,
     greedy_maximal_incomparable,
     intersect_angle,
     rect_contains,
@@ -26,10 +26,10 @@ from conelab.rectangles import (
 from oracle_suites import (
     angle_suite,
     annuli_area_suite,
+    annuli_intersection_area,
     dictionary_suite,
     duality_roundtrip_suite,
     engulfing_suite,
-    exact_annuli_area,
     packing_suite,
     perturbed,
     seeded_rectangle,

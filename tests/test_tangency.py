@@ -13,7 +13,6 @@ from conelab.tangency import (
     main_geom_check,
     nu_multiplicity,
     pair_count,
-    tangent_pairs,
 )
 from conelab.rectangles import DeltaTauRectangle
 from conelab.geometry import SpacetimePoint
@@ -135,18 +134,6 @@ class TestCommonPlank:
             plank = common_plank(v, w, delta)
             assert membership_dilation(plank, v) <= 2.0
             assert membership_dilation(plank, w) <= 2.0
-
-
-class TestTangentPairs:
-    def test_min_distance_filter(self):
-        config = generate_config("wolff_radii", 2.0 ** -6, 32, seed=0,
-                                 radius_band=MAXIMAL_RADII)
-        i, j, d, defect = tangent_pairs(config)
-        assert np.all(d >= 8 * config.delta)
-        assert np.all(defect <= 2 * config.delta)
-        i2, j2, d2, _ = tangent_pairs(config, min_D=0.25)
-        assert np.all(d2 >= 0.25)
-        assert len(i2) <= len(i)
 
 
 class TestPairCount:
