@@ -52,7 +52,6 @@ from .operators import (
     bbcr_equivalence_check,
     build_extension_operator,
     l1_constant,
-    operator_norm,
     transference_check,
 )
 from .rectangles import DeltaTauRectangle, greedy_maximal_incomparable

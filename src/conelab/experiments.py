@@ -17,6 +17,7 @@ output layout).  `sigma` profiles one fixed set of points instead.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import platform
 import time
@@ -29,12 +30,13 @@ import numpy as np
 import scipy
 
 from .fitting import fit_exponent
-from .fourier import (MAX_KERNEL_EVALS, decay_ratio, knapp_sharpness,
+from .fourier import (MAX_KERNEL_EVALS, cube_midpoints, decay_ratio, diagnostic_points,
+                      extension_bandwidths, knapp_sharpness, make_quadrature,
                       stationary_phase_diagnostic)
 from .maximal import wolff_example_check
 from .measures import MAXIMAL_RADII, generate, generate_config
-from .operators import (MAX_COLUMNS, bbcr_equivalence_check, build_extension_operator,
-                        transference_check)
+from .operators import (SAMPLES, bbcr_equivalence_check, build_extension_operator,
+                        gram_grid, transference_check)
 from .svgplot import svg_scatter
 from .tangency import classify_pairs, pair_count
 
@@ -236,7 +238,11 @@ def estimate_evals(experiment: str, cfg: ExperimentConfig) -> float:
                 g = _branch_gamma(branch, fixed, R)
                 total += g * 4 ** 3 * q * (2 * g + 32) * 64
     elif experiment == "sigma":
-        total = 2 * 11 * (q * 300) ** 2 * 4
+        # J0 and exponential tables over at most one radius and height per
+        # point, n_rho entries each, at q and 2q
+        pts = diagnostic_points()
+        total = sum(len(make_quadrature(*extension_bandwidths(pts), qq).rho) * 2 * len(pts)
+                    for qq in (q, 2 * q))
     elif experiment == "maximal":
         for d in values:
             n = _circle_count(cfg.n, d)
@@ -248,7 +254,13 @@ def estimate_evals(experiment: str, cfg: ExperimentConfig) -> float:
             n = _circle_count(cfg.n, d)
             total += len(kinds) * seeds * (n * n + n / d)
     elif experiment == "duality":
-        total = sum(len(kinds) * seeds * R * 64 * MAX_COLUMNS for R in values)
+        # J0 and exponential tables over the distinct difference radii and
+        # heights, n_rho entries each, plus the n^2 Gram entries
+        for kind, R, seed in itertools.product(kinds, values, cfg.seeds):
+            pts = cube_midpoints(_swept_measure(kind, R, seed, cfg.n)[0], SAMPLES)
+            r, z, _ = gram_grid(pts, SAMPLES)
+            n_rho = len(make_quadrature(*extension_bandwidths(pts), q).rho)
+            total += n_rho * (len(r) + len(z)) + len(pts) ** 2
     return total
 
 
@@ -334,10 +346,10 @@ def _duality_point(task):
     kind, R, seed, n, q = task
     nu, _ = _swept_measure(kind, R, seed, n)
     op = build_extension_operator(nu, q=q, seed=seed)
-    rep = bbcr_equivalence_check(op, seed=seed)
+    rep = bbcr_equivalence_check(op)
     rng = np.random.default_rng(seed)
     subs = [np.ones(nu.mass), (np.arange(nu.mass) % 2).astype(float), rng.random(nu.mass)]
-    trans = transference_check(op, subs, seed=seed)
+    trans = transference_check(op, subs)
     return [{"row": "data", "kind": kind, "R": R, "seed": seed,
              "mass": nu.mass, "u_l2_lower": rep["U_L2"], "u_l2_upper": rep["U_L2_upper"],
              "u_l1_lower": rep["U_L1"], "ratio": rep["ratio"],

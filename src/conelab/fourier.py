@@ -18,7 +18,9 @@ transform G(u) = sum_rho a rho drho exp(2 pi i rho u), which is sampled
 exactly on a fine u-grid by a zero-padded FFT and then interpolated;
 Ef(x) = sum_phi h(phi) dphi G(x' . e(phi) + x3).  The direct and separable
 routes agree to the interpolation error and the direct route stays available
-as a cross-check.
+as a cross-check.  For f = 1 the phi integral is exact, E1 being radial:
+E1(r, x3) = sum_rho 2 pi a rho drho J0(2 pi rho r) exp(2 pi i rho x3), one
+matrix product over distinct radii and heights (sigma-check, Gram matrices).
 
 Cube measures enter through their exact transform: a union of unit cubes
 with centers c has nu_hat(xi) = prod_j sinc(xi_j) * sum_c exp(-2 pi i c.xi),
@@ -33,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import j0
 
 from .measures import CubeMeasure, max_plank_mass, rescale_to_Q
 from .tangency import classify_pairs
@@ -42,6 +45,8 @@ MAX_KERNEL_EVALS = 2 * 10 ** 9
 PHI_BATCH = 8  # phi nodes per decay_mean batch
 SAMPLES_PER_UNIT = 1024  # radial-table samples per unit of u, at least
 NEAR_EPS = 0.05  # decay_by_classes: the near class reaches separation R^(10 NEAR_EPS)
+SIGMA_RADII = (10, 20, 50, 100, 200)  # stationary_phase_diagnostic: on-cone |x|
+SIGMA_DISTANCES = (0, 1, 2, 5, 10, 20)  # and cone distances from |x| = 50
 
 
 def smooth_bump(rho) -> np.ndarray:
@@ -187,11 +192,20 @@ def extension_separable(points, quad: ConeQuadrature, h_phi=None) -> np.ndarray:
     return out
 
 
+def e1_grid(r, z, quad: ConeQuadrature) -> np.ndarray:
+    """E1 at planar radius r_i and height z_j, shape (len(r), len(z)), on quad's rho rule."""
+    bessel = j0(2 * math.pi * np.outer(r, quad.rho)) * (2 * math.pi * quad.amplitude
+                                                         * quad.radial_weight)
+    return bessel @ np.exp(2j * math.pi * np.outer(quad.rho, z))
+
+
 def sigma_check(points, q: float = 3.0) -> np.ndarray:
-    """sigma-check = E1: the inverse transform of the cone measure itself."""
-    b_rho, b_phi = extension_bandwidths(points)
-    quad = make_quadrature(b_rho, b_phi, q)
-    return extension_direct(points, quad)
+    """sigma-check = E1, the inverse transform of the cone measure, by e1_grid."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    quad = make_quadrature(*extension_bandwidths(pts), q)
+    r, ri = np.unique(np.hypot(pts[:, 0], pts[:, 1]), return_inverse=True)
+    z, zi = np.unique(pts[:, 2], return_inverse=True)
+    return e1_grid(r, z, quad)[ri.reshape(-1), zi.reshape(-1)]
 
 
 def nu_hat(nu: CubeMeasure, xi) -> np.ndarray:
@@ -337,8 +351,16 @@ def knapp_sharpness(R: int, gamma: int, q: float = 2.0) -> dict:
     }
 
 
-def stationary_phase_diagnostic(q: float = 8.0, radii=(10, 20, 50, 100, 200),
-                                distances=(0, 1, 2, 5, 10, 20)) -> dict:
+def diagnostic_points(radii=SIGMA_RADII, distances=SIGMA_DISTANCES) -> np.ndarray:
+    """Points at |x| = radii on the cone, then at `distances` off it from |x| = 50."""
+    e_cone = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
+    e_perp = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
+    return np.vstack([np.asarray(radii, dtype=float)[:, None] * e_cone,
+                      50.0 * e_cone + np.asarray(distances, dtype=float)[:, None] * e_perp])
+
+
+def stationary_phase_diagnostic(q: float = 8.0, radii=SIGMA_RADII,
+                                distances=SIGMA_DISTANCES) -> dict:
     """Decay profile of sigma_check on and transverse to the light cone.
 
     Stationary phase gives |sigma_check(x)| ~ |x|^(-1/2) along the cone
@@ -347,12 +369,9 @@ def stationary_phase_diagnostic(q: float = 8.0, radii=(10, 20, 50, 100, 200),
     log-log slope fit, the transverse profile starting from |x| = 50 on the
     cone, and repeats everything at doubled quadrature density.
     """
-    e_cone = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
-    e_perp = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
+    pts = diagnostic_points(radii, distances)
     radii = np.asarray(radii, dtype=float)
     distances = np.asarray(distances, dtype=float)
-    pts = np.vstack([radii[:, None] * e_cone,
-                     50.0 * e_cone + distances[:, None] * e_perp])
     vals = np.abs(sigma_check(pts, q=q))
     vals2 = np.abs(sigma_check(pts, q=2.0 * q))
     on, off = vals[:len(radii)], vals[len(radii):]

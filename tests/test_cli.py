@@ -3,10 +3,13 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from test_acceptance import REDUCED_SCOPE
 
+from conelab import experiments, fourier, operators
 from conelab.cli import main, parse_config_file
-from conelab.experiments import ExperimentConfig, estimate_evals
+from conelab.experiments import ExperimentConfig, estimate_evals, run_experiment
 from conelab.measures import load_config, load_measure
 
 
@@ -163,6 +166,31 @@ class TestPipelines:
         one = estimate_evals("pairs", ExperimentConfig(experiment="pairs",
                                                        kinds=("wolff_radii",)))
         assert one == pytest.approx(both / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("experiment", ["sigma", "duality"])
+    def test_estimate_bounds_actual_work(self, experiment, tmp_path, monkeypatch):
+        # counted: J0 and exponential table entries, n_rho per radius and
+        # height, plus one entry per Gram matrix element
+        counted = []
+        e1_grid, build = fourier.e1_grid, operators.build_extension_operator
+
+        def counting_e1_grid(r, z, quad):
+            counted.append(len(quad.rho) * (np.size(r) + np.size(z)))
+            return e1_grid(r, z, quad)
+
+        def counting_build(nu, **kwargs):
+            op = build(nu, **kwargs)
+            counted.append(len(op.matrix) ** 2)
+            return op
+
+        monkeypatch.setattr(fourier, "e1_grid", counting_e1_grid)
+        monkeypatch.setattr(operators, "e1_grid", counting_e1_grid)
+        monkeypatch.setattr(experiments, "build_extension_operator", counting_build)
+        for scope in ({}, REDUCED_SCOPE[experiment]):
+            counted.clear()
+            cfg = ExperimentConfig(experiment=experiment, out=str(tmp_path), **scope)
+            run_experiment(cfg)
+            assert 0 < sum(counted) <= estimate_evals(experiment, cfg), scope
 
 
 class TestEntryPoint:

@@ -4,7 +4,8 @@ Oracles:
   * closed forms (single-cube ``nu_hat``, amplitude endpoint values),
   * an independent Bessel-function route for the radial integral of
     ``sigma_check`` (planar rotation invariance reduces it to a 1-d
-    oscillatory integral against ``J0``),
+    oscillatory integral against ``J0``, here by adaptive quadrature), and
+    the phi x rho tensor sum ``extension_direct``,
   * pair-sum versus quadrature-mean route agreement, which exercises two
     genuinely different algorithms for the same bilinear quantity,
   * frozen regression values computed once at q=2/q=3 and pinned at full
@@ -19,9 +20,12 @@ from scipy.integrate import quad as scalar_quad
 from scipy.special import j0
 
 from conelab.fourier import (
+    cube_midpoints,
     decay_by_classes,
     decay_mean,
     decay_ratio,
+    diagnostic_points,
+    extension_bandwidths,
     extension_direct,
     extension_separable,
     knapp_sharpness,
@@ -99,6 +103,11 @@ class TestQuadrature:
         got = float(np.sum(quad.amplitude * quad.radial_weight) * len(quad.phi) * quad.dphi)
         ref = 2 * np.pi * scalar_quad(lambda r: smooth_bump(np.array([r]))[0] * r, 1.0, 2.0)[0]
         assert got == pytest.approx(ref, rel=5e-4)
+        # frozen: the rule of the light_tube R=8, m=2 operator
+        pts = cube_midpoints(generate("light_tube", 8, 0), 2)
+        quad = make_quadrature(*extension_bandwidths(pts), q=2.0)
+        got = float(np.sum(quad.amplitude * quad.radial_weight) * len(quad.phi) * quad.dphi)
+        assert got == pytest.approx(4.359033528565088, rel=1e-7)
 
 
 class TestSigmaCheck:
@@ -140,6 +149,13 @@ class TestSigmaCheck:
         assert abs(abs(fa) - abs(fb)) <= 1e-12
         # the value itself is rotation invariant, not only its modulus
         assert abs(fa - fb) <= 1e-12
+
+    def test_matches_direct_sum(self):
+        # the J0 route against the phi x rho tensor sum at the criterion-4 points
+        pts = diagnostic_points()
+        direct = extension_direct(pts, make_quadrature(*extension_bandwidths(pts), q=2.0))
+        got = sigma_check(pts, q=2.0)
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_value_at_origin_is_total_mass(self):
         got = sigma_check(np.zeros((1, 3)), q=3.0)[0]

@@ -1,9 +1,10 @@
-"""Tests for the discretized extension operator and its norm machinery.
+"""Tests for the extension operator built from its Gram matrix.
 
-Oracles: hand-built matrices with known singular values, the documented
-assembly formula recomputed entry-by-entry, the quadrature-route weighted
-L2 as an independent second algorithm, and frozen regression values for
-the R=16 vertical-tube operator pinned at full double precision.
+Oracles: hand-built matrices with known singular values, the node matrix A
+assembled entry-by-entry from the documented formula (its Gram matrix and
+its SVD), the separable-extension weighted L2 as an independent route to the
+J0 kernel, and frozen regression values for the R=16 vertical-tube operator
+pinned at full double precision, each checked once against an SVD of A.
 """
 
 import math
@@ -11,110 +12,128 @@ import math
 import numpy as np
 import pytest
 
-from conelab.fourier import cube_midpoints, weighted_l2
+from conelab.fourier import (
+    cube_midpoints,
+    extension_bandwidths,
+    make_quadrature,
+    sigma_check,
+    weighted_l2,
+)
 from conelab.measures import CubeMeasure, generate
 from conelab.operators import (
-    DiscreteExtensionOperator,
-    PowerIterationError,
     bbcr_equivalence_check,
     build_extension_operator,
     dyadic_levels,
+    gram_matrix,
     l1_constant,
-    operator_norm,
+    operator_from_gram,
     transference_check,
 )
 
+ORACLE_CASES = (("light_tube", 8, 2), ("random_frostman", 8, 2),
+                ("vertical_tube", 16, 2), ("light_tube", 16, 4))
+
 
 def toy_operator(matrix):
-    """Wrap a hand matrix so the norm routines can run on known spectra."""
+    """Operator whose node matrix is a hand matrix, so norms run on known spectra."""
     matrix = np.asarray(matrix, dtype=complex)
     nu = CubeMeasure(8, np.array([[0, 0, 8]], dtype=np.int64))
-    return DiscreteExtensionOperator(
-        nu, matrix, np.ones(matrix.shape[1]), np.ones(matrix.shape[1]),
-        np.zeros(matrix.shape[1]), 1)
+    return operator_from_gram(nu, matrix @ matrix.conj().T, 1)
+
+
+def node_matrix(nu, m, q=2.0):
+    """A[p, n] = m^{-3/2} exp(2 pi i x_p . xi_n) sqrt(a_n w_n) on the full quadrature."""
+    pts = cube_midpoints(nu, m)
+    quad = make_quadrature(*extension_bandwidths(pts), q)
+    rho = np.repeat(quad.rho, len(quad.phi))
+    phi = np.tile(quad.phi, len(quad.rho))
+    weight = np.repeat(quad.amplitude * quad.radial_weight, len(quad.phi)) * quad.dphi
+    xi_dot = (pts[:, 0, None] * np.cos(phi)[None, :] + pts[:, 1, None] * np.sin(phi)[None, :]
+              + pts[:, 2, None]) * rho[None, :]
+    return np.exp(2j * np.pi * xi_dot) * np.sqrt(weight)[None, :] / math.sqrt(m ** 3)
+
+
+def _oracle_measure(kind, R):
+    return generate(kind, R, 0, **({"n": R} if kind == "random_frostman" else {}))
 
 
 class TestOperatorNorm:
     def test_diagonal_matrix(self):
-        res = operator_norm(toy_operator(np.diag([3.0, 1.0, 0.5])))
-        assert res["estimate"] == pytest.approx(3.0, rel=1e-7)
-        assert res["upper"] >= res["estimate"]
+        op = toy_operator(np.diag([3.0, 1.0, 0.5]))
+        assert math.sqrt(op.u_l2) == pytest.approx(3.0, rel=1e-7)
+        assert op.u_l2_upper >= op.u_l2
 
     def test_rank_one_matrix(self):
         # ||u v*|| = |u| |v|
         u = np.array([1.0, 2.0, 2.0])
         v = np.array([3.0, 4.0])
-        res = operator_norm(toy_operator(np.outer(u, v)))
-        assert res["estimate"] == pytest.approx(15.0, rel=1e-7)
+        op = toy_operator(np.outer(u, v))
+        assert math.sqrt(op.u_l2) == pytest.approx(15.0, rel=1e-7)
 
     def test_bracket_is_ordered(self):
         rng = np.random.default_rng(3)
-        res = operator_norm(toy_operator(rng.standard_normal((6, 9))))
-        assert res["lower"] <= res["upper"]
-        assert res["estimate"] == res["lower"]
+        op = toy_operator(rng.standard_normal((6, 9)))
+        assert op.u_l2 <= op.u_l2_upper
+        assert np.linalg.norm(op.top) ** 2 == pytest.approx(op.u_l2, rel=1e-12)
 
     def test_matches_svd(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
-        res = operator_norm(toy_operator(m))
+        op = toy_operator(m)
         top = float(np.linalg.svd(m, compute_uv=False)[0])
-        assert res["estimate"] == pytest.approx(top, rel=1e-6)
-
-    def test_nonconvergence_carries_bracket(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((8, 8))
-        with pytest.raises(PowerIterationError) as err:
-            operator_norm(toy_operator(m), max_iters=1, tol=1e-300)
-        lo, hi = err.value.bracket
-        assert 0.0 <= lo <= hi
+        assert math.sqrt(op.u_l2) == pytest.approx(top, rel=1e-6)
 
 
 class TestAssembly:
     def test_matrix_entries_formula(self):
-        # A[p, n] = m^{-3/2} exp(2 pi i x_p . xi_n) sqrt(w_n)
-        nu = generate("light_tube", 8, 0)
-        op = build_extension_operator(nu, q=2.0, m=2, max_columns=10 ** 6)
-        pts = cube_midpoints(nu, 2)
-        xi_dot = (pts[:, 0, None] * np.cos(op.phi)[None, :]
-                  + pts[:, 1, None] * np.sin(op.phi)[None, :]
-                  + pts[:, 2, None]) * op.rho[None, :]
-        want = np.exp(2j * np.pi * xi_dot) * np.sqrt(op.node_weight)[None, :] / math.sqrt(8)
-        assert np.allclose(op.matrix, want, rtol=1e-12, atol=1e-15)
+        # G = A A* for A assembled from the documented formula, and B B* = G
+        # up to the eigenvalues below n eps lambda that the factor drops
+        for kind, R, m in ORACLE_CASES:
+            nu = _oracle_measure(kind, R)
+            a = node_matrix(nu, m)
+            want = a @ a.conj().T
+            gram = gram_matrix(nu, q=2.0, m=m)
+            assert np.max(np.abs(gram - want)) <= 1e-12 * np.max(np.abs(want)), (kind, R, m)
+            op = build_extension_operator(nu, q=2.0, m=m)
+            roundoff = 4 * len(gram) * np.finfo(float).eps * op.u_l2
+            assert np.max(np.abs(op.matrix @ op.matrix.conj().T - gram)) <= roundoff
 
     def test_density_norm_of_ones_is_sigma_mass(self):
-        # sum of node weights = sigma(cone band) ~ 4.359
+        # G[p, p] = m^-3 sum_n w_n = m^-3 sigma(cone band) ~ 4.359 / m^3, for
+        # the Gram matrix and for the row energies of its factor B B* = G
         nu = generate("light_tube", 8, 0)
-        op = build_extension_operator(nu, q=2.0, m=2, max_columns=10 ** 6)
-        ones = np.ones(op.shape[1])
-        assert op.density_norm(ones) ** 2 == pytest.approx(4.359033528565088, rel=1e-7)
+        gram = gram_matrix(nu, q=2.0, m=2)
+        mass = np.diag(gram) * 2 ** 3
+        assert np.allclose(mass, 4.359033528565088, rtol=1e-7, atol=0)
+        op = build_extension_operator(nu, q=2.0, m=2)
+        rows = np.sum(np.abs(op.matrix) ** 2, axis=1) * 2 ** 3
+        assert np.allclose(rows, 4.359033528565088, rtol=1e-7, atol=0)
+
+    def test_norm_matches_node_svd(self):
+        for kind, R, m in ORACLE_CASES:
+            nu = _oracle_measure(kind, R)
+            top = float(np.linalg.svd(node_matrix(nu, m), compute_uv=False)[0])
+            op = build_extension_operator(nu, q=2.0, m=m)
+            assert math.sqrt(op.u_l2) == pytest.approx(top, rel=1e-12), (kind, R, m)
+            assert op.u_l2 <= op.u_l2_upper <= op.u_l2 * (1 + 1e-12)
 
     def test_sample_l2_matches_quadrature_route(self):
-        # the matrix route and the separable-extension route agree on |E1|^2 dnu
+        # the J0 kernel of the Gram matrix and the separable-extension route
+        # agree on |E1|^2 dnu at the operator's samples and quadrature
         nu = generate("light_tube", 8, 0)
-        op = build_extension_operator(nu, q=2.0, m=2, max_columns=10 ** 6)
-        sl2 = op.image_l2(op.apply(np.ones(op.shape[1])))
-        assert sl2 == pytest.approx(weighted_l2(nu, q=2.0, m=2), rel=1e-4)
+        e1 = sigma_check(cube_midpoints(nu, 2), q=2.0)
+        assert float(np.sum(np.abs(e1) ** 2)) / 8 == pytest.approx(
+            weighted_l2(nu, q=2.0, m=2), rel=1e-4)
 
     def test_sample_l1_cauchy_schwarz(self):
         nu = generate("light_tube", 8, 0)
-        op = build_extension_operator(nu, q=2.0, m=2, max_columns=10 ** 6)
+        op = build_extension_operator(nu, q=2.0, m=2)
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            f = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
-            y = op.apply(f)
-            l1 = op.image_l1(y)
-            l2 = math.sqrt(op.image_l2(y))
-            assert l1 <= l2 * math.sqrt(nu.mass) * (1 + 1e-12)
-
-    def test_column_subsampling_meta(self):
-        nu = generate("light_tube", 8, 0)
-        full = build_extension_operator(nu, q=2.0, m=2, max_columns=10 ** 6)
-        sub = build_extension_operator(nu, q=2.0, m=2, max_columns=1000)
-        assert sub.meta["nodes_total"] == full.meta["nodes_total"]
-        assert sub.meta["nodes_kept"] == 1000 and sub.shape[1] == 1000
-        # rescaled weights keep the total sigma mass unbiased
-        assert float(np.sum(sub.node_weight)) == pytest.approx(
-            float(np.sum(full.node_weight)), rel=0.2)
+        g = rng.standard_normal((len(op.matrix), 5)) + 1j * rng.standard_normal((len(op.matrix), 5))
+        y = op.matrix @ g
+        l1 = op.image_l1(y)
+        l2 = np.linalg.norm(y, axis=0)
+        assert np.all(l1 <= l2 * math.sqrt(nu.mass) * (1 + 1e-12))
 
 
 class TestL1Constant:
@@ -125,15 +144,14 @@ class TestL1Constant:
 
     def test_lower_bracket_below_ceiling(self):
         nu = generate("light_tube", 8, 0)
-        op = build_extension_operator(nu, q=2.0, m=2, max_columns=10 ** 6)
-        norm = operator_norm(op)
+        op = build_extension_operator(nu, q=2.0, m=2)
         l1 = l1_constant(op)
-        assert 0.0 < l1 <= norm["estimate"] * math.sqrt(nu.mass) * (1 + 1e-9)
+        assert 0.0 < l1 <= math.sqrt(op.u_l2) * math.sqrt(nu.mass) * (1 + 1e-9)
 
     def test_frozen_small_value(self):
         nu = generate("light_tube", 8, 0)
-        op = build_extension_operator(nu, q=2.0, m=2, max_columns=10 ** 6)
-        assert l1_constant(op) == pytest.approx(2.6088050004440166, rel=1e-9)
+        op = build_extension_operator(nu, q=2.0, m=2)
+        assert l1_constant(op) == pytest.approx(2.608805758945188, rel=1e-9)
 
 
 class TestDyadicLevels:
@@ -151,18 +169,18 @@ class TestDyadicLevels:
 class TestBBCR:
     def test_small_frozen_report(self):
         nu = generate("light_tube", 8, 0)
-        op = build_extension_operator(nu, q=2.0, m=2, max_columns=10 ** 6)
+        op = build_extension_operator(nu, q=2.0, m=2)
         bb = bbcr_equivalence_check(op)
-        assert bb["lambda_star"] == pytest.approx(0.6654508551578974, rel=1e-9)
+        assert bb["lambda_star"] == pytest.approx(0.665481560930689, rel=1e-9)
         assert bb["level_mass"] == 3
-        assert bb["l2_sq"] == pytest.approx(2.294295702567086, rel=1e-9)
-        assert bb["bound"] == pytest.approx(7.970847131346784, rel=1e-9)
+        assert bb["l2_sq"] == pytest.approx(2.2942957256281398, rel=1e-9)
+        assert bb["bound"] == pytest.approx(7.971582742897434, rel=1e-9)
         assert bb["dynamic_range"] == pytest.approx(4.0, rel=1e-9)
-        assert bb["ratio"] == pytest.approx(1.0056426944038346, rel=1e-9)
+        assert bb["ratio"] == pytest.approx(1.0056424116404858, rel=1e-9)
 
     def test_invariants(self):
         nu = generate("random_frostman", 8, 1)
-        op = build_extension_operator(nu, q=2.0, m=2, max_columns=10 ** 6)
+        op = build_extension_operator(nu, q=2.0, m=2)
         bb = bbcr_equivalence_check(op)
         assert bb["l2_sq"] <= bb["bound"] * (1 + 1e-9)
         assert bb["U_L2"] <= bb["U_L2_upper"]
@@ -173,20 +191,17 @@ class TestBBCR:
         # full-scale regression anchor: R=16 vertical tube, q=2, m=4
         nu = generate("vertical_tube", 16, 0)
         op = build_extension_operator(nu, q=2.0, m=4)
-        assert op.shape == (1024, 4000)
-        assert op.meta["nodes_total"] == 85140 and op.meta["nodes_kept"] == 4000
-        norm = operator_norm(op)
-        assert norm["estimate"] == pytest.approx(1.2190822391248555, rel=1e-10)
-        assert norm["upper"] == pytest.approx(8.3040268999786093, rel=1e-10)
-        assert norm["iterations"] == 205
+        assert op.matrix.shape == (1024, 1024)
+        assert math.sqrt(op.u_l2) == pytest.approx(1.1415332366314979, rel=1e-10)
+        assert math.sqrt(op.u_l2_upper) == pytest.approx(1.1415332366314987, rel=1e-10)
         bb = bbcr_equivalence_check(op)
-        assert bb["lambda_star"] == pytest.approx(0.25808665122317115, rel=1e-9)
-        assert bb["level_mass"] == 12
-        assert bb["l2_sq"] == pytest.approx(1.4861615323235196, rel=1e-9)
-        assert bb["bound"] == pytest.approx(7.9930463447508941, rel=1e-9)
-        assert bb["dynamic_range"] == pytest.approx(16.0, rel=1e-9)
-        assert bb["U_L1"] == pytest.approx(4.6646764435736756, rel=1e-9)
-        assert bb["ratio"] == pytest.approx(1.0453734606217611, rel=1e-9)
+        assert bb["lambda_star"] == pytest.approx(0.27754625586682025, rel=1e-9)
+        assert bb["level_mass"] == 8
+        assert bb["l2_sq"] == pytest.approx(1.303098130334383, rel=1e-9)
+        assert bb["bound"] == pytest.approx(8.62757550431733, rel=1e-9)
+        assert bb["dynamic_range"] == pytest.approx(64.0, rel=1e-9)
+        assert bb["U_L1"] == pytest.approx(4.257546344898184, rel=1e-9)
+        assert bb["ratio"] == pytest.approx(1.0724799160430951, rel=1e-9)
 
 
 class TestTransference:
