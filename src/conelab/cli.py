@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from .experiments import (BudgetExceededError, ExperimentConfig, PIPELINE_NAMES,
-                          format_value, run_experiment)
-from .measures import MAXIMAL_RADII, generate, generate_config, save_config, save_measure
+                          _swept_config, format_value, run_experiment)
+from .measures import generate, save_config, save_measure
 
 _LIST_KEYS = {"R": int, "delta": float, "kind": str, "seed": int}
 _SCALAR_KEYS = {"n": int, "gamma": str, "q": float, "workers": int, "out": str}
@@ -111,8 +111,7 @@ def run_gen(values: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if values.get("delta"):
         delta = values["delta"][0]
-        n = values.get("n") or int(round(0.5 / delta))
-        config = generate_config(kind, delta, n, seed, radius_band=MAXIMAL_RADII)
+        config = _swept_config(kind, delta, seed, values.get("n"))
         path = out_dir / f"{kind}_d{format_value(delta)}_s{seed}.circles"
         save_config(path, config)
     elif values.get("R"):

@@ -228,10 +228,11 @@ def estimate_evals(experiment: str, cfg: ExperimentConfig) -> float:
     seeds = len(cfg.seeds)
     total = 0.0
     if experiment == "decay":
-        for R in values:
-            nodes = (q * (3.5 * R + 16)) * (q * (3 * R + 16))
-            total += seeds * sum(
-                (math.sqrt(R) if k == "light_tube" else R) * nodes for k in kinds)
+        # node x cube terms of the quadrature decay_mean builds for each measure
+        for kind, R, seed in itertools.product(kinds, values, cfg.seeds):
+            nu = _swept_measure(kind, R, seed, cfg.n)[0]
+            quad = make_quadrature(*extension_bandwidths(np.ptp(nu.centers, axis=0)), q)
+            total += quad.node_count * nu.mass
     elif experiment == "sharpness":
         for R in values:
             for branch, fixed in _gamma_branches(cfg.gamma):

@@ -219,18 +219,15 @@ def nu_hat(nu: CubeMeasure, xi) -> np.ndarray:
 def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
     """integral over the segment of |nu_hat|^2 dsigma, dsigma = a rho drho dphi.
 
-    Bandwidths come from the center-difference spread of the measure; the
-    rho dependence per cube is a geometric sequence, so each (phi, cube)
-    costs two exponentials and n_rho multiplications.
+    Bandwidths are the extension's at the centers' spread (the largest
+    center difference per coordinate); the rho dependence per cube is a
+    geometric sequence, so each (phi, cube) costs two exponentials and
+    n_rho multiplications.
     """
     if nu.mass == 0:
         return 0.0
     centers = nu.centers
-    planar_span = math.hypot(
-        float(centers[:, 0].max() - centers[:, 0].min()),
-        float(centers[:, 1].max() - centers[:, 1].min()))
-    k_span = planar_span + float(centers[:, 2].max() - centers[:, 2].min())
-    quad = make_quadrature(k_span + 16.0, 2 * planar_span + 16.0, q)
+    quad = make_quadrature(*extension_bandwidths(np.ptp(centers, axis=0)), q)
     rho = quad.rho
     w_rho = quad.amplitude * quad.radial_weight
     total = 0.0

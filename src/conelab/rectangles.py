@@ -6,7 +6,8 @@ A (delta, tau)-rectangle on the circle dual to a point v is the set
 
 where a0 = v' + v3 * arc_center is the arc midpoint.  Containment is
 boundary inclusive and is always decided on the fixed 64 boundary + 16
-interior sample points produced by :func:`rect_sample_points`.
+interior sample points produced by :func:`sample_points`, one array call
+for a whole family of rectangles sharing (delta, tau).
 
 The set of circles delta-tangent to Omega is comparable to a lightplank of
 half-dims (delta, delta/tau, delta/tau^2) anchored at v with planar
@@ -75,10 +76,6 @@ class DeltaTauRectangle:
         """Arc midpoint v' + v3 * arc_center."""
         return self.core.planar + self.core.h * np.asarray(self.arc_center)
 
-    @property
-    def arc_angle(self) -> float:
-        return math.atan2(self.arc_center[1], self.arc_center[0])
-
 
 def rect_contains(rect: DeltaTauRectangle, points) -> bool | np.ndarray:
     """Boundary-inclusive membership of planar point(s) in the rectangle."""
@@ -92,10 +89,9 @@ def rect_contains(rect: DeltaTauRectangle, points) -> bool | np.ndarray:
     return bool(out[0]) if squeeze else out
 
 
-def _half_angle(rect: DeltaTauRectangle, r: np.ndarray) -> np.ndarray:
+def _half_angle(v3, tau: float, r: np.ndarray) -> np.ndarray:
     """Largest |angle| from the arc midpoint keeping chord distance <= tau at radius r."""
-    v3 = rect.core.h
-    c = (r * r + v3 * v3 - rect.tau * rect.tau) / (2.0 * r * v3)
+    c = (r * r + v3 * v3 - tau * tau) / (2.0 * r * v3)
     return np.arccos(np.clip(c, -1.0, 1.0))
 
 
@@ -104,25 +100,35 @@ def _half_angle(rect: DeltaTauRectangle, r: np.ndarray) -> np.ndarray:
 _INTERIOR_FRACTIONS = np.array([-0.6, -0.2, 0.2, 0.6])
 
 
-def rect_sample_points(rect: DeltaTauRectangle) -> np.ndarray:
-    """The fixed (80, 2) array of 64 boundary + 16 interior sample points.
+def sample_points(cores: np.ndarray, dirs: np.ndarray, delta: float, tau: float) -> np.ndarray:
+    """The fixed (n, 80, 2) sample points of n rectangles sharing (delta, tau).
 
-    In polar coordinates about the core, in this order: 24 + 24 points on
-    the outer and inner band boundary arcs, 8 + 8 points on the two end
+    cores is (n, 3) and dirs the (n, 2) unit arc directions.  Per rectangle,
+    in polar coordinates about the core and in this order: 24 + 24 points
+    on the outer and inner band boundary arcs, 8 + 8 points on the two end
     caps following the chord-limited angle, and 16 interior points on a
     4 x 4 (radius x angle-fraction) grid.
     """
-    v3, delta = rect.core.h, rect.delta
-    r_cap = np.linspace(v3 - delta, v3 + delta, 8)
+    cores, dirs = np.reshape(cores, (-1, 3)), np.reshape(dirs, (-1, 2))
+    h, v3 = cores[:, 2], cores[:, 2:3]
+    r_cap = np.linspace(h - delta, h + delta, 8, axis=1)
     r_in = v3 + delta * _INTERIOR_FRACTIONS
-    psi = _half_angle(rect, np.concatenate(([v3 + delta, v3 - delta], r_cap, r_in)))
-    psi_cap, psi_in = psi[2:10], psi[10:]
-    radius = np.concatenate((np.full(24, v3 + delta), np.full(24, v3 - delta),
-                             r_cap, r_cap, np.repeat(r_in, 4)))
-    phi = np.concatenate((np.linspace(-psi[0], psi[0], 24), np.linspace(-psi[1], psi[1], 24),
-                          psi_cap, -psi_cap, (psi_in[:, None] * _INTERIOR_FRACTIONS).ravel()))
-    ang = rect.arc_angle + phi
-    return rect.core.planar + radius[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    psi = _half_angle(v3, tau, np.concatenate((v3 + delta, v3 - delta, r_cap, r_in), axis=1))
+    psi_cap, psi_in = psi[:, 2:10], psi[:, 10:]
+    radius = np.concatenate((np.repeat(v3 + delta, 24, axis=1), np.repeat(v3 - delta, 24, axis=1),
+                             r_cap, r_cap, np.repeat(r_in, 4, axis=1)), axis=1)
+    phi = np.concatenate((np.linspace(-psi[:, 0], psi[:, 0], 24, axis=1),
+                          np.linspace(-psi[:, 1], psi[:, 1], 24, axis=1), psi_cap, -psi_cap,
+                          (psi_in[:, :, None] * _INTERIOR_FRACTIONS).reshape(-1, 16)), axis=1)
+    # math.atan2, not np.arctan2: the two differ in the last ulp on some directions
+    arc = np.array([math.atan2(y, x) for x, y in dirs]).reshape(-1, 1)
+    ang = arc + phi
+    return cores[:, None, :2] + radius[:, :, None] * np.stack((np.cos(ang), np.sin(ang)), axis=-1)
+
+
+def rect_sample_points(rect: DeltaTauRectangle) -> np.ndarray:
+    """The (80, 2) sample points of one rectangle; see :func:`sample_points`."""
+    return sample_points(rect.core.to_array(), rect.arc_center, rect.delta, rect.tau)[0]
 
 
 class SubResolutionArcError(ValueError):
@@ -237,7 +243,8 @@ def _build_envelope(r1: DeltaTauRectangle, r2: DeltaTauRectangle) -> DeltaTauRec
     mid = 0.5 * (c1 + c2)
     ub = np.asarray(r1.arc_center) + np.asarray(r2.arc_center)
     ub = ub / math.hypot(ub[0], ub[1])
-    pts = np.vstack([rect_sample_points(r1), rect_sample_points(r2)])
+    pts = sample_points(np.array([c1, c2]), np.array([r1.arc_center, r2.arc_center]),
+                        r1.delta, r1.tau).reshape(-1, 2)
     rel = pts - mid[:2]
     band = float(np.max(np.abs(np.hypot(rel[:, 0], rel[:, 1]) - mid[2])))
     a0 = mid[:2] + mid[2] * ub

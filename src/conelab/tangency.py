@@ -32,7 +32,7 @@ from scipy.spatial.distance import pdist
 
 from .geometry import COORD_TOL, Lightplank, LightlikeBasis, SpacetimePoint, nearest_cone_point
 from .measures import CircleConfig, gamma_tau
-from .rectangles import DeltaTauRectangle, greedy_maximal_incomparable, rect_sample_points
+from .rectangles import DeltaTauRectangle, greedy_maximal_incomparable, sample_points
 
 TANGENT_SLACK = 2.0  # pairs with Delta <= TANGENT_SLACK * delta count as tangent
 GEOM_EPS = 0.1  # main_geom_check compares rectangles at level A = delta^(-GEOM_EPS)
@@ -136,41 +136,25 @@ def pair_count(config: CircleConfig, table: PairTable, D: float) -> dict:
     }
 
 
-def nu_multiplicity(config: CircleConfig, rect: DeltaTauRectangle) -> int:
-    """Number of circles whose delta-annulus contains the whole rectangle.
+def nu_multiplicity(config: CircleConfig, cores: np.ndarray, dirs: np.ndarray,
+                    tau: float) -> np.ndarray:
+    """Per rectangle, the number of circles whose delta-annulus contains it.
 
-    Containment is checked on the rectangle's sample points; a circle can
-    only qualify if the rectangle's arc point a0 lies in its delta-annulus,
-    which prunes the candidate set before the full sampled test.
+    The rectangles are given as (n, 3) cores and (n, 2) unit arc directions
+    at the configuration's delta.  Containment is checked on each
+    rectangle's sample points; a circle can only qualify if the arc point
+    a0 lies in its delta-annulus, so the sampled test runs only on the
+    (rectangle, circle) pairs that pass that test.
     """
-    c = config.circles
-    if len(c) == 0:
-        return 0
-    delta = rect.delta
-    a0 = rect.a0
-    band_a0 = np.abs(np.hypot(a0[0] - c[:, 0], a0[1] - c[:, 1]) - c[:, 2])
-    survivors = np.nonzero(band_a0 <= delta + COORD_TOL)[0]
-    if len(survivors) == 0:
-        return 0
-    pts = rect_sample_points(rect)
-    diff = pts[None, :, :] - c[survivors, None, :2]
-    band = np.abs(np.sqrt(np.sum(diff * diff, axis=-1)) - c[survivors, None, 2:3].reshape(-1, 1))
+    c, delta = config.circles, config.delta
+    cores, dirs = np.reshape(cores, (-1, 3)), np.reshape(dirs, (-1, 2))
+    a0 = cores[:, :2] + cores[:, 2:3] * dirs
+    band_a0 = np.abs(np.hypot(a0[:, None, 0] - c[:, 0], a0[:, None, 1] - c[:, 1]) - c[:, 2])
+    rect, circle = np.nonzero(band_a0 <= delta + COORD_TOL)
+    diff = sample_points(cores, dirs, delta, tau)[rect] - c[circle, None, :2]
+    band = np.abs(np.sqrt(np.sum(diff * diff, axis=-1)) - c[circle, 2:3])
     ok = np.all(band <= delta + 1e-7 * delta + COORD_TOL, axis=1)
-    return int(np.sum(ok))
-
-
-def candidate_rectangles(config: CircleConfig, tau: float) -> list[DeltaTauRectangle]:
-    """One delta,tau-rectangle per circle and per arc node at spacing tau."""
-    n_arc = max(4, int(math.ceil(2 * math.pi / tau)))
-    angles = np.arange(n_arc) * (2 * math.pi / n_arc)
-    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    rects = []
-    for a1, a2, r in config.circles:
-        core = SpacetimePoint(float(a1), float(a2), float(r))
-        for u in dirs:
-            rects.append(DeltaTauRectangle(core, (float(u[0]), float(u[1])),
-                                           config.delta, tau))
-    return rects
+    return np.bincount(rect[ok], minlength=len(cores))
 
 
 def main_geom_check(config: CircleConfig, tau: float | None = None) -> dict:
@@ -188,13 +172,22 @@ def main_geom_check(config: CircleConfig, tau: float | None = None) -> dict:
     if not delta <= tau <= 1:
         raise ValueError("tau must lie in [delta, 1]")
     A = delta ** (-GEOM_EPS)
-    rects = candidate_rectangles(config, tau)
-    mult = np.array([nu_multiplicity(config, r) for r in rects])
+    # one candidate per circle and per arc node at spacing tau; the arc
+    # directions are normalised as DeltaTauRectangle normalises them
+    n_arc = max(4, int(math.ceil(2 * math.pi / tau)))
+    angles = np.arange(n_arc) * (2 * math.pi / n_arc)
+    arcs = list(zip(np.cos(angles).tolist(), np.sin(angles).tolist()))
+    units = np.array([(x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in arcs])
+    circles = config.circles
+    mult = nu_multiplicity(config, np.repeat(circles, n_arc, axis=0),
+                           np.tile(units, (len(circles), 1)), tau)
     buckets = []
     worst = 0.0
     m = 1
     while m <= max(int(mult.max(initial=0)), 1):
-        members = [r for r, k in zip(rects, mult) if m <= k < 2 * m]
+        members = [DeltaTauRectangle(SpacetimePoint(*circles[i // n_arc].tolist()),
+                                     arcs[i % n_arc], delta, tau)
+                   for i in np.flatnonzero((m <= mult) & (mult < 2 * m))]
         if members:
             kept = greedy_maximal_incomparable(members, A)
             value = (m ** 1.5) * len(kept) * tau / max(config.count, 1)

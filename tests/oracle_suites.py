@@ -21,6 +21,7 @@ from conelab.rectangles import (
     intersect_angle,
     rect_contains,
     rect_sample_points,
+    sample_points,
     tangency_plank,
 )
 
@@ -182,6 +183,10 @@ def packing_suite(seeds, A: float = 2.0, A0: float = 4.0) -> dict:
     """Greedy-incomparable sub-rectangles of an (A0 A^2 delta, A0 A tau)
     envelope: lattice candidates, count <= 4096 on every seed."""
     delta, tau = 1e-4, 1e-4 ** 0.375
+    # lattice offsets along the plank axes e_s, e_m, e_l and in arc angle,
+    # in plank units, ordered with the last axis fastest
+    ks, km, kl, ka = (g.ravel() for g in np.meshgrid(
+        np.arange(-12, 12.1, 4.0), *[np.arange(-6, 6.1, 3.0)] * 3, indexing="ij"))
     counts = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -194,21 +199,20 @@ def packing_suite(seeds, A: float = 2.0, A0: float = 4.0) -> dict:
         e_m = np.array([-u[1], u[0], 0.0])
         e_l = np.array([-u[0], -u[1], 1.0]) / math.sqrt(2.0)
         jitter = rng.uniform(-0.5, 0.5, size=4)
-        cands = []
-        for ks in np.arange(-12, 12.1, 4.0) + jitter[0]:
-            for km in np.arange(-6, 6.1, 3.0) + jitter[1]:
-                for kl in np.arange(-6, 6.1, 3.0) + jitter[2]:
-                    for ka in np.arange(-6, 6.1, 3.0) + jitter[3]:
-                        core = SpacetimePoint(*(center.to_array()
-                                                + ks * delta * e_s
-                                                + km * (delta / tau) * e_m
-                                                + kl * (delta / tau ** 2) * e_l))
-                        rot = ka * tau
-                        c, s = math.cos(rot), math.sin(rot)
-                        cand = DeltaTauRectangle(
-                            core, (c * u[0] - s * u[1], s * u[0] + c * u[1]), delta, tau)
-                        if bool(np.all(rect_contains(envelope, rect_sample_points(cand)))):
-                            cands.append(cand)
+        cores = (center.to_array()
+                 + ((ks + jitter[0]) * delta)[:, None] * e_s
+                 + ((km + jitter[1]) * (delta / tau))[:, None] * e_m
+                 + ((kl + jitter[2]) * (delta / tau ** 2))[:, None] * e_l)
+        # arc directions by scalar math, normalised as DeltaTauRectangle does
+        arcs = []
+        for rot in ((ka + jitter[3]) * tau).tolist():
+            c, s = math.cos(rot), math.sin(rot)
+            arcs.append((c * u[0] - s * u[1], s * u[0] + c * u[1]))
+        dirs = np.array([(x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in arcs])
+        pts = sample_points(cores, dirs, delta, tau)
+        inside = np.all(rect_contains(envelope, pts.reshape(-1, 2)).reshape(len(cores), -1), axis=1)
+        cands = [DeltaTauRectangle(SpacetimePoint(*cores[i].tolist()), arcs[i], delta, tau)
+                 for i in np.flatnonzero(inside)]
         counts.append(len(greedy_maximal_incomparable(cands, A)))
     return {"instances": len(counts), "violations": sum(c > 4096 for c in counts),
             "max_count": max(counts), "counts": counts}

@@ -9,7 +9,8 @@ from test_acceptance import REDUCED_SCOPE
 
 from conelab import experiments, fourier, operators
 from conelab.cli import main, parse_config_file
-from conelab.experiments import ExperimentConfig, estimate_evals, run_experiment
+from conelab.experiments import (BudgetExceededError, ExperimentConfig, check_budget,
+                                 estimate_evals, run_experiment)
 from conelab.measures import load_config, load_measure
 
 
@@ -167,12 +168,20 @@ class TestPipelines:
                                                        kinds=("wolff_radii",)))
         assert one == pytest.approx(both / 2, rel=1e-12)
 
-    @pytest.mark.parametrize("experiment", ["sigma", "duality"])
+    def test_decay_budget_refuses_large_scope(self):
+        # the quadratures decay_mean would build here hold 1.28e9 node x cube terms
+        cfg = ExperimentConfig(experiment="decay", R=(32, 64, 128), seeds=(0, 1))
+        with pytest.raises(BudgetExceededError):
+            check_budget("decay", cfg)
+
+    @pytest.mark.parametrize("experiment", ["sigma", "duality", "decay"])
     def test_estimate_bounds_actual_work(self, experiment, tmp_path, monkeypatch):
         # counted: J0 and exponential table entries, n_rho per radius and
-        # height, plus one entry per Gram matrix element
-        counted = []
+        # height, plus one entry per Gram matrix element; for decay, the
+        # node x cube terms of every quadrature decay_mean builds
+        counted, nodes = [], []
         e1_grid, build = fourier.e1_grid, operators.build_extension_operator
+        make_quadrature, decay_mean = fourier.make_quadrature, fourier.decay_mean
 
         def counting_e1_grid(r, z, quad):
             counted.append(len(quad.rho) * (np.size(r) + np.size(z)))
@@ -183,10 +192,25 @@ class TestPipelines:
             counted.append(len(op.matrix) ** 2)
             return op
 
+        def counting_quadrature(*args):
+            quad = make_quadrature(*args)
+            nodes.append(quad.node_count)
+            return quad
+
+        def counting_decay_mean(nu, q):
+            nodes.clear()
+            value = decay_mean(nu, q)
+            counted.append(sum(nodes) * nu.mass)
+            return value
+
         monkeypatch.setattr(fourier, "e1_grid", counting_e1_grid)
         monkeypatch.setattr(operators, "e1_grid", counting_e1_grid)
         monkeypatch.setattr(experiments, "build_extension_operator", counting_build)
-        for scope in ({}, REDUCED_SCOPE[experiment]):
+        monkeypatch.setattr(fourier, "make_quadrature", counting_quadrature)
+        monkeypatch.setattr(fourier, "decay_mean", counting_decay_mean)
+        # decay's default scope runs R up to 128; R up to 64 keeps the test short
+        first = dict(R=(16, 32, 64)) if experiment == "decay" else {}
+        for scope in (first, REDUCED_SCOPE[experiment]):
             counted.clear()
             cfg = ExperimentConfig(experiment=experiment, out=str(tmp_path), **scope)
             run_experiment(cfg)

@@ -19,6 +19,7 @@ from conelab.rectangles import (
     intersect_angle,
     rect_contains,
     rect_sample_points,
+    sample_points,
     tangency_plank,
     tangency_plank_pair,
 )
@@ -57,6 +58,14 @@ class TestRectangleBasics:
             pts = rect_sample_points(rect)
             assert pts.shape == (80, 2)
             assert bool(np.all(rect_contains(rect, pts)))
+
+    def test_sample_points_batch_matches_rows(self):
+        rng = np.random.default_rng(4)
+        rects = [seeded_rectangle(rng, delta=1e-4, tau=0.02) for _ in range(20)]
+        batch = sample_points([r.core.to_array() for r in rects],
+                              [r.arc_center for r in rects], 1e-4, 0.02)
+        assert batch.shape == (20, 80, 2)
+        assert np.array_equal(batch, [rect_sample_points(r) for r in rects])
 
     def test_arc_center_normalized(self):
         rect = DeltaTauRectangle(SpacetimePoint(0, 0, 1), (3.0, 4.0), 1e-4, 1e-2)

@@ -14,8 +14,8 @@ from conelab.tangency import (
     nu_multiplicity,
     pair_count,
 )
-from conelab.rectangles import DeltaTauRectangle
-from conelab.geometry import SpacetimePoint
+from conelab.geometry import COORD_TOL
+from conelab.rectangles import sample_points
 
 
 def brute_force_pairs(circles):
@@ -179,14 +179,34 @@ class TestNuMultiplicity:
                             [0.0, 0.0, 1.0 + 0.5 * delta],
                             [0.05, 0.0, 0.7]])
         config = CircleConfig(circles, delta=delta)
-        rect = DeltaTauRectangle(SpacetimePoint(0.0, 0.0, 1.0), (1.0, 0.0),
-                                 delta, math.sqrt(delta))
-        assert nu_multiplicity(config, rect) == 3
+        counts = nu_multiplicity(config, [[0.0, 0.0, 1.0]], [[1.0, 0.0]], math.sqrt(delta))
+        assert counts.tolist() == [3]
 
     def test_empty_config(self):
         config = CircleConfig(np.empty((0, 3)), delta=1e-3)
-        rect = DeltaTauRectangle(SpacetimePoint(0, 0, 1), (1, 0), 1e-3, 0.05)
-        assert nu_multiplicity(config, rect) == 0
+        assert nu_multiplicity(config, [[0.0, 0.0, 1.0]], [[1.0, 0.0]], 0.05).tolist() == [0]
+
+    @pytest.mark.parametrize("kind", ["wolff_radii", "random_frostman"])
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_matches_unpruned_count(self, kind, k):
+        # brute force: every circle against every sample point, with no
+        # arc-point prune, on the candidate grid main_geom_check uses
+        delta = 2.0 ** -k
+        tau = math.sqrt(delta)
+        config = generate_config(kind, delta, int(round(0.5 / delta)), seed=0,
+                                 radius_band=MAXIMAL_RADII)
+        n_arc = max(4, math.ceil(2 * math.pi / tau))
+        angles = np.arange(n_arc) * (2 * math.pi / n_arc)
+        dirs = np.tile(np.column_stack([np.cos(angles), np.sin(angles)]), (config.count, 1))
+        cores = np.repeat(config.circles, n_arc, axis=0)
+        pts = sample_points(cores, dirs, delta, tau)
+        brute = np.zeros(len(cores), dtype=int)
+        for x, y, r in config.circles:
+            band = np.abs(np.hypot(pts[..., 0] - x, pts[..., 1] - y) - r)
+            brute += np.all(band <= delta + 1e-7 * delta + COORD_TOL, axis=1)
+        counts = nu_multiplicity(config, cores, dirs, tau)
+        assert np.array_equal(counts, brute)
+        assert counts.min() >= 1  # each candidate lies on its own circle
 
 
 class TestMainGeomCheck:
