@@ -32,7 +32,7 @@ import scipy
 from .fitting import fit_exponent
 from .fourier import (MAX_KERNEL_EVALS, cube_midpoints, decay_ratio, diagnostic_points,
                       extension_bandwidths, knapp_sharpness, make_quadrature,
-                      stationary_phase_diagnostic)
+                      rho_split, stationary_phase_diagnostic)
 from .maximal import wolff_example_check
 from .measures import MAXIMAL_RADII, generate, generate_config
 from .operators import (SAMPLES, bbcr_equivalence_check, build_extension_operator,
@@ -228,11 +228,12 @@ def estimate_evals(experiment: str, cfg: ExperimentConfig) -> float:
     seeds = len(cfg.seeds)
     total = 0.0
     if experiment == "decay":
-        # node x cube terms of the quadrature decay_mean builds for each measure
+        # per phi node and cube: decay_mean's two step tables and their product
         for kind, R, seed in itertools.product(kinds, values, cfg.seeds):
             nu = _swept_measure(kind, R, seed, cfg.n)[0]
             quad = make_quadrature(*extension_bandwidths(np.ptp(nu.centers, axis=0)), q)
-            total += quad.node_count * nu.mass
+            n_baby, n_giant = rho_split(len(quad.rho))
+            total += len(quad.phi) * nu.mass * (n_baby * n_giant + n_baby + n_giant)
     elif experiment == "sharpness":
         for R in values:
             for branch, fixed in _gamma_branches(cfg.gamma):

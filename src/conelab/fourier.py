@@ -25,8 +25,8 @@ matrix product over distinct radii and heights (sigma-check, Gram matrices).
 Cube measures enter through their exact transform: a union of unit cubes
 with centers c has nu_hat(xi) = prod_j sinc(xi_j) * sum_c exp(-2 pi i c.xi),
 and the decay mean integral(|nu_hat|^2 dsigma) over the segment is
-accumulated per phi by a geometric recurrence in rho (one complex
-exponential per cube per phi, multiplications elsewhere).
+accumulated per phi as one batched product of baby-step and giant-step
+tables of the cube phases in rho (about 2 sqrt(n_rho) entries per cube).
 """
 
 from __future__ import annotations
@@ -216,13 +216,19 @@ def nu_hat(nu: CubeMeasure, xi) -> np.ndarray:
     return form * phases.sum(axis=1)
 
 
+def rho_split(n_rho: int) -> tuple[int, int]:
+    """decay_mean's step counts: n_baby = ceil(sqrt(n_rho)), n_baby * n_giant >= n_rho."""
+    n_baby = math.isqrt(n_rho - 1) + 1
+    return n_baby, -(-n_rho // n_baby)
+
+
 def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
     """integral over the segment of |nu_hat|^2 dsigma, dsigma = a rho drho dphi.
 
     Bandwidths are the extension's at the centers' spread (the largest
-    center difference per coordinate); the rho dependence per cube is a
-    geometric sequence, so each (phi, cube) costs two exponentials and
-    n_rho multiplications.
+    center difference per coordinate).  rho index j + n_baby t has cube phase
+    z0 (step^n_baby)^t step^j: the giant-step table times the baby-step table
+    gives every cube sum, at two exponentials per (phi, cube).
     """
     if nu.mass == 0:
         return 0.0
@@ -231,17 +237,19 @@ def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
     rho = quad.rho
     w_rho = quad.amplitude * quad.radial_weight
     total = 0.0
-    n_rho = len(rho)
+    n_baby, n_giant = rho_split(len(rho))
     for s in range(0, len(quad.phi), PHI_BATCH):
         phi = quad.phi[s:s + PHI_BATCH]
         k = (centers[:, 0] * np.cos(phi)[:, None]
              + centers[:, 1] * np.sin(phi)[:, None] + centers[:, 2])  # (b, nc)
-        z0 = np.exp(-2j * math.pi * rho[0] * k)
         step = np.exp(-2j * math.pi * quad.drho * k)
-        arr = np.broadcast_to(step[:, None, :], (len(phi), n_rho, k.shape[1])).copy()
-        arr[:, 0, :] = z0
-        np.cumprod(arr, axis=1, out=arr)
-        s_sum = arr.sum(axis=2)  # (b, n_rho)
+        baby = np.repeat(step[:, None, :], n_baby, axis=1)
+        baby[:, 0, :] = 1.0
+        np.cumprod(baby, axis=1, out=baby)  # step^j
+        giant = np.repeat((baby[:, -1, :] * step)[:, None, :], n_giant, axis=1)
+        giant[:, 0, :] = np.exp(-2j * math.pi * rho[0] * k)
+        np.cumprod(giant, axis=1, out=giant)  # z0 step^(n_baby t)
+        s_sum = (giant @ baby.transpose(0, 2, 1)).reshape(len(phi), -1)[:, :len(rho)]
         form = (np.sinc(rho[None, :] * np.cos(phi)[:, None])
                 * np.sinc(rho[None, :] * np.sin(phi)[:, None])
                 * np.sinc(rho)[None, :])

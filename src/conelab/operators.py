@@ -61,12 +61,12 @@ def operator_from_gram(nu: CubeMeasure, gram: np.ndarray, m: int,
                        seed: int = 0) -> DiscreteExtensionOperator:
     """Eigen-solve the Gram matrix G = A A* into the norm bracket and G^(1/2)."""
     w, u = scipy.linalg.eigh(gram)
-    lam, x = float(w[-1]), u[:, -1]
+    lam, x = float(w[-1]), u[:, -1].copy()
     residual = float(np.linalg.norm(gram @ x - lam * x))
     # eigenvalues within the solver's roundoff of 0 carry only its noise;
     # B = G^(1/2) is Hermitian, so images do not depend on eigenvector phases
     w = np.where(w > len(w) * np.finfo(float).eps * lam, w, 0.0)
-    root = (u * np.sqrt(w)) @ u.conj().T
+    root = (u * np.sqrt(w)) @ np.conjugate(u, out=u).T  # U* overwrites U once U w^(1/2) is built
     return DiscreteExtensionOperator(nu, root, m, seed, lam, lam + residual,
                                      math.sqrt(lam) * x)
 

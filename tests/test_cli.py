@@ -169,7 +169,7 @@ class TestPipelines:
         assert one == pytest.approx(both / 2, rel=1e-12)
 
     def test_decay_budget_refuses_large_scope(self):
-        # the quadratures decay_mean would build here hold 1.28e9 node x cube terms
+        # decay_mean's step tables and their products come to 1.41e9 terms here
         cfg = ExperimentConfig(experiment="decay", R=(32, 64, 128), seeds=(0, 1))
         with pytest.raises(BudgetExceededError):
             check_budget("decay", cfg)
@@ -177,11 +177,13 @@ class TestPipelines:
     @pytest.mark.parametrize("experiment", ["sigma", "duality", "decay"])
     def test_estimate_bounds_actual_work(self, experiment, tmp_path, monkeypatch):
         # counted: J0 and exponential table entries, n_rho per radius and
-        # height, plus one entry per Gram matrix element; for decay, the
-        # node x cube terms of every quadrature decay_mean builds
-        counted, nodes = [], []
+        # height, plus one entry per Gram matrix element; for decay, per phi
+        # node and cube, the two step tables and their product, as sized by
+        # the rho split decay_mean calls
+        counted, phis, splits = [], [], []
         e1_grid, build = fourier.e1_grid, operators.build_extension_operator
-        make_quadrature, decay_mean = fourier.make_quadrature, fourier.decay_mean
+        make_quadrature, rho_split = fourier.make_quadrature, fourier.rho_split
+        decay_mean = fourier.decay_mean
 
         def counting_e1_grid(r, z, quad):
             counted.append(len(quad.rho) * (np.size(r) + np.size(z)))
@@ -194,23 +196,28 @@ class TestPipelines:
 
         def counting_quadrature(*args):
             quad = make_quadrature(*args)
-            nodes.append(quad.node_count)
+            phis.append(len(quad.phi))
             return quad
 
+        def counting_split(n_rho):
+            splits.append(rho_split(n_rho))
+            return splits[-1]
+
         def counting_decay_mean(nu, q):
-            nodes.clear()
+            phis.clear()
+            splits.clear()
             value = decay_mean(nu, q)
-            counted.append(sum(nodes) * nu.mass)
+            counted.extend(n_phi * nu.mass * (nb * ng + nb + ng)
+                           for n_phi, (nb, ng) in zip(phis, splits, strict=True))
             return value
 
         monkeypatch.setattr(fourier, "e1_grid", counting_e1_grid)
         monkeypatch.setattr(operators, "e1_grid", counting_e1_grid)
         monkeypatch.setattr(experiments, "build_extension_operator", counting_build)
         monkeypatch.setattr(fourier, "make_quadrature", counting_quadrature)
+        monkeypatch.setattr(fourier, "rho_split", counting_split)
         monkeypatch.setattr(fourier, "decay_mean", counting_decay_mean)
-        # decay's default scope runs R up to 128; R up to 64 keeps the test short
-        first = dict(R=(16, 32, 64)) if experiment == "decay" else {}
-        for scope in (first, REDUCED_SCOPE[experiment]):
+        for scope in ({}, REDUCED_SCOPE[experiment]):
             counted.clear()
             cfg = ExperimentConfig(experiment=experiment, out=str(tmp_path), **scope)
             run_experiment(cfg)

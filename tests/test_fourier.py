@@ -6,6 +6,7 @@ Oracles:
     ``sigma_check`` (planar rotation invariance reduces it to a 1-d
     oscillatory integral against ``J0``, here by adaptive quadrature), and
     the phi x rho tensor sum ``extension_direct``,
+  * a direct tensor sum of |nu_hat|^2 over the decay quadrature's nodes,
   * pair-sum versus quadrature-mean route agreement, which exercises two
     genuinely different algorithms for the same bilinear quantity,
   * frozen regression values computed once at q=2/q=3 and pinned at full
@@ -225,6 +226,26 @@ class TestDecayRoutes:
         cls = decay_by_classes(nu)
         single = CubeMeasure(8, nu.cubes[:1].copy())
         assert cls["diag"] == pytest.approx(nu.mass * decay_by_classes(single)["total"], rel=1e-6)
+
+    @pytest.mark.parametrize("nu,n_rho", [
+        (generate("vertical_tube", 16, 0), 62),
+        (generate("random_frostman", 32, 0), 178),
+        (CubeMeasure(8, [[3, 4, 10]]), 32),
+        (CubeMeasure(8, [[0, 0, 8], [0, 0, 10]]), 36),
+    ], ids=["vertical_tube_R16", "random_frostman_R32", "one_cube", "square_n_rho"])
+    def test_mean_equals_direct_sum(self, nu, n_rho):
+        # |sum_c exp(-2 pi i c.xi)|^2 sinc^2 a rho drho dphi summed over every
+        # node of the quadrature decay_mean builds, one phi row at a time
+        quad = make_quadrature(*extension_bandwidths(np.ptp(nu.centers, axis=0)), 2.0)
+        assert len(quad.rho) == n_rho
+        w = quad.amplitude * quad.radial_weight * quad.dphi
+        direct = 0.0
+        for phi in quad.phi:
+            xi = np.column_stack([quad.rho * math.cos(phi), quad.rho * math.sin(phi), quad.rho])
+            sums = np.exp(-2j * math.pi * xi @ nu.centers.T).sum(axis=1)
+            form = np.prod(np.sinc(xi), axis=1)
+            direct += float(np.sum(np.abs(sums) ** 2 * form ** 2 * w))
+        assert decay_mean(nu) == pytest.approx(direct, rel=1e-12)
 
     # frozen R=16, seed 0, q=2 regression values
     FROZEN_RATIO = {
