@@ -30,8 +30,9 @@ import numpy as np
 import scipy
 
 from .fitting import fit_exponent
-from .fourier import (MAX_KERNEL_EVALS, cube_midpoints, decay_ratio, diagnostic_points,
-                      extension_bandwidths, knapp_sharpness, make_quadrature,
+from .fourier import (MAX_KERNEL_EVALS, MIDPOINTS, cube_midpoints, decay_ratio,
+                      diagnostic_points, extension_bandwidths, knapp_center, knapp_sector,
+                      knapp_sharpness, knapp_tube_measure, make_quadrature, radial_fft_length,
                       rho_split, stationary_phase_diagnostic)
 from .maximal import wolff_example_check
 from .measures import MAXIMAL_RADII, generate, generate_config
@@ -44,10 +45,11 @@ VALID_R = (16, 32, 64, 128, 256)
 DECAY_KINDS = ("light_tube", "vertical_tube", "knapp_pair", "random_frostman")
 CONFIG_KINDS = ("wolff_radii", "random_frostman")
 PIPELINE_NAMES = ("decay", "maximal", "pairs", "sharpness", "sigma", "duality")
+MAX_GRAM_ROWS = 4096  # duality: n x n complex arrays, 268 MB each at this n
 
 
 class BudgetExceededError(ValueError):
-    """Estimated kernel evaluations exceed the budget and force is off."""
+    """Estimated kernel evaluations or Gram rows exceed the budget and force is off."""
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,11 @@ def _circle_count(n, delta: float) -> int:
 
 
 def estimate_evals(experiment: str, cfg: ExperimentConfig) -> float:
+    """Kernel evaluations of one pipeline at cfg's scope, sized by the calls it makes.
+
+    A duality point with more than MAX_GRAM_ROWS Gram rows raises
+    BudgetExceededError unless cfg.force is set.
+    """
     values, kinds, q = _scope(experiment, cfg)
     seeds = len(cfg.seeds)
     total = 0.0
@@ -235,10 +242,17 @@ def estimate_evals(experiment: str, cfg: ExperimentConfig) -> float:
             n_baby, n_giant = rho_split(len(quad.rho))
             total += len(quad.phi) * nu.mass * (n_baby * n_giant + n_baby + n_giant)
     elif experiment == "sharpness":
+        # per point: one radial-table lookup per midpoint sample and sector
+        # node (extension_separable skips the nodes off the sector), plus the
+        # table's padded FFT, sized as weighted_l2 sizes them
         for R in values:
             for branch, fixed in _gamma_branches(cfg.gamma):
                 g = _branch_gamma(branch, fixed, R)
-                total += g * 4 ** 3 * q * (2 * g + 32) * 64
+                pts = cube_midpoints(knapp_tube_measure(R, g), MIDPOINTS) - knapp_center(R)
+                quad = make_quadrature(*extension_bandwidths(pts), q)
+                h_phi, _ = knapp_sector(g)
+                support = np.count_nonzero(h_phi(quad.phi))
+                total += len(pts) * support + radial_fft_length(quad)
     elif experiment == "sigma":
         # J0 and exponential tables over at most one radius and height per
         # point, n_rho entries each, at q and 2q
@@ -260,9 +274,15 @@ def estimate_evals(experiment: str, cfg: ExperimentConfig) -> float:
         # heights, n_rho entries each, plus the n^2 Gram entries
         for kind, R, seed in itertools.product(kinds, values, cfg.seeds):
             pts = cube_midpoints(_swept_measure(kind, R, seed, cfg.n)[0], SAMPLES)
+            n = len(pts)
+            if n > MAX_GRAM_ROWS and not cfg.force:
+                raise BudgetExceededError(
+                    f"duality: {kind} R={R} seed={seed} has n = {n} Gram rows, over the "
+                    f"{MAX_GRAM_ROWS} budget; G, its eigenvectors and G^(1/2) take "
+                    f"{16 * n * n / 1e9:.2g} GB each; rerun with force enabled")
             r, z, _ = gram_grid(pts, SAMPLES)
             n_rho = len(make_quadrature(*extension_bandwidths(pts), q).rho)
-            total += n_rho * (len(r) + len(z)) + len(pts) ** 2
+            total += n_rho * (len(r) + len(z)) + n ** 2
     return total
 
 

@@ -44,6 +44,7 @@ BUMP_ORDER = 2  # Gevrey exponent of the amplitude's flatness at rho = 1, 2
 MAX_KERNEL_EVALS = 2 * 10 ** 9
 PHI_BATCH = 8  # phi nodes per decay_mean batch
 SAMPLES_PER_UNIT = 1024  # radial-table samples per unit of u, at least
+MIDPOINTS = 4  # weighted_l2: midpoint samples per cube axis
 NEAR_EPS = 0.05  # decay_by_classes: the near class reaches separation R^(10 NEAR_EPS)
 SIGMA_RADII = (10, 20, 50, 100, 200)  # stationary_phase_diagnostic: on-cone |x|
 SIGMA_DISTANCES = (0, 1, 2, 5, 10, 20)  # and cone distances from |x| = 50
@@ -158,13 +159,18 @@ class RadialTable:
         return np.where(u >= 0, vals, np.conj(vals))
 
 
+def radial_fft_length(quad: ConeQuadrature) -> int:
+    """Zero-padded FFT length of quad's radial table: SAMPLES_PER_UNIT per unit of u."""
+    return 1 << int(math.ceil(math.log2(SAMPLES_PER_UNIT / quad.drho)))
+
+
 def radial_transform_table(quad: ConeQuadrature, u_max: float) -> RadialTable:
     """Tabulate the radial transform of the amplitude out to |u| <= u_max."""
     c = quad.amplitude * quad.radial_weight
     n_rho = len(quad.rho)
     # G(k du) = exp(2 pi i rho_0 k du) * sum_j c_j exp(2 pi i j k / n_pad)
     # with rho_j = rho_0 + j drho and n_pad = 1 / (drho du): exact DFT samples.
-    n_pad = 1 << int(math.ceil(math.log2(SAMPLES_PER_UNIT / quad.drho)))
+    n_pad = radial_fft_length(quad)
     du = 1.0 / (quad.drho * n_pad)
     n_keep = int(u_max / du) + 2
     if n_keep > n_pad:
@@ -176,15 +182,21 @@ def radial_transform_table(quad: ConeQuadrature, u_max: float) -> RadialTable:
 
 
 def extension_separable(points, quad: ConeQuadrature, h_phi=None) -> np.ndarray:
-    """Ef for f(rho, phi) = h(phi) via the tabulated radial transform."""
+    """Ef for f(rho, phi) = h(phi) via the tabulated radial transform.
+
+    Only the phi nodes with h != 0 are summed (a sector's support); the
+    dropped terms are exact zeros.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     h = np.ones_like(quad.phi) if h_phi is None else np.asarray(h_phi(quad.phi))
+    keep = h != 0
+    h, phi = h[keep], quad.phi[keep]
     planar = np.hypot(pts[:, 0], pts[:, 1]) if len(pts) else np.zeros(0)
     u_max = float(np.max(planar + np.abs(pts[:, 2]), initial=0.0)) + 1.0
     table = radial_transform_table(quad, u_max)
-    e1, e2 = np.cos(quad.phi), np.sin(quad.phi)
+    e1, e2 = np.cos(phi), np.sin(phi)
     out = np.empty(len(pts), dtype=complex)
-    chunk = max(1, int(2 * 10 ** 6 / max(len(quad.phi), 1)))
+    chunk = max(1, int(2 * 10 ** 6 / max(len(h), 1)))
     for s in range(0, len(pts), chunk):
         p = pts[s:s + chunk]
         u = p[:, 0, None] * e1 + p[:, 1, None] * e2 + p[:, 2, None]
@@ -298,6 +310,8 @@ def knapp_tube_measure(R: int, gamma: int) -> CubeMeasure:
     Its cube centers are c0 + k(-1, 0, 1), so the modulated sector
     extension is coherent on it.
     """
+    if not 1 <= gamma <= R:
+        raise ValueError("gamma must lie in [1, R]")
     c0 = knapp_center(R)
     ks = np.arange(gamma) - gamma // 2
     return CubeMeasure(R, np.column_stack([
@@ -314,7 +328,8 @@ def cube_midpoints(nu: CubeMeasure, m: int) -> np.ndarray:
     return (nu.cubes[:, None, :] + offs[None, :, :]).reshape(-1, 3)
 
 
-def weighted_l2(nu: CubeMeasure, h_phi=None, shift=None, q: float = 2.0, m: int = 4) -> float:
+def weighted_l2(nu: CubeMeasure, h_phi=None, shift=None, q: float = 2.0,
+                m: int = MIDPOINTS) -> float:
     """integral |Ef|^2 dnu: per-cube average of m^3 midpoint samples.
 
     f = h(phi) goes through the tabulated radial transform.  `shift`
@@ -339,8 +354,6 @@ def knapp_sharpness(R: int, gamma: int, q: float = 2.0) -> dict:
     mass gamma along the dual plank's long axis; the sharpness computation
     predicts a ratio bounded above and below uniformly in R and gamma.
     """
-    if not 1 <= gamma <= R:
-        raise ValueError("gamma must lie in [1, R]")
     nu = knapp_tube_measure(R, gamma)
     h_phi, width = knapp_sector(gamma)
     wl2 = weighted_l2(nu, h_phi, shift=knapp_center(R), q=q)

@@ -49,6 +49,7 @@ ENVELOPE_MARGIN = 1.05
 
 N_BOUNDARY_SAMPLES = 64
 N_INTERIOR_SAMPLES = 16
+GREEDY_BLOCK = 256  # greedy candidates tested per pairwise separation call
 
 
 @dataclass(frozen=True)
@@ -205,36 +206,36 @@ def _check_same_scale(r1: DeltaTauRectangle, r2: DeltaTauRectangle):
         raise ValueError("rectangles must share (delta, tau)")
 
 
-def _separation_batch(core: np.ndarray, u: np.ndarray, cores: np.ndarray,
-                      us: np.ndarray, delta: float, tau: float) -> np.ndarray:
-    """Decision separation of one rectangle against a batch; inf for opposed arcs."""
-    dots = us @ u
-    cross = u[0] * us[:, 1] - u[1] * us[:, 0]
-    sep = np.full(len(cores), np.inf)
-    ok = dots > 0.0
-    if not np.any(ok):
+def _separation(cores_a: np.ndarray, us_a: np.ndarray, cores_b: np.ndarray,
+                us_b: np.ndarray, delta: float, tau: float) -> np.ndarray:
+    """(a, b) decision separations of rectangles a against rectangles b; inf for opposed arcs."""
+    # per row of a the matrix-vector product a one-rectangle call makes;
+    # us_a @ us_b.T can differ from it in the last ulp
+    dots = (us_b @ us_a[:, :, None])[..., 0]
+    cross = us_a[:, None, 0] * us_b[:, 1] - us_a[:, None, 1] * us_b[:, 0]
+    sep = np.full(dots.shape, np.inf)
+    ia, ib = np.nonzero(dots > 0.0)
+    if not len(ia):
         return sep
-    ub = u + us[ok]
+    ub = us_a[ia] + us_b[ib]
     ub /= np.hypot(ub[:, 0], ub[:, 1])[:, None]
-    dv = core - cores[ok]
+    dv = cores_a[ia] - cores_b[ib]
     along = dv[:, 0] * ub[:, 0] + dv[:, 1] * ub[:, 1]
     s = np.abs(along + dv[:, 2]) / SQRT2 / delta
     m = np.abs(dv[:, 1] * ub[:, 0] - dv[:, 0] * ub[:, 1]) / (delta / tau)
     l = np.abs(dv[:, 2] - along) / SQRT2 / (delta / tau ** 2)
-    ang = np.abs(np.arctan2(cross[ok], dots[ok])) / tau
-    sep[ok] = np.maximum(np.maximum(s, m), np.maximum(l, ang))
+    ang = np.abs(np.arctan2(cross[ia, ib], dots[ia, ib])) / tau
+    sep[ia, ib] = np.maximum(np.maximum(s, m), np.maximum(l, ang))
     return sep
 
 
 def comparability_separation(r1: DeltaTauRectangle, r2: DeltaTauRectangle) -> float:
     """Symmetric plank-frame separation used by the comparability decision."""
     _check_same_scale(r1, r2)
-    u1 = np.asarray(r1.arc_center)
-    sep = _separation_batch(r1.core.to_array(), u1,
-                            r2.core.to_array()[None, :],
-                            np.asarray(r2.arc_center)[None, :],
-                            r1.delta, r1.tau)
-    return float(sep[0])
+    sep = _separation(r1.core.to_array()[None, :], np.asarray(r1.arc_center)[None, :],
+                      r2.core.to_array()[None, :], np.asarray(r2.arc_center)[None, :],
+                      r1.delta, r1.tau)
+    return float(sep[0, 0])
 
 
 def _build_envelope(r1: DeltaTauRectangle, r2: DeltaTauRectangle) -> DeltaTauRectangle:
@@ -292,17 +293,22 @@ def greedy_maximal_incomparable(rects: list[DeltaTauRectangle], A: float) -> lis
     thresh = A ** (C0 / 2)
     cores = np.array([r.core.to_array() for r in rects])
     us = np.array([r.arc_center for r in rects])
-    # kept members' cores and arc directions fill the front of these buffers
-    kept_cores, kept_us = np.empty_like(cores), np.empty_like(us)
-    kept: list[DeltaTauRectangle] = []
-    for i, rect in enumerate(rects):
-        n = len(kept)
-        if n and np.min(_separation_batch(cores[i], us[i], kept_cores[:n], kept_us[:n],
-                                          delta, tau)) <= thresh:
-            continue
-        kept_cores[n], kept_us[n] = cores[i], us[i]
-        kept.append(rect)
-    return kept
+    kept_idx = np.zeros(0, dtype=int)
+    for s in range(0, len(rects), GREEDY_BLOCK):
+        block = np.arange(s, min(s + GREEDY_BLOCK, len(rects)))
+        # drop the block's candidates comparable to a member kept earlier
+        near = _separation(cores[block], us[block], cores[kept_idx], us[kept_idx],
+                           delta, tau) <= thresh
+        block = block[~near.any(axis=1)]
+        # then keep survivors in order, each dropping the later ones comparable to it
+        comp = _separation(cores[block], us[block], cores[block], us[block],
+                           delta, tau) <= thresh
+        keep = np.ones(len(block), dtype=bool)
+        for i in range(len(block)):
+            if keep[i]:
+                keep[i + 1:] &= ~comp[i + 1:, i]
+        kept_idx = np.concatenate((kept_idx, block[keep]))
+    return [rects[i] for i in kept_idx]
 
 
 def intersect_angle(v, w) -> float:

@@ -174,16 +174,35 @@ class TestPipelines:
         with pytest.raises(BudgetExceededError):
             check_budget("decay", cfg)
 
-    @pytest.mark.parametrize("experiment", ["sigma", "duality", "decay"])
+    def test_duality_refuses_large_gram(self):
+        # n = 64 * 128 = 8192 Gram rows: G alone is 1.07 GB
+        big = ExperimentConfig(experiment="duality", R=(128,), kinds=("random_frostman",))
+        with pytest.raises(BudgetExceededError, match="n = 8192"):
+            check_budget("duality", big)
+        # the default scope tops out at n = 2048
+        check_budget("duality", ExperimentConfig(experiment="duality"))
+
+    @pytest.mark.parametrize("experiment", ["sigma", "duality", "decay", "sharpness"])
     def test_estimate_bounds_actual_work(self, experiment, tmp_path, monkeypatch):
         # counted: J0 and exponential table entries, n_rho per radius and
         # height, plus one entry per Gram matrix element; for decay, per phi
         # node and cube, the two step tables and their product, as sized by
-        # the rho split decay_mean calls
+        # the rho split decay_mean calls; for sharpness, the radial-table
+        # lookups and the length of the FFT that fills each table
         counted, phis, splits = [], [], []
         e1_grid, build = fourier.e1_grid, operators.build_extension_operator
         make_quadrature, rho_split = fourier.make_quadrature, fourier.rho_split
         decay_mean = fourier.decay_mean
+        lookup, table = fourier.RadialTable.__call__, fourier.radial_transform_table
+
+        def counting_lookup(self, u):
+            counted.append(np.size(u))
+            return lookup(self, u)
+
+        def counting_table(quad, u_max):
+            out = table(quad, u_max)
+            counted.append(round(1.0 / (quad.drho * out.du)))  # the padded FFT length
+            return out
 
         def counting_e1_grid(r, z, quad):
             counted.append(len(quad.rho) * (np.size(r) + np.size(z)))
@@ -217,6 +236,8 @@ class TestPipelines:
         monkeypatch.setattr(fourier, "make_quadrature", counting_quadrature)
         monkeypatch.setattr(fourier, "rho_split", counting_split)
         monkeypatch.setattr(fourier, "decay_mean", counting_decay_mean)
+        monkeypatch.setattr(fourier.RadialTable, "__call__", counting_lookup)
+        monkeypatch.setattr(fourier, "radial_transform_table", counting_table)
         for scope in ({}, REDUCED_SCOPE[experiment]):
             counted.clear()
             cfg = ExperimentConfig(experiment=experiment, out=str(tmp_path), **scope)

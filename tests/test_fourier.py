@@ -29,9 +29,11 @@ from conelab.fourier import (
     extension_bandwidths,
     extension_direct,
     extension_separable,
+    knapp_sector,
     knapp_sharpness,
     make_quadrature,
     nu_hat,
+    radial_transform_table,
     sigma_check,
     smooth_bump,
     stationary_phase_diagnostic,
@@ -197,6 +199,26 @@ class TestExtensionRoutes:
         sep = extension_separable(pts, quad)
         scale = float(np.max(np.abs(direct)))
         assert float(np.max(np.abs(direct - sep))) <= 1e-4 * scale
+
+    @pytest.mark.parametrize("gamma", [4.0, 2.0])
+    def test_sector_matches_direct_and_all_phi_sum(self, gamma):
+        # the sector h = knapp_sector(gamma) is centered at phi = 0, so its
+        # nodes sit at both ends of the phi array
+        quad = make_quadrature(8.0, 8.0, q=2.0)
+        h, _ = knapp_sector(gamma)
+        hv = h(quad.phi)
+        assert hv[0] == hv[-1] == 1.0 and 0 < np.count_nonzero(hv) < len(hv) // 2
+        pts = np.random.default_rng(1).uniform(-3.0, 3.0, size=(40, 3))
+        sep = extension_separable(pts, quad, h)
+        direct = extension_direct(pts, quad, f=lambda rho, phi: h(phi) + 0 * rho)
+        scale = float(np.max(np.abs(direct)))
+        assert float(np.max(np.abs(direct - sep))) <= 1e-4 * scale
+        # table(u) h dphi summed over every phi node, zeros included
+        u_max = float(np.max(np.hypot(pts[:, 0], pts[:, 1]) + np.abs(pts[:, 2]))) + 1.0
+        table = radial_transform_table(quad, u_max)
+        u = pts[:, :2] @ np.stack([np.cos(quad.phi), np.sin(quad.phi)]) + pts[:, 2:]
+        all_phi = (table(u) * (hv * quad.dphi)).sum(axis=1)
+        assert float(np.max(np.abs(all_phi - sep))) <= 1e-13 * float(np.max(np.abs(all_phi)))
 
     def test_budget_guard(self):
         quad = make_quadrature(8.0, 8.0, q=2.0)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conelab.geometry import Lightplank, SpacetimePoint, plank_membership
 from conelab.rectangles import (
+    C0,
+    GREEDY_BLOCK,
     DeltaTauRectangle,
     SubResolutionArcError,
     comparable,
@@ -213,6 +215,21 @@ class TestGreedy:
                 assert comparable(r1, r2, 2.0) is None
         for r in rects:
             assert any(comparable(r, k, 2.0) is not None for k in kept)
+
+    def test_blocks_match_one_candidate_at_a_time(self):
+        # 600 shuffled inputs span three candidate blocks; the reference keeps
+        # each input against every member kept before it, one at a time
+        rng = np.random.default_rng(23)
+        base = [seeded_rectangle(rng, delta=1e-4, tau=3e-2) for _ in range(10)]
+        rects = [perturbed(rng, r, 6.0) for r in base for _ in range(60)]
+        rects = [rects[i] for i in rng.permutation(len(rects))]
+        thresh = 2.0 ** (C0 / 2)
+        ref = []
+        for r in rects:
+            if all(comparability_separation(r, k) > thresh for k in ref):
+                ref.append(r)
+        assert len(rects) > 2 * GREEDY_BLOCK and 40 < len(ref) < len(rects) / 2
+        assert greedy_maximal_incomparable(rects, 2.0) == ref
 
     def test_comparable_pair_far_apart_in_angle(self):
         # arc angles 0.374 apart on one core: separation 4.234 <= A^3 = 4.287,
