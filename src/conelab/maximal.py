@@ -23,6 +23,7 @@ from .measures import ALPHA0, CircleConfig
 
 DEFAULT_WINDOW = 1.1
 GRID_FACTOR = 4  # grid spacing = delta / GRID_FACTOR
+HIST_ROWS = 256  # field rows per block of the multiplicity histogram
 CENTER_BOX = (0.0, 2 * ALPHA0)  # maximal-function center scan range per axis
 
 
@@ -86,12 +87,22 @@ def _span_cells(spans) -> int:
 
 
 def _raster(spans, values, n: int, dtype) -> np.ndarray:
-    """Sum over annuli of value times indicator, from their row spans."""
-    diff = np.zeros((n, n + 1), dtype=dtype)
-    for (rows, starts, ends), v in zip(spans, values):
-        np.add.at(diff, (rows, starts), v)
-        np.add.at(diff, (rows, ends + 1), -v)
-    return np.cumsum(diff, axis=1)[:, :n]
+    """Sum over annuli of value times indicator, from their row spans, in `dtype`.
+
+    One scatter adds each annulus's start entries and then its end entries,
+    annulus by annulus, so float rasters add in the per-annulus order; ends
+    past the last column only close their row and are dropped.  The row
+    prefix sum runs in place.
+    """
+    idx, counts = [np.zeros(0, dtype=np.int64)], []
+    for rows, starts, ends in spans:
+        shut = ends + 1 < n
+        idx += [rows * n + starts, (rows * n + ends + 1)[shut]]
+        counts += [len(starts), int(np.count_nonzero(shut))]
+    signed = np.repeat(np.column_stack([values, np.negative(values)]).ravel(), counts)
+    diff = np.zeros((n, n), dtype=dtype)
+    np.add.at(diff.reshape(-1), np.concatenate(idx), signed.astype(dtype, copy=False))
+    return np.cumsum(diff, axis=1, dtype=dtype, out=diff)
 
 
 def _row_prefix(f: np.ndarray) -> np.ndarray:
@@ -116,8 +127,8 @@ def multiplicity_field(config: CircleConfig,
     if reach > grid.window:
         raise ValueError(f"annuli reach {reach:.3f} beyond raster window {grid.window}")
     spans = [_annulus_spans(circle, config.delta, grid) for circle in c]
-    field = _raster(spans, [1] * len(spans), len(grid.nodes_1d), np.int32)
-    return field.astype(np.int16), grid
+    ones = np.ones(len(spans), dtype=np.int16)
+    return _raster(spans, ones, len(grid.nodes_1d), np.int16), grid
 
 
 def annulus_average(f: np.ndarray, grid: RasterGrid, a, r: float, delta: float) -> float:
@@ -250,6 +261,14 @@ def wolff_duality_check(f: np.ndarray, family: WeightedFamily,
     return {"lhs": lhs, "rhs": rhs, "rhs_upper": rhs_upper, "ok": lhs <= 1.05 * rhs}
 
 
+def _histogram(m: np.ndarray) -> np.ndarray:
+    """np.bincount(m.ravel()) of a nonnegative integer field, HIST_ROWS rows at a time."""
+    hist = np.zeros(int(m.max(initial=0)) + 1, dtype=np.int64)
+    for r0 in range(0, len(m), HIST_ROWS):
+        hist += np.bincount(m[r0:r0 + HIST_ROWS].ravel(), minlength=len(hist))
+    return hist
+
+
 def wolff_example_check(config: CircleConfig) -> dict:
     """Ratio |g_delta|_{3/2} / (delta |X|)^(2/3) for a circle family.
 
@@ -259,7 +278,7 @@ def wolff_example_check(config: CircleConfig) -> dict:
     [j, 2j))), which bracket each other within 2^(3/2).
     """
     m, grid = multiplicity_field(config)
-    hist = np.bincount(m.ravel())
+    hist = _histogram(m)
     l32_cells = float(np.sum(hist * np.arange(len(hist)) ** 1.5)
                       * grid.cell_area) ** (2.0 / 3.0)
     levels = 2 ** np.arange(max(len(hist) - 1, 1).bit_length())

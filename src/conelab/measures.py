@@ -44,6 +44,12 @@ MAXIMAL_PLANAR = (-0.05, 0.05)
 
 _GENERATOR_KINDS = ("light_tube", "vertical_tube", "knapp_pair", "wolff_radii", "random_frostman")
 
+# plank-scan directions per block: each direction's dense key box grows as
+# R^1.5 for spread measures, so 4 keeps a block's bincount near 30 MB at R=512
+PLANK_DIR_BLOCK = 4
+_KEY_BITS = 19  # bits per lattice coordinate in a packed Frostman-sampler key
+_KEY_BIAS = 1 << (_KEY_BITS - 1)
+
 
 @dataclass
 class CubeMeasure:
@@ -143,38 +149,40 @@ def _max_lattice_plank_count(points: np.ndarray, half_dims, dir_spacing: float,
     """Max point count (or weight sum) over planks on the half-dimension lattice.
 
     widen = 1 scans planks of the given half dims, widen = 2 scans the
-    doubled family on the same center lattice.
+    doubled family on the same center lattice.  Directions go in blocks of
+    PLANK_DIR_BLOCK; each direction's lattice keys map to dense offsets in
+    its bounding box, stacked per block, and one bincount counts the block.
+    Weights are gathered point-major, so each plank sums them in point order.
     """
     if len(points) == 0:
         return 0
     half = np.asarray(half_dims, dtype=float)
     ndir = max(1, int(math.ceil(2 * math.pi / dir_spacing)))
-    offsets = np.arange(-widen, widen + 1)
+    offsets = np.arange(-widen, widen + 1)[:, None]
     best = 0.0
-    enc = np.int64(1) << 20
-    bias = np.int64(1) << 19
-    for i in range(ndir):
-        coords = points @ _plank_frame(i * dir_spacing).T
-        q = coords / half
-        base = np.floor(q).astype(np.int64)
-        cand = base[:, :, None] + offsets[None, None, :]           # (n, 3, noff)
-        valid = np.abs(q[:, :, None] - cand) <= widen + 1e-12
-        cand = cand + bias
-        keys = ((cand[:, 0, :, None, None] * enc + cand[:, 1, None, :, None]) * enc
-                + cand[:, 2, None, None, :])
-        mask = (valid[:, 0, :, None, None] & valid[:, 1, None, :, None]
-                & valid[:, 2, None, None, :])
-        flat = keys[mask]
-        if not len(flat):
-            continue
+    for b0 in range(0, ndir, PLANK_DIR_BLOCK):
+        frames = np.stack([_plank_frame(i * dir_spacing)
+                           for i in range(b0, min(b0 + PLANK_DIR_BLOCK, ndir))])
+        q = (np.matmul(points, frames.transpose(0, 2, 1)) / half).transpose(0, 2, 1)
+        base = np.floor(q).astype(np.int64)                        # (b, 3, n)
+        cand = base[:, :, None, :] + offsets                        # (b, 3, noff, n)
+        valid = np.abs(q[:, :, None, :] - cand) <= widen + 1e-12
+        lo = base.min(axis=2) - widen
+        size = base.max(axis=2) + widen + 1 - lo                    # (b, 3)
+        cells = size.prod(axis=1)
+        c = cand - lo[:, :, None, None]
+        k0 = (c[:, 0] * (size[:, 1] * size[:, 2])[:, None, None]
+              + (np.cumsum(cells) - cells)[:, None, None])
+        k1 = c[:, 1] * size[:, 2, None, None]
+        keys = k0[:, :, None, None] + k1[:, None, :, None] + c[:, 2, None, None]
+        mask = valid[:, 0, :, None, None] & valid[:, 1, None, :, None] & valid[:, 2, None, None]
         if weights is None:
-            _, counts = np.unique(flat, return_counts=True)
-            best = max(best, int(counts.max()))
+            best = max(best, int(np.bincount(keys[mask]).max()))
         else:
+            keys, mask = np.moveaxis(keys, -1, 1), np.moveaxis(mask, -1, 1)
             w = np.broadcast_to(np.asarray(weights, dtype=float)[:, None, None, None],
-                                keys.shape)[mask]
-            _, inv = np.unique(flat, return_inverse=True)
-            best = max(best, float(np.bincount(inv, weights=w).max()))
+                                mask.shape)[mask]
+            best = max(best, float(np.bincount(keys[mask], weights=w).max()))
     return best
 
 
@@ -248,6 +256,17 @@ def _vertical_tube(rng, R: int, length: int) -> np.ndarray:
     return np.column_stack([np.full(length, a[0]), np.full(length, a[1]), R + k])
 
 
+def _pack_keys(level: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """One int64 per (level, i, j, k): 6 bits of level, then 19 biased bits per coordinate.
+
+    Injective for 0 <= level < 64 and -2**18 <= i, j, k < 2**18.  The sampler
+    refuses nodes outside that box instead of letting keys collide; its
+    levels stay below 64 because it keeps only capacities 4 * 2**level <= n - 1.
+    """
+    c = nodes + _KEY_BIAS
+    return ((level << _KEY_BITS | c[..., 0]) << _KEY_BITS | c[..., 1]) << _KEY_BITS | c[..., 2]
+
+
 def _frostman_sample(draw, n: int, base: float, span: float, max_attempts: int) -> list:
     """Rejection sampling down a dyadic tree of balls with per-node capacity 4 r/base.
 
@@ -257,11 +276,19 @@ def _frostman_sample(draw, n: int, base: float, span: float, max_attempts: int) 
     sits inside some tree ball of radius 2r, giving a Frostman constant
     <= 8 at base scale `base`.  Stops after n points or `max_attempts`
     draws, whichever comes first.
+
+    Each draw computes the ring nodes of all levels as one (levels, 125)
+    array and looks its in-ball nodes up under packed int64 keys.  Levels
+    whose capacity exceeds n - 1 are skipped: no count there can reach it.
     """
-    levels = [base * 2.0 ** k for k in
-              range(0, int(math.ceil(math.log2(span / base * 2))) + 2)]
-    counters: dict[tuple, int] = {}
+    levels = base * 2.0 ** np.arange(int(math.ceil(math.log2(span / base * 2))) + 2)
+    levels = levels[4 * (levels / base) <= n - 1]
+    steps = 0.5 * levels
     ring = np.array([[i, j, k] for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)])
+    level_ids = np.arange(len(levels))
+    headroom = -(4 << level_ids)[:, None]  # count - capacity of a fresh node
+    counters: dict[int, int] = {}  # key -> count - capacity; a draw is refused at 0
+    get = counters.get
     out = []
     seen = set()
     attempts = 0
@@ -270,24 +297,17 @@ def _frostman_sample(draw, n: int, base: float, span: float, max_attempts: int) 
         p = draw()
         if tuple(p) in seen:
             continue
-        keys = []
-        bad = False
-        for li, r in enumerate(levels):
-            step = 0.5 * r
-            nodes = np.round(p / step).astype(np.int64) + ring
-            d = np.linalg.norm(nodes * step - p, axis=1)
-            for node in nodes[d <= r]:
-                key = (li, int(node[0]), int(node[1]), int(node[2]))
-                keys.append(key)
-                if counters.get(key, 0) + 1 > 4 * (r / base):
-                    bad = True
-                    break
-            if bad:
-                break
-        if bad:
+        nodes = np.round(p / steps[:, None]).astype(np.int64)[:, None, :] + ring
+        if len(nodes) and (nodes[0].min() < -_KEY_BIAS or nodes[0].max() >= _KEY_BIAS):
+            raise ValueError(f"point {p} lies outside the sampler's key range at base {base}")
+        x = nodes * steps[:, None, None] - p
+        inside = np.sqrt(np.add.reduce(x * x, axis=2)) <= levels[:, None]
+        keys = _pack_keys(level_ids[:, None], nodes)[inside].tolist()
+        held = [get(key, cap) for key, cap in
+                zip(keys, np.broadcast_to(headroom, inside.shape)[inside].tolist())]
+        if max(held, default=-1) >= 0:
             continue
-        for key in keys:
-            counters[key] = counters.get(key, 0) + 1
+        counters.update(zip(keys, [h + 1 for h in held]))
         seen.add(tuple(p))
         out.append(p)
     return out

@@ -1,9 +1,14 @@
-"""Seeded instance suites for the curved-rectangle geometry oracles.
+"""Seeded instance suites for the curved-rectangle geometry oracles, and
+per-item reference routes for the array kernels.
 
 Each suite generates random instances in the admissible regime, checks one
 proposition-level property with its measured constant, and returns a report
 dict with `instances`, `violations`, and the extremal measured quantity.
 Unit tests run small counts; the acceptance suite runs >= 10^3 per check.
+
+The reference routes (`plank_count_per_direction`, `frostman_sample_tuple_keys`,
+`raster_per_annulus`) loop over one direction, draw level or annulus at a
+time; the library kernels must reproduce them bit for bit.
 """
 
 import math
@@ -11,6 +16,7 @@ import math
 import numpy as np
 
 from conelab.geometry import SpacetimePoint, membership_dilation
+from conelab.measures import _plank_frame
 from conelab.rectangles import (
     C0,
     DeltaTauRectangle,
@@ -319,3 +325,94 @@ def annuli_area_suite(n: int, seed: int = 0, mc_every: int = 32,
     return {"instances": n, "violations": violations,
             "max_measured_const": max_const,
             "mc_checked": mc_checked, "mc_violations": mc_violations}
+
+
+# ---------------------------------------------------------------------------
+# per-item reference routes for the array kernels
+
+
+def plank_count_per_direction(points, half_dims, dir_spacing: float, widen: int,
+                              weights=None):
+    """`measures._max_lattice_plank_count`, one direction and one np.unique at a time."""
+    if len(points) == 0:
+        return 0
+    half = np.asarray(half_dims, dtype=float)
+    ndir = max(1, int(math.ceil(2 * math.pi / dir_spacing)))
+    offsets = np.arange(-widen, widen + 1)
+    best = 0.0
+    enc = np.int64(1) << 20
+    bias = np.int64(1) << 19
+    for i in range(ndir):
+        coords = points @ _plank_frame(i * dir_spacing).T
+        q = coords / half
+        base = np.floor(q).astype(np.int64)
+        cand = base[:, :, None] + offsets[None, None, :]           # (n, 3, noff)
+        valid = np.abs(q[:, :, None] - cand) <= widen + 1e-12
+        cand = cand + bias
+        keys = ((cand[:, 0, :, None, None] * enc + cand[:, 1, None, :, None]) * enc
+                + cand[:, 2, None, None, :])
+        mask = (valid[:, 0, :, None, None] & valid[:, 1, None, :, None]
+                & valid[:, 2, None, None, :])
+        flat = keys[mask]
+        if not len(flat):
+            continue
+        if weights is None:
+            _, counts = np.unique(flat, return_counts=True)
+            best = max(best, int(counts.max()))
+        else:
+            w = np.broadcast_to(np.asarray(weights, dtype=float)[:, None, None, None],
+                                keys.shape)[mask]
+            _, inv = np.unique(flat, return_inverse=True)
+            best = max(best, float(np.bincount(inv, weights=w).max()))
+    return best
+
+
+def frostman_sample_tuple_keys(draw, n: int, base: float, span: float,
+                               max_attempts: int) -> list:
+    """`measures._frostman_sample`, one level and one tuple-keyed node at a time."""
+    levels = [base * 2.0 ** k for k in
+              range(0, int(math.ceil(math.log2(span / base * 2))) + 2)]
+    counters: dict[tuple, int] = {}
+    ring = np.array([[i, j, k] for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)])
+    out = []
+    seen = set()
+    attempts = 0
+    while len(out) < n and attempts < max_attempts:
+        attempts += 1
+        p = draw()
+        if tuple(p) in seen:
+            continue
+        keys = []
+        bad = False
+        for li, r in enumerate(levels):
+            step = 0.5 * r
+            nodes = np.round(p / step).astype(np.int64) + ring
+            d = np.linalg.norm(nodes * step - p, axis=1)
+            for node in nodes[d <= r]:
+                key = (li, int(node[0]), int(node[1]), int(node[2]))
+                keys.append(key)
+                if counters.get(key, 0) + 1 > 4 * (r / base):
+                    bad = True
+                    break
+            if bad:
+                break
+        if bad:
+            continue
+        for key in keys:
+            counters[key] = counters.get(key, 0) + 1
+        seen.add(tuple(p))
+        out.append(p)
+    return out
+
+
+def raster_per_annulus(spans, values, n: int, dtype) -> np.ndarray:
+    """`maximal._raster` with two np.add.at calls per annulus and a widening cumsum.
+
+    Integer rasters come back as int64 (numpy's cumsum accumulator), floats
+    as float64.
+    """
+    diff = np.zeros((n, n + 1), dtype=dtype)
+    for (rows, starts, ends), v in zip(spans, values):
+        np.add.at(diff, (rows, starts), v)
+        np.add.at(diff, (rows, ends + 1), -v)
+    return np.cumsum(diff, axis=1)[:, :n]

@@ -1,0 +1,265 @@
+"""Frostman sampler, plank scan and annulus raster against their per-item routes.
+
+The library kernels work on whole arrays; `oracle_suites` keeps the routes
+that loop over one draw level, direction or annulus at a time.  Outputs must
+agree exactly: equal integer arrays, bitwise-equal floats and the same
+scalar types (CSVs print the values as they come).
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conelab import measures
+from conelab.maximal import (
+    WeightedFamily,
+    _annulus_spans,
+    _histogram,
+    _raster,
+    default_grid,
+    multiplicity_field,
+    radius_grid,
+    weighted_field,
+    wolff_example_check,
+)
+from conelab.measures import (
+    ALPHA0,
+    MAXIMAL_RADII,
+    Q_PLANAR,
+    Q_RADII,
+    CircleConfig,
+    _frostman_sample,
+    _pack_keys,
+    gamma_tau,
+    generate,
+    generate_config,
+    max_plank_mass,
+)
+from conelab.tangency import classify_pairs
+from oracle_suites import (
+    frostman_sample_tuple_keys,
+    plank_count_per_direction,
+    raster_per_annulus,
+)
+
+KINDS = ("light_tube", "vertical_tube", "knapp_pair", "wolff_radii", "random_frostman")
+DELTAS = tuple(2.0 ** -k for k in range(5, 10))
+
+
+def bits(a) -> np.ndarray:
+    """Float array as its int64 bit patterns, so equality is bitwise."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def with_oracle(monkeypatch, name, oracle, call):
+    """call() with measures.<name> swapped for the oracle route."""
+    monkeypatch.setattr(measures, name, oracle)
+    try:
+        return call()
+    finally:
+        monkeypatch.undo()
+
+
+class TestFrostmanSampler:
+    @pytest.mark.parametrize("R", (16, 32, 64, 128))
+    def test_generate_matches_tuple_keys(self, monkeypatch, R):
+        for seed in range(5):
+            nu = generate("random_frostman", R, seed)
+            ref = with_oracle(monkeypatch, "_frostman_sample", frostman_sample_tuple_keys,
+                              lambda: generate("random_frostman", R, seed))
+            assert np.array_equal(nu.cubes, ref.cubes)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_generate_config_matches_tuple_keys(self, monkeypatch, delta):
+        # the Q band holds only a few circles at these resolutions; the
+        # maximal band holds the pipelines' 1/(2 delta)
+        for band, n in ((Q_RADII, 4), (MAXIMAL_RADII, int(round(0.5 / delta)))):
+            config = generate_config("random_frostman", delta, n, 0, radius_band=band)
+            ref = with_oracle(monkeypatch, "_frostman_sample", frostman_sample_tuple_keys,
+                              lambda: generate_config("random_frostman", delta, n, 0,
+                                                      radius_band=band))
+            assert np.array_equal(bits(config.circles), bits(ref.circles))
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_rejecting_draws_match_tuple_keys(self, delta):
+        # the Q band at n = 1/(2 delta) refuses most draws: every level caps
+        n = int(round(0.5 / delta))
+        span = max(Q_RADII[1] - Q_RADII[0], Q_PLANAR[1] - Q_PLANAR[0])
+        outs = []
+        for sampler in (_frostman_sample, frostman_sample_tuple_keys):
+            rng = np.random.default_rng(7)
+            draw = lambda: np.array([rng.uniform(*Q_PLANAR), rng.uniform(*Q_PLANAR),  # noqa: E731
+                                     rng.uniform(*Q_RADII)])
+            outs.append(np.array(sampler(draw, n, delta, span, 10 * n)).reshape(-1, 3))
+        assert 0 < len(outs[0]) < n
+        assert np.array_equal(bits(outs[0]), bits(outs[1]))
+
+    @pytest.mark.parametrize("L", (1, 2, 3))
+    def test_last_capacity_level_refuses_like_tuple_keys(self, L):
+        # draws inside one level-L ball of capacity n - 1, spread so that no
+        # smaller ball fills: only level L refuses, and it refuses the n-th
+        n = 4 * 2 ** L + 1
+        r = 2.0 ** L
+        outs = []
+        for sampler in (_frostman_sample, frostman_sample_tuple_keys):
+            rng = np.random.default_rng(L)
+
+            def draw():
+                while True:
+                    v = rng.uniform(-r, r, 3)
+                    if v @ v <= (0.9 * r) ** 2:
+                        return 3 * r + v
+            outs.append(np.array(sampler(draw, n, 1.0, 8 * r, 50 * n)))
+        assert len(outs[1]) == n - 1
+        assert np.array_equal(bits(outs[0]), bits(outs[1]))
+
+    def test_packed_keys_injective_at_the_field_limits(self):
+        # 6 level bits and 19 coordinate bits: one bit less anywhere aliases
+        # some of these keys or flips their sign
+        lim = 2 ** 18
+        coords = np.array([-lim, -lim + 1, -1, 0, 1, lim - 2, lim - 1])
+        grid = np.stack(np.meshgrid(coords, coords, coords, indexing="ij"), -1).reshape(-1, 3)
+        levels = np.array([0, 1, 62, 63])
+        tuples = [(int(l), *map(int, c)) for l in levels for c in grid]
+        keys = np.concatenate([_pack_keys(l, grid) for l in levels])
+        assert keys.dtype == np.int64 and keys.min() >= 0
+        assert len(np.unique(keys)) == len(keys)
+        # keys sort like the (level, i, j, k) tuples they pack
+        assert [tuples[i] for i in np.argsort(keys, kind="stable")] == sorted(tuples)
+
+    def test_nodes_beyond_the_key_range_are_refused(self):
+        # at base 1 the level-0 node of x is round(2x); 2**17 puts it past 2**18 - 2
+        far = np.array([2.0 ** 17, 0.5, 0.5])
+        with pytest.raises(ValueError, match="key range"):
+            _frostman_sample(lambda: far, 8, 1.0, 16.0, 4)
+        near = np.array([2.0 ** 17 - 2.0, 0.5, 0.5])
+        assert len(_frostman_sample(lambda: near, 8, 1.0, 16.0, 4)) == 1
+
+
+class TestPlankScan:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_max_plank_mass_matches_per_direction(self, monkeypatch, kind):
+        for R, seed in ((16, 0), (32, 1), (64, 2)):
+            nu = generate(kind, R, seed)
+            w = np.random.default_rng(seed).uniform(0.0, 2.0, nu.mass)
+            got = (max_plank_mass(nu), max_plank_mass(nu, weights=w))
+            ref = with_oracle(monkeypatch, "_max_lattice_plank_count",
+                              plank_count_per_direction,
+                              lambda: (max_plank_mass(nu), max_plank_mass(nu, weights=w)))
+            assert got == ref
+            assert [type(v) for pair in got for v in pair] == \
+                [type(v) for pair in ref for v in pair]
+
+    @pytest.mark.parametrize("kind", ("wolff_radii", "random_frostman"))
+    @pytest.mark.parametrize("delta", (2.0 ** -6, 2.0 ** -8))
+    def test_gamma_tau_matches_per_direction_at_pairs_taus(self, monkeypatch, kind, delta):
+        config = generate_config(kind, delta, int(round(0.5 / delta)), 0,
+                                 radius_band=MAXIMAL_RADII)
+        taus = [math.sqrt(delta / D) for D in classify_pairs(config).dyadic_D()
+                if D >= 8 * delta]
+        assert taus
+        got = [gamma_tau(config, tau) for tau in taus]
+        ref = with_oracle(monkeypatch, "_max_lattice_plank_count", plank_count_per_direction,
+                          lambda: [gamma_tau(config, tau) for tau in taus])
+        assert got == ref and all(type(g) is int for g in got)
+
+    def test_return_types(self):
+        nu = generate("knapp_pair", 16, 0)
+        lower, upper = max_plank_mass(nu)
+        assert type(lower) is int and type(upper) is int
+        wl, wu = max_plank_mass(nu, weights=np.full(nu.mass, 0.5))
+        assert type(wl) is float and type(wu) is float
+        assert (wl, wu) == (0.5 * lower, 0.5 * upper)
+        config = generate_config("wolff_radii", 2.0 ** -6, 16, 0, radius_band=MAXIMAL_RADII)
+        assert type(gamma_tau(config, 0.25)) is int
+
+
+class TestRaster:
+    @pytest.mark.parametrize("kind", ("wolff_radii", "random_frostman"))
+    @pytest.mark.parametrize("delta", (2.0 ** -5, 2.0 ** -6, 2.0 ** -7))
+    def test_multiplicity_field_matches_per_annulus(self, kind, delta):
+        config = generate_config(kind, delta, int(round(0.5 / delta)), 1,
+                                 radius_band=MAXIMAL_RADII)
+        field, grid = multiplicity_field(config)
+        spans = [_annulus_spans(c, delta, grid) for c in config.circles]
+        ref = raster_per_annulus(spans, [1] * len(spans), len(grid.nodes_1d), np.int32)
+        assert field.dtype == np.int16
+        assert np.array_equal(field, ref.astype(np.int16))
+
+    @pytest.mark.parametrize("delta", (2.0 ** -5, 2.0 ** -6, 2.0 ** -7))
+    def test_float_raster_matches_per_annulus_bitwise(self, delta):
+        # many overlapping annuli, so cells collect three or more entries
+        # and the order of the float additions shows
+        config = generate_config("wolff_radii", delta, int(round(0.5 / delta)), 2,
+                                 radius_band=MAXIMAL_RADII)
+        grid = default_grid(delta)
+        spans = [_annulus_spans(c, delta, grid) for c in config.circles]
+        values = np.random.default_rng(4).uniform(0.1, 3.0, len(spans))
+        got = _raster(spans, values, len(grid.nodes_1d), np.float64)
+        ref = raster_per_annulus(spans, values, len(grid.nodes_1d), np.float64)
+        assert np.array_equal(bits(got), bits(ref))
+
+    def test_weighted_field_matches_per_annulus_bitwise(self):
+        delta = 2.0 ** -7  # the radius grid holds 3 annuli
+        rng = np.random.default_rng(3)
+        n = len(radius_grid(delta))
+        family = WeightedFamily(delta, rng.uniform(0.0, 2 * ALPHA0, size=(n, 2)),
+                                rng.uniform(0.0, 3.0, size=n))
+        g, grid = weighted_field(family)
+        spans = [_annulus_spans((a1, a2, r), delta, grid)
+                 for (a1, a2), r in zip(family.centers, family.radii)]
+        counts = np.array([float(np.sum(e - s + 1)) for _, s, e in spans])
+        values = family.weights * delta / (counts * grid.cell_area)
+        ref = raster_per_annulus(spans, values, len(grid.nodes_1d), np.float64)
+        assert np.array_equal(bits(g), bits(ref))
+
+    @pytest.mark.parametrize("dtype", (np.int16, np.int32, np.float64))
+    def test_raster_keeps_its_dtype(self, dtype):
+        delta = 2.0 ** -5
+        grid = default_grid(delta)
+        spans = [_annulus_spans(c, delta, grid) for c in ((0.0, 0.0, 0.7), (0.01, 0.0, 0.7))]
+        out = _raster(spans, np.ones(2, dtype=dtype), len(grid.nodes_1d), dtype)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        assert out.shape == (len(grid.nodes_1d),) * 2 and out.max() == 2
+
+    def test_multiplicity_field_allocates_one_int16_field(self):
+        # a few circles on a fine grid: the field dominates every other
+        # allocation, so a widened cumsum or an int16 copy of it shows
+        config = CircleConfig(np.array([[0.0, 0.0, 0.6], [0.01, 0.0, 0.6],
+                                        [0.0, 0.02, 0.9]]), delta=2.0 ** -8)
+        tracemalloc.start()
+        try:
+            field, _ = multiplicity_field(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.dtype == np.int16
+        assert peak - field.nbytes < field.nbytes
+
+    @pytest.mark.parametrize("circles", (
+        [[0.0, 0.0, 1.0]],
+        [[0.0, 0.0, 0.6], [0.01, 0.0, 0.6], [0.0, 0.02, 0.61]],
+    ))
+    def test_histogram_equals_bincount(self, circles):
+        config = CircleConfig(np.array(circles), delta=2.0 ** -7)
+        m, _ = multiplicity_field(config)
+        assert len(m) % 256 != 0  # the last row block is partial
+        ref = np.bincount(m.ravel())
+        hist = _histogram(m)
+        assert hist.dtype == ref.dtype and np.array_equal(hist, ref)
+
+    def test_wolff_example_check_matches_per_annulus(self):
+        # the report from the reference raster and a plain bincount
+        config = generate_config("wolff_radii", 2.0 ** -6, 32, 0, radius_band=MAXIMAL_RADII)
+        grid = default_grid(config.delta)
+        spans = [_annulus_spans(c, config.delta, grid) for c in config.circles]
+        m = raster_per_annulus(spans, [1] * len(spans), len(grid.nodes_1d),
+                               np.int32).astype(np.int16)
+        hist = np.bincount(m.ravel())
+        l32 = float(np.sum(hist * np.arange(len(hist)) ** 1.5) * grid.cell_area) ** (2.0 / 3.0)
+        out = wolff_example_check(config)
+        assert out["l32_norm"] == l32
+        assert out["ratio"] == l32 / (config.delta * config.count) ** (2.0 / 3.0)
+
