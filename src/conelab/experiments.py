@@ -45,7 +45,7 @@ VALID_R = (16, 32, 64, 128, 256)
 DECAY_KINDS = ("light_tube", "vertical_tube", "knapp_pair", "random_frostman")
 CONFIG_KINDS = ("wolff_radii", "random_frostman")
 PIPELINE_NAMES = ("decay", "maximal", "pairs", "sharpness", "sigma", "duality")
-MAX_GRAM_ROWS = 4096  # duality: n x n complex arrays, 268 MB each at this n
+MAX_GRAM_ROWS = 4096  # duality: G is one n x n complex array, 268 MB at this n
 
 
 class BudgetExceededError(ValueError):
@@ -278,8 +278,8 @@ def estimate_evals(experiment: str, cfg: ExperimentConfig) -> float:
             if n > MAX_GRAM_ROWS and not cfg.force:
                 raise BudgetExceededError(
                     f"duality: {kind} R={R} seed={seed} has n = {n} Gram rows, over the "
-                    f"{MAX_GRAM_ROWS} budget; G, its eigenvectors and G^(1/2) take "
-                    f"{16 * n * n / 1e9:.2g} GB each; rerun with force enabled")
+                    f"{MAX_GRAM_ROWS} budget; G alone takes {16 * n * n / 1e9:.2g} GB; "
+                    f"rerun with force enabled")
             r, z, _ = gram_grid(pts, SAMPLES)
             n_rho = len(make_quadrature(*extension_bandwidths(pts), q).rho)
             total += n_rho * (len(r) + len(z)) + n ** 2

@@ -10,44 +10,65 @@ so |A c|^2 with c = sqrt(a w) f is the per-cube average of |Ef|^2 and |c|
 is |f|_{L2(dsigma)}.  A is never formed: G = A A* = m^-3 E1(x_p - x_q) comes
 from one fourier.e1_grid table over the distinct differences, which are
 exact integers in units 1/(2m), on the same rho rule (the phi sum of A A*
-is that J0 up to aliasing terms below 1e-15).  One eigen-solve of G gives
-the squared norm lambda, bracketed above by the residual |Gx - lambda x| of
-its eigenvector x (Parlett), and B = G^(1/2), which maps the unit ball
-onto {A c : |c| <= 1}: a unit density is a unit vector g with image B g.
+is that J0 up to aliasing terms below 1e-15).  A Lanczos iteration on G
+gives the squared norm lambda, bracketed above by the residual
+|Gx - lambda x| of its Ritz vector x (Parlett).  Every product is a numpy
+one: scipy loads a second OpenBLAS with its own thread pool, and switching
+between the two pools costs far more than the products themselves.
 
-The L1(dnu) constant is only lower-bracketed, by seeded random unit vectors
-plus dual-ascent iterates.  The level-set check realizes the dyadic
-pigeonholing between the L1 and L2 forms of the estimate; the transference
-report checks monotonicity under h nu, 0 <= h <= 1, on the same operator.
+No factor of G is needed either.  B = G^(1/2) maps the unit ball onto
+{A c : |c| <= 1}, and the unit density g = B s / |B s| has the image
+B g = G s / (s* G s)^(1/2); the L1(dnu) constant is lower-bracketed by such
+images of seeded unimodular s plus dual-ascent iterates s <- sign(G s).  The
+level-set check realizes the dyadic pigeonholing between the L1 and L2 forms
+of the estimate; the transference report checks monotonicity under h nu,
+0 <= h <= 1, on the same operator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fourier import cube_midpoints, e1_grid, extension_bandwidths, make_quadrature
 from .measures import CubeMeasure, max_plank_mass
 
 DUAL_ITERS = 20
+LANCZOS_ITERS = 300  # cap on the Krylov dimension of the norm iteration
+LANCZOS_TOL = 1e-13  # Ritz residual, relative to the Ritz value, that stops it
 SAMPLES = 4  # midpoint samples per cube axis
 ROW_BLOCK = 256  # Gram rows filled per table lookup
 
 
 @dataclass(frozen=True)
 class DiscreteExtensionOperator:
-    """The extension operator of nu as the square root of its Gram matrix."""
+    """The extension operator of nu through its Gram matrix G = A A*."""
 
     nu: CubeMeasure
-    matrix: np.ndarray          # B = G^(1/2), (mass * m^3, mass * m^3) complex
+    gram: np.ndarray            # G, (mass * m^3, mass * m^3) complex Hermitian
     m: int
     seed: int
     u_l2: float                 # squared norm: the top eigenvalue of G
-    u_l2_upper: float           # u_l2 + |G x - u_l2 x| for its unit eigenvector x
+    u_l2_upper: float           # u_l2 + |G x - u_l2 x| for its unit Ritz vector x
     top: np.ndarray             # image of the top unit density: sqrt(u_l2) x
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """B = G^(1/2) from a full eigen-solve, computed on first access.
+
+        No code in src/ reads it.  perfbench's check_duality compares the
+        norm with svds of it, and the traced benchmark counts its size; the
+        benchmark change that gives check_duality an independent norm
+        deletes it.  Eigenvalues within the solver's roundoff of 0 carry only
+        its noise and are dropped; B is Hermitian, so it does not depend on
+        eigenvector phases.
+        """
+        w, u = np.linalg.eigh(self.gram)
+        w = np.where(w > len(w) * np.finfo(float).eps * w[-1], w, 0.0)
+        return (u * np.sqrt(w)) @ np.conjugate(u, out=u).T  # U* overwrites U once U w^(1/2) is built
 
     def image_l1(self, y: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
         """integral |Ef| d(h nu) per image column of y; h per cube, default 1."""
@@ -57,17 +78,45 @@ class DiscreteExtensionOperator:
         return mags.sum(axis=(0, 1)) / math.sqrt(self.m ** 3)
 
 
+def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue of Hermitian PSD G and its unit Ritz vector, by Lanczos.
+
+    Full reorthogonalisation (classical Gram-Schmidt, twice) from a seeded
+    complex Gaussian start; stops when the Ritz residual |beta_k s_k| falls
+    to LANCZOS_TOL times the Ritz value, or after LANCZOS_ITERS steps.  The
+    eigenvalue returned is the Rayleigh quotient of the Ritz vector.
+    """
+    n = len(gram)
+    # a structured start such as ones can be orthogonal to the top eigenvector
+    # of a symmetric measure (it is on vertical_tube R=16)
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    basis = np.empty((min(LANCZOS_ITERS, n), n), dtype=complex)
+    basis[0] = v / np.linalg.norm(v)
+    alpha, beta = [], []
+    for k in range(len(basis)):
+        w = gram @ basis[k]
+        alpha.append(np.vdot(basis[k], w).real)
+        q = basis[:k + 1]
+        for _ in range(2):
+            w -= (q @ w.conj()).conj() @ q
+        b = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        if b * abs(s[-1, -1]) <= LANCZOS_TOL * theta[-1] or k + 1 == len(basis):
+            break
+        beta.append(b)
+        basis[k + 1] = w / b
+    x = s[:, -1] @ basis[:k + 1]
+    x /= np.linalg.norm(x)
+    return float(np.vdot(x, gram @ x).real), x
+
+
 def operator_from_gram(nu: CubeMeasure, gram: np.ndarray, m: int,
                        seed: int = 0) -> DiscreteExtensionOperator:
-    """Eigen-solve the Gram matrix G = A A* into the norm bracket and G^(1/2)."""
-    w, u = scipy.linalg.eigh(gram)
-    lam, x = float(w[-1]), u[:, -1].copy()
+    """The operator of the Gram matrix G = A A*, with its norm bracket."""
+    lam, x = _top_eigenpair(gram)
     residual = float(np.linalg.norm(gram @ x - lam * x))
-    # eigenvalues within the solver's roundoff of 0 carry only its noise;
-    # B = G^(1/2) is Hermitian, so images do not depend on eigenvector phases
-    w = np.where(w > len(w) * np.finfo(float).eps * lam, w, 0.0)
-    root = (u * np.sqrt(w)) @ np.conjugate(u, out=u).T  # U* overwrites U once U w^(1/2) is built
-    return DiscreteExtensionOperator(nu, root, m, seed, lam, lam + residual,
+    return DiscreteExtensionOperator(nu, gram, m, seed, lam, lam + residual,
                                      math.sqrt(lam) * x)
 
 
@@ -116,20 +165,24 @@ def build_extension_operator(nu: CubeMeasure, q: float = 2.0, m: int = SAMPLES,
     return operator_from_gram(nu, gram_matrix(nu, q, m), m, seed)
 
 
+def _images(op: DiscreteExtensionOperator, s: np.ndarray) -> np.ndarray:
+    """Images G s / (s* G s)^(1/2) per column of s: B g for the unit g = B s / |B s|."""
+    gs = op.gram @ s
+    return gs / np.sqrt(np.sum(s.conj() * gs, axis=0).real)
+
+
 def _unit_trials(op: DiscreteExtensionOperator, trials: int) -> np.ndarray:
-    """Images B g of `trials` seeded complex Gaussian unit vectors g, one per column."""
+    """Images of `trials` unit densities from seeded unimodular s, one per column."""
     rng = np.random.default_rng(op.seed)
-    n = len(op.matrix)
-    g = rng.standard_normal((n, trials)) + 1j * rng.standard_normal((n, trials))
-    return op.matrix @ (g / np.linalg.norm(g, axis=0))
+    return _images(op, np.exp(2j * np.pi * rng.random((len(op.gram), trials))))
 
 
 def l1_constant(op: DiscreteExtensionOperator, trials: int = 100) -> float:
     """Lower bracket of the L1(dnu) constant: max |Ef|_{L1} over unit f.
 
-    Seeded complex Gaussian unit vectors plus dual-ascent iterates
-    g <- B sign(B g) / |B sign(B g)|; every trial asserts the Cauchy-Schwarz
-    ceiling |Ef|_{L1} <= |Ef|_{L2} mass^(1/2).
+    Seeded trial images plus dual-ascent iterates y <- G s / (s* G s)^(1/2)
+    for s = sign(y), the image of g <- B sign(B g) / |B sign(B g)|; every
+    trial asserts the Cauchy-Schwarz ceiling |Ef|_{L1} <= |Ef|_{L2} mass^(1/2).
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a stable lower bracket")
@@ -146,8 +199,8 @@ def l1_constant(op: DiscreteExtensionOperator, trials: int = 100) -> float:
     k = int(np.argmax(l1))
     best, y = float(l1[k]), ys[:, k]
     for _ in range(DUAL_ITERS):
-        g = op.matrix @ np.exp(1j * np.angle(y))  # nonzero: its inner product with y is |y|_1
-        y_new = op.matrix @ (g / np.linalg.norm(g))
+        # s* G s > 0: y is an image of G and s* y = |y|_1
+        y_new = _images(op, np.exp(1j * np.angle(y)))
         l1_new = float(score(y_new[:, None])[0])
         if l1_new <= best:
             break

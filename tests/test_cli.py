@@ -210,7 +210,7 @@ class TestPipelines:
 
         def counting_build(nu, **kwargs):
             op = build(nu, **kwargs)
-            counted.append(len(op.matrix) ** 2)
+            counted.append(len(op.gram) ** 2)
             return op
 
         def counting_quadrature(*args):

@@ -2,15 +2,19 @@
 
 Oracles: hand-built matrices with known singular values, the node matrix A
 assembled entry-by-entry from the documented formula (its Gram matrix and
-its SVD), the separable-extension weighted L2 as an independent route to the
-J0 kernel, and frozen regression values for the R=16 vertical-tube operator
-pinned at full double precision, each checked once against an SVD of A.
+its SVD), a full eigen-solve of G for the Lanczos norm, the closed-form L1
+constant of a rank-one G, the separable-extension weighted L2 as an
+independent route to the J0 kernel, and frozen regression values for the
+R=16 vertical-tube operator pinned at full double precision, each checked
+once against an SVD of A.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conelab.fourier import (
     cube_midpoints,
@@ -32,6 +36,9 @@ from conelab.operators import (
 
 ORACLE_CASES = (("light_tube", 8, 2), ("random_frostman", 8, 2),
                 ("vertical_tube", 16, 2), ("light_tube", 16, 4))
+# acceptance criterion 8's measure families and, at R=32, its seeds
+CRITERION_8 = (("light_tube", (0,)), ("vertical_tube", (0,)), ("knapp_pair", (0,)),
+               ("random_frostman", (0, 1, 2, 3, 4)))
 
 
 def toy_operator(matrix):
@@ -53,8 +60,8 @@ def node_matrix(nu, m, q=2.0):
     return np.exp(2j * np.pi * xi_dot) * np.sqrt(weight)[None, :] / math.sqrt(m ** 3)
 
 
-def _oracle_measure(kind, R):
-    return generate(kind, R, 0, **({"n": R} if kind == "random_frostman" else {}))
+def _oracle_measure(kind, R, seed=0):
+    return generate(kind, R, seed, **({"n": R} if kind == "random_frostman" else {}))
 
 
 class TestOperatorNorm:
@@ -82,6 +89,18 @@ class TestOperatorNorm:
         op = toy_operator(m)
         top = float(np.linalg.svd(m, compute_uv=False)[0])
         assert math.sqrt(op.u_l2) == pytest.approx(top, rel=1e-6)
+
+    def test_matches_full_eigensolve(self):
+        # the Lanczos norm prints as the top eigenvalue of a full eigen-solve,
+        # and its residual bracket covers it
+        for kind, _ in CRITERION_8:
+            for R, seed in itertools.product((16, 32), (0, 1, 2)):
+                nu = _oracle_measure(kind, R, seed)
+                gram = gram_matrix(nu, q=2.0, m=4)
+                want = float(scipy.linalg.eigvalsh(gram)[-1])
+                op = operator_from_gram(nu, gram, 4)
+                assert f"{op.u_l2:.12g}" == f"{want:.12g}", (kind, R, seed)
+                assert op.u_l2_upper >= want, (kind, R, seed)
 
 
 class TestAssembly:
@@ -148,10 +167,31 @@ class TestL1Constant:
         l1 = l1_constant(op)
         assert 0.0 < l1 <= math.sqrt(op.u_l2) * math.sqrt(nu.mass) * (1 + 1e-9)
 
+    def test_rank_one_closed_form(self):
+        # G = v v*: every image is v up to phase, so U_L1^2 = (sum |v_p|)^2 / m^3
+        m = 2
+        nu = CubeMeasure(8, np.array([[i, 0, 8] for i in range(4)]))
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(nu.mass * m ** 3) + 1j * rng.standard_normal(nu.mass * m ** 3)
+        op = operator_from_gram(nu, np.outer(v, v.conj()), m)
+        want = float(np.sum(np.abs(v))) / math.sqrt(m ** 3)
+        assert l1_constant(op) == pytest.approx(want, rel=1e-12)
+
+    def test_below_ceiling_on_criterion_8(self):
+        for kind, seeds in CRITERION_8:
+            for seed in seeds:
+                nu = _oracle_measure(kind, 32, seed)
+                op = build_extension_operator(nu, q=2.0, seed=seed)
+                assert l1_constant(op) <= math.sqrt(op.u_l2 * nu.mass), (kind, seed)
+
     def test_frozen_small_value(self):
         nu = generate("light_tube", 8, 0)
         op = build_extension_operator(nu, q=2.0, m=2)
-        assert l1_constant(op) == pytest.approx(2.608805758945188, rel=1e-9)
+        # on the trial route of G s / (s* G s)^(1/2) images; the B g route
+        # of Gaussian unit g gave 2.608805758945188
+        u_l1 = l1_constant(op)
+        assert u_l1 == pytest.approx(2.608805952362521, rel=1e-9)
+        assert u_l1 >= 2.608805758945188
 
 
 class TestDyadicLevels:
@@ -176,7 +216,9 @@ class TestBBCR:
         assert bb["l2_sq"] == pytest.approx(2.2942957256281398, rel=1e-9)
         assert bb["bound"] == pytest.approx(7.971582742897434, rel=1e-9)
         assert bb["dynamic_range"] == pytest.approx(4.0, rel=1e-9)
-        assert bb["ratio"] == pytest.approx(1.0056424116404858, rel=1e-9)
+        # on the trial route of G s / (s* G s)^(1/2) images; the B g route
+        # of Gaussian unit g gave 1.0056424116404858
+        assert bb["ratio"] == pytest.approx(1.005642337081981, rel=1e-9)
 
     def test_invariants(self):
         nu = generate("random_frostman", 8, 1)
@@ -200,8 +242,11 @@ class TestBBCR:
         assert bb["l2_sq"] == pytest.approx(1.303098130334383, rel=1e-9)
         assert bb["bound"] == pytest.approx(8.62757550431733, rel=1e-9)
         assert bb["dynamic_range"] == pytest.approx(64.0, rel=1e-9)
-        assert bb["U_L1"] == pytest.approx(4.257546344898184, rel=1e-9)
-        assert bb["ratio"] == pytest.approx(1.0724799160430951, rel=1e-9)
+        # on the trial route of G s / (s* G s)^(1/2) images; the B g route
+        # of Gaussian unit g gave U_L1 4.257546344898184, ratio 1.0724799160430951
+        assert bb["U_L1"] == pytest.approx(4.377051346380492, rel=1e-9)
+        assert bb["U_L1"] >= 4.257546344898184
+        assert bb["ratio"] == pytest.approx(1.0431983966333533, rel=1e-9)
 
 
 class TestTransference:
