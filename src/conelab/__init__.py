@@ -16,22 +16,13 @@ from .fourier import (
     extension_separable,
     knapp_sharpness,
     make_quadrature,
-    nu_hat,
     sigma_check,
     smooth_bump,
     stationary_phase_diagnostic,
     weighted_l2,
 )
 from .geometry import LightlikeBasis, Lightplank, SpacetimePoint
-from .maximal import (
-    RasterGrid,
-    WeightedFamily,
-    annulus_average,
-    maximal_function,
-    multiplicity_field,
-    wolff_duality_check,
-    wolff_example_check,
-)
+from .maximal import RasterGrid, multiplicity_field, wolff_example_check
 from .measures import (
     ALPHA0,
     MAXIMAL_RADII,
@@ -55,6 +46,6 @@ from .operators import (
     transference_check,
 )
 from .rectangles import DeltaTauRectangle, greedy_maximal_incomparable
-from .tangency import classify_pairs, common_plank, main_geom_check, pair_count
+from .tangency import classify_pairs, main_geom_check, pair_count
 
 __version__ = "0.1.0"

@@ -23,8 +23,8 @@ E1(r, x3) = sum_rho 2 pi a rho drho J0(2 pi rho r) exp(2 pi i rho x3), one
 matrix product over distinct radii and heights (sigma-check, Gram matrices).
 
 Cube measures enter through their exact transform: a union of unit cubes
-with centers c has nu_hat(xi) = prod_j sinc(xi_j) * sum_c exp(-2 pi i c.xi),
-and the decay mean integral(|nu_hat|^2 dsigma) over the segment is
+with centers c has hat(nu)(xi) = prod_j sinc(xi_j) * sum_c exp(-2 pi i c.xi),
+and the decay mean integral(|hat(nu)|^2 dsigma) over the segment is
 accumulated per phi as one batched product of baby-step and giant-step
 tables of the cube phases in rho (about 2 sqrt(n_rho) entries per cube).
 """
@@ -110,13 +110,12 @@ def extension_bandwidths(points) -> tuple[float, float]:
     return b_rho, b_phi
 
 
-def extension_direct(points, quad: ConeQuadrature, f=None,
-                     max_evals: int = MAX_KERNEL_EVALS) -> np.ndarray:
+def extension_direct(points, quad: ConeQuadrature, f=None) -> np.ndarray:
     """Ef at each point by the full tensor sum; f maps (rho, phi) grids to values."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts) * quad.node_count > max_evals:
+    if len(pts) * quad.node_count > MAX_KERNEL_EVALS:
         raise ValueError(f"{len(pts)} points x {quad.node_count} nodes exceeds "
-                         f"budget {max_evals:.2g}")
+                         f"budget {MAX_KERNEL_EVALS:.2g}")
     rho = quad.rho
     cw = quad.amplitude * quad.radial_weight  # (n_rho,)
     if f is None:
@@ -220,14 +219,6 @@ def sigma_check(points, q: float = 3.0) -> np.ndarray:
     return e1_grid(r, z, quad)[ri.reshape(-1), zi.reshape(-1)]
 
 
-def nu_hat(nu: CubeMeasure, xi) -> np.ndarray:
-    """Exact Fourier transform of the cube measure at frequencies xi."""
-    x = np.asarray(xi, dtype=float).reshape(-1, 3)
-    form = np.sinc(x[:, 0]) * np.sinc(x[:, 1]) * np.sinc(x[:, 2])
-    phases = np.exp(-2j * math.pi * (x @ nu.centers.T))
-    return form * phases.sum(axis=1)
-
-
 def rho_split(n_rho: int) -> tuple[int, int]:
     """decay_mean's step counts: n_baby = ceil(sqrt(n_rho)), n_baby * n_giant >= n_rho."""
     n_baby = math.isqrt(n_rho - 1) + 1
@@ -235,7 +226,7 @@ def rho_split(n_rho: int) -> tuple[int, int]:
 
 
 def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
-    """integral over the segment of |nu_hat|^2 dsigma, dsigma = a rho drho dphi.
+    """integral over the segment of |hat(nu)|^2 dsigma, dsigma = a rho drho dphi.
 
     Bandwidths are the extension's at the centers' spread (the largest
     center difference per coordinate).  rho index j + n_baby t has cube phase
@@ -426,7 +417,7 @@ def decay_by_classes(nu: CubeMeasure, q: float = 2.0) -> dict:
 
     K(x) = integral |cube transform|^2 exp(2 pi i x.xi) dsigma, so the sum
     of K(c' - c) over ordered center pairs, `total`, reproduces integral
-    |nu_hat|^2 dsigma exactly; it is quadratic in the mass and serves as an
+    |hat(nu)|^2 dsigma exactly; it is quadratic in the mass and serves as an
     independent cross-check.  Off-diagonal pairs split into a near class
     (cube-scale separation at most R^(10 NEAR_EPS)) and dyadic bands
     [D, 2D) of the rescaled separation; the partition is exact, so diag +

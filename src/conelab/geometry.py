@@ -65,59 +65,6 @@ def _as_points(p) -> np.ndarray:
     return a
 
 
-def dist_d(v, w) -> float | np.ndarray:
-    """Circle distance d(v, w) = |v' - w'| + |v3 - w3|.  Broadcasts over batches."""
-    dv = _as_points(v) - _as_points(w)
-    out = np.hypot(dv[..., 0], dv[..., 1]) + np.abs(dv[..., 2])
-    return float(out) if out.ndim == 0 else out
-
-
-def gap_delta(v, w) -> float | np.ndarray:
-    """Tangency defect Delta(v, w) = ||v' - w'| - |v3 - w3||.
-
-    Zero exactly when the displacement v - w is lightlike, i.e. the two
-    circles are internally tangent (equal heights give identical circles'
-    concentric defect |v' - w'|).
-    """
-    dv = _as_points(v) - _as_points(w)
-    out = np.abs(np.hypot(dv[..., 0], dv[..., 1]) - np.abs(dv[..., 2]))
-    return float(out) if out.ndim == 0 else out
-
-
-def cone_distance(x) -> float | np.ndarray:
-    """Euclidean distance from x to the full cone {|x'| = |x3|}.
-
-    Both nappes are considered; the minimum is ||x'| - |x3|| / sqrt(2)
-    exactly, since the projection onto the nearer nappe's generator always
-    has a nonnegative parameter.
-    """
-    a = _as_points(x)
-    out = np.abs(np.hypot(a[..., 0], a[..., 1]) - np.abs(a[..., 2])) / SQRT2
-    return float(out) if out.ndim == 0 else out
-
-
-def nearest_cone_point(x) -> SpacetimePoint:
-    """Nearest point of the upper nappe {|x'| = x3 >= 0} to x.
-
-    For x = (x', x3) with x3 >= 0 and x' != 0 the projection is
-
-        w = ( (|x'| + x3)/2 * x'/|x'|, (|x'| + x3)/2 ).
-
-    Raises ValueError for |x'| = 0 (the planar direction is degenerate)
-    or x3 < 0.
-    """
-    a = _as_points(x)
-    if a.ndim != 1:
-        raise ValueError("nearest_cone_point takes a single point")
-    rho = math.hypot(a[0], a[1])
-    if rho <= COORD_TOL:
-        raise ValueError("degenerate axis input: |x'| = 0 has no unique nearest cone point")
-    if a[2] < -COORD_TOL:
-        raise ValueError("nearest_cone_point expects x3 >= 0")
-    t = 0.5 * (rho + a[2])
-    return SpacetimePoint(t * a[0] / rho, t * a[1] / rho, t)
-
-
 @dataclass(frozen=True)
 class LightlikeBasis:
     """Orthonormal frame (e_s, e_m, e_l) attached to a planar unit vector."""
@@ -160,30 +107,6 @@ class LightlikeBasis:
         return np.vstack([self.e_s, self.e_m, self.e_l])
 
 
-def basis_change_coefficients(basis: LightlikeBasis, other: LightlikeBasis) -> np.ndarray:
-    """Matrix M[i, j] = <other_i, basis_j>, rows and columns ordered (s, m, l).
-
-    With theta the signed angle from basis.e_planar to other.e_planar the
-    entries are the closed form
-
-        [ (c+1)/2   -s/sqrt2   (c-1)/2 ]
-        [  s/sqrt2      c       s/sqrt2]
-        [ (c-1)/2   -s/sqrt2   (c+1)/2 ]
-
-    (c = cos theta, s = sin theta); coefficients on the short axis pick up
-    one factor of theta per step away from the diagonal and two on the
-    corner, which is what makes dilated planks absorb small rotations.
-    """
-    return other.matrix() @ basis.matrix().T
-
-
-def planar_angle(basis: LightlikeBasis, other: LightlikeBasis) -> float:
-    """Signed angle from basis.e_planar to other.e_planar, in (-pi, pi]."""
-    c = basis.ex * other.ex + basis.ey * other.ey
-    s = basis.ex * other.ey - basis.ey * other.ex
-    return math.atan2(s, c)
-
-
 @dataclass(frozen=True)
 class Lightplank:
     """Axis-aligned box in a lightlike frame.
@@ -213,23 +136,6 @@ class Lightplank:
         signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
         local = signs * np.array([hs, hm, hl])
         return self.center.to_array() + local @ self.basis.matrix()
-
-    def dilated(self, factor: float) -> "Lightplank":
-        hs, hm, hl = self.half_dims
-        return Lightplank(self.center, self.basis,
-                          (hs * factor, hm * factor, hl * factor),
-                          self.dilation * factor)
-
-
-def plank_membership(plank: Lightplank, x, dilation: float = 1.0):
-    """Whether x lies in the dilation-scaled plank (boundary inclusive).
-
-    Accepts a single point or an (..., 3) batch; returns bool or bool array.
-    """
-    loc = np.abs(plank.local_coords(x))
-    lim = np.asarray(plank.half_dims) * dilation + COORD_TOL
-    out = np.all(loc <= lim, axis=-1)
-    return bool(out) if out.ndim == 0 else out
 
 
 def membership_dilation(plank: Lightplank, x):

@@ -11,10 +11,7 @@ for a whole family of rectangles sharing (delta, tau).
 
 The set of circles delta-tangent to Omega is comparable to a lightplank of
 half-dims (delta, delta/tau, delta/tau^2) anchored at v with planar
-direction arc_center; :func:`tangency_plank` builds it.  At arc length
-tau ~ sqrt(delta) the tangent family splits into two planks (curves of
-either orientation can hug such a short arc); :func:`tangency_plank_pair`
-exposes both components explicitly.
+direction arc_center; :func:`tangency_plank` builds it.
 
 Comparability of two rectangles sharing (delta, tau) is decided through
 the plank dictionary: the decision functional is the largest separation of
@@ -151,25 +148,6 @@ def tangency_plank(rect: DeltaTauRectangle, lam: float = 1.0) -> Lightplank:
         raise SubResolutionArcError(f"tau={t} below sqrt(delta)/2={0.5 * math.sqrt(d)}")
     basis = LightlikeBasis.from_planar(rect.arc_center)
     return Lightplank(rect.core, basis, (lam * d, lam * d / t, lam * d / t ** 2), dilation=lam)
-
-
-def tangency_plank_pair(rect: DeltaTauRectangle, lam: float = 1.0) -> tuple[Lightplank, Lightplank]:
-    """Both components of the tangent family for a near-critical arc.
-
-    Valid for tau <= 2*sqrt(delta).  The first plank contains the core
-    (circles curving with the arc); the second is anchored at the
-    reflection of the core through the arc midpoint line (circles curving
-    against the arc) with the opposite planar direction.
-    """
-    d, t = rect.delta, rect.tau
-    if t > 2.0 * math.sqrt(d):
-        raise ValueError(f"far tangency family empty for tau={t} > 2*sqrt(delta)")
-    half = (lam * d, lam * d / t, lam * d / t ** 2)
-    u = np.asarray(rect.arc_center)
-    near = Lightplank(rect.core, LightlikeBasis.from_planar(u), half, dilation=lam)
-    far_center = SpacetimePoint(*(rect.core.planar + 2.0 * rect.core.h * u), rect.core.h)
-    far = Lightplank(far_center, LightlikeBasis.from_planar(-u), half, dilation=lam)
-    return near, far
 
 
 def dual_rectangle(plank: Lightplank, delta: float) -> DeltaTauRectangle:

@@ -1,4 +1,4 @@
-"""Tangent circle pairs, their common planks, and incidence counts.
+"""Tangent circle pairs and incidence counts.
 
 For circles v = (v', v3), w = (w', w3) the separation and tangency defect
 are
@@ -7,11 +7,9 @@ are
     Delta(v, w) = | |v' - w'| - |v3 - w3| |,
 
 so d ~ D with Delta ~ 0 means internal or external tangency at distance D.
-A pair tangent at resolution delta (Delta <= 2 delta) lies in a common
-lightplank of half-dimensions (delta, delta/tau, delta/tau^2) with
-tau = sqrt(delta / D): the plank sits on the light cone translated to v,
-centered at the cone point nearest to w, and the residual w - w0 points
-along the cone normal, i.e. the plank's short axis.
+Pairs tangent at resolution delta (Delta <= 2 delta) with d ~ D are
+counted against the multiplicity of lightplanks of half-dimensions
+(delta, delta/tau, delta/tau^2) with tau = sqrt(delta / D).
 
 The multiplicity of a delta,tau-rectangle in a configuration X counts the
 circles of X whose delta-annulus contains the rectangle (sampled
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .geometry import COORD_TOL, Lightplank, LightlikeBasis, SpacetimePoint, nearest_cone_point
+from .geometry import COORD_TOL, SpacetimePoint
 from .measures import CircleConfig, gamma_tau
 from .rectangles import DeltaTauRectangle, greedy_maximal_incomparable, sample_points
 
@@ -75,41 +73,6 @@ def classify_pairs(config: CircleConfig) -> PairTable:
     radial = pdist(c[:, 2:3])
     i, j = np.triu_indices(n, k=1)
     return PairTable(i, j, planar + radial, np.abs(planar - radial), config.delta)
-
-
-def common_plank(v, w, delta: float) -> Lightplank:
-    """Lightplank witnessing the tangency of circles v and w at resolution delta.
-
-    Half-dimensions (delta, delta/tau, delta/tau^2) with tau = sqrt(delta/D),
-    centered at the point of the cone through v nearest to w; both circles
-    lie inside the plank at membership dilation <= 2 whenever Delta <= 2 delta.
-    Raises ValueError when the pair is not a valid tangency at this scale
-    (D < 8 delta, Delta > sqrt(delta), or concentric circles).
-    """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    q = w - v
-    planar = math.hypot(q[0], q[1])
-    radial = abs(q[2])
-    D = planar + radial
-    defect = abs(planar - radial)
-    if D < 8 * delta:
-        raise ValueError(f"pair separation {D:.3g} below 8*delta={8 * delta:.3g}")
-    if defect > math.sqrt(delta):
-        raise ValueError(f"tangency defect {defect:.3g} above sqrt(delta)={math.sqrt(delta):.3g}")
-    if planar <= COORD_TOL:
-        raise ValueError("concentric circles admit no tangency plank")
-    e = q[:2] / planar
-    if q[2] >= 0:
-        w0 = v + nearest_cone_point(q).to_array()
-        basis = LightlikeBasis.from_planar(-e)
-    else:
-        reflected = nearest_cone_point(q * np.array([1.0, 1.0, -1.0])).to_array()
-        w0 = v + reflected * np.array([1.0, 1.0, -1.0])
-        basis = LightlikeBasis.from_planar(e)
-    tau = math.sqrt(delta / D)
-    return Lightplank(SpacetimePoint.from_array(w0), basis,
-                      (delta, delta / tau, delta / tau ** 2))
 
 
 def pair_count(config: CircleConfig, table: PairTable, D: float) -> dict:
@@ -157,18 +120,17 @@ def nu_multiplicity(config: CircleConfig, cores: np.ndarray, dirs: np.ndarray,
     return np.bincount(rect[ok], minlength=len(cores))
 
 
-def main_geom_check(config: CircleConfig, tau: float | None = None) -> dict:
+def main_geom_check(config: CircleConfig) -> dict:
     """Multiplicity histogram over candidate rectangles with incidence bounds.
 
     For each dyadic multiplicity class M (rectangles contained in [M, 2M)
     annuli) a maximal pairwise A-incomparable subfamily R_M is extracted
     with A = delta^(-GEOM_EPS), and the largest normalized count
     M^(3/2) |R_M| tau / |X| is reported raw and divided by the two
-    candidate logarithmic normalizations.
+    candidate logarithmic normalizations, at tau = sqrt(delta).
     """
     delta = config.delta
-    if tau is None:
-        tau = math.sqrt(delta)
+    tau = math.sqrt(delta)
     if not delta <= tau <= 1:
         raise ValueError("tau must lie in [delta, 1]")
     A = delta ** (-GEOM_EPS)

@@ -9,6 +9,10 @@ Unit tests run small counts; the acceptance suite runs >= 10^3 per check.
 The reference routes (`plank_count_per_direction`, `frostman_sample_tuple_keys`,
 `raster_per_annulus`) loop over one direction, draw level or annulus at a
 time; the library kernels must reproduce them bit for bit.
+
+The closed forms (`dist_d`, `gap_delta`, `nu_hat`) restate, point by point,
+numbers the library computes in bulk: the pair table's separations and
+defects, and the cube-measure transform inside `decay_mean`.
 """
 
 import math
@@ -30,6 +34,27 @@ from conelab.rectangles import (
     sample_points,
     tangency_plank,
 )
+
+
+def dist_d(v, w) -> float | np.ndarray:
+    """Circle distance d(v, w) = |v' - w'| + |v3 - w3|.  Broadcasts over batches."""
+    dv = np.asarray(v, dtype=float) - np.asarray(w, dtype=float)
+    out = np.hypot(dv[..., 0], dv[..., 1]) + np.abs(dv[..., 2])
+    return float(out) if out.ndim == 0 else out
+
+
+def gap_delta(v, w) -> float | np.ndarray:
+    """Tangency defect Delta(v, w) = ||v' - w'| - |v3 - w3||; zero on tangent pairs."""
+    dv = np.asarray(v, dtype=float) - np.asarray(w, dtype=float)
+    out = np.abs(np.hypot(dv[..., 0], dv[..., 1]) - np.abs(dv[..., 2]))
+    return float(out) if out.ndim == 0 else out
+
+
+def nu_hat(nu, xi) -> np.ndarray:
+    """Exact Fourier transform of the cube measure nu at frequencies xi, shape (n, 3)."""
+    x = np.asarray(xi, dtype=float).reshape(-1, 3)
+    form = np.sinc(x[:, 0]) * np.sinc(x[:, 1]) * np.sinc(x[:, 2])
+    return form * np.exp(-2j * math.pi * (x @ nu.centers.T)).sum(axis=1)
 
 
 def seeded_rectangle(rng, delta=None, tau=None) -> DeltaTauRectangle:
@@ -405,14 +430,10 @@ def frostman_sample_tuple_keys(draw, n: int, base: float, span: float,
     return out
 
 
-def raster_per_annulus(spans, values, n: int, dtype) -> np.ndarray:
-    """`maximal._raster` with two np.add.at calls per annulus and a widening cumsum.
-
-    Integer rasters come back as int64 (numpy's cumsum accumulator), floats
-    as float64.
-    """
-    diff = np.zeros((n, n + 1), dtype=dtype)
-    for (rows, starts, ends), v in zip(spans, values):
-        np.add.at(diff, (rows, starts), v)
-        np.add.at(diff, (rows, ends + 1), -v)
+def raster_per_annulus(spans, n: int) -> np.ndarray:
+    """`maximal._raster` with two np.add.at calls per annulus and an int64 cumsum."""
+    diff = np.zeros((n, n + 1), dtype=np.int64)
+    for rows, starts, ends in spans:
+        np.add.at(diff, (rows, starts), 1)
+        np.add.at(diff, (rows, ends + 1), -1)
     return np.cumsum(diff, axis=1)[:, :n]

@@ -1,12 +1,14 @@
 """Tests for the cone-extension quadrature, decay functionals, and Knapp ratios.
 
 Oracles:
-  * closed forms (single-cube ``nu_hat``, amplitude endpoint values),
+  * closed forms (the cube-measure transform ``nu_hat`` of ``oracle_suites``,
+    amplitude endpoint values),
   * an independent Bessel-function route for the radial integral of
     ``sigma_check`` (planar rotation invariance reduces it to a 1-d
     oscillatory integral against ``J0``, here by adaptive quadrature), and
     the phi x rho tensor sum ``extension_direct``,
-  * a direct tensor sum of |nu_hat|^2 over the decay quadrature's nodes,
+  * a direct tensor sum of |nu_hat|^2 over the decay quadrature's nodes, the
+    closed-form oracle for ``decay_mean``,
   * pair-sum versus quadrature-mean route agreement, which exercises two
     genuinely different algorithms for the same bilinear quantity,
   * frozen regression values computed once at q=2/q=3 and pinned at full
@@ -32,14 +34,15 @@ from conelab.fourier import (
     knapp_sector,
     knapp_sharpness,
     make_quadrature,
-    nu_hat,
     radial_transform_table,
     sigma_check,
     smooth_bump,
     stationary_phase_diagnostic,
     weighted_l2,
 )
+from conelab import fourier
 from conelab.measures import CubeMeasure, generate
+from oracle_suites import nu_hat
 
 
 def bessel_route(x, q=3.0):
@@ -220,11 +223,12 @@ class TestExtensionRoutes:
         all_phi = (table(u) * (hv * quad.dphi)).sum(axis=1)
         assert float(np.max(np.abs(all_phi - sep))) <= 1e-13 * float(np.max(np.abs(all_phi)))
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         quad = make_quadrature(8.0, 8.0, q=2.0)
         pts = np.zeros((20, 3))
+        monkeypatch.setattr(fourier, "MAX_KERNEL_EVALS", 10)
         with pytest.raises(ValueError, match="budget"):
-            extension_direct(pts, quad, max_evals=10)
+            extension_direct(pts, quad)
 
 
 class TestDecayRoutes:
@@ -256,17 +260,15 @@ class TestDecayRoutes:
         (CubeMeasure(8, [[0, 0, 8], [0, 0, 10]]), 36),
     ], ids=["vertical_tube_R16", "random_frostman_R32", "one_cube", "square_n_rho"])
     def test_mean_equals_direct_sum(self, nu, n_rho):
-        # |sum_c exp(-2 pi i c.xi)|^2 sinc^2 a rho drho dphi summed over every
-        # node of the quadrature decay_mean builds, one phi row at a time
+        # |nu_hat|^2 a rho drho dphi summed over every node of the
+        # quadrature decay_mean builds, one phi row at a time
         quad = make_quadrature(*extension_bandwidths(np.ptp(nu.centers, axis=0)), 2.0)
         assert len(quad.rho) == n_rho
         w = quad.amplitude * quad.radial_weight * quad.dphi
         direct = 0.0
         for phi in quad.phi:
             xi = np.column_stack([quad.rho * math.cos(phi), quad.rho * math.sin(phi), quad.rho])
-            sums = np.exp(-2j * math.pi * xi @ nu.centers.T).sum(axis=1)
-            form = np.prod(np.sinc(xi), axis=1)
-            direct += float(np.sum(np.abs(sums) ** 2 * form ** 2 * w))
+            direct += float(np.sum(np.abs(nu_hat(nu, xi)) ** 2 * w))
         assert decay_mean(nu) == pytest.approx(direct, rel=1e-12)
 
     # frozen R=16, seed 0, q=2 regression values

@@ -1,4 +1,8 @@
-"""Point-circle distances, lightlike bases, and plank membership."""
+"""Point-circle distances, lightlike bases, and plank membership.
+
+The distances are the closed-form oracles of `oracle_suites`; the library
+computes them in bulk inside `classify_pairs`, checked in test_tangency.py.
+"""
 
 import math
 
@@ -7,19 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.geometry import (
-    LightlikeBasis,
-    Lightplank,
-    SpacetimePoint,
-    basis_change_coefficients,
-    cone_distance,
-    dist_d,
-    gap_delta,
-    membership_dilation,
-    nearest_cone_point,
-    plank_membership,
-    planar_angle,
-)
+from conelab.geometry import LightlikeBasis, Lightplank, SpacetimePoint, membership_dilation
+from oracle_suites import dist_d, gap_delta
 
 SQRT2 = math.sqrt(2.0)
 
@@ -56,51 +49,6 @@ def test_distance_symmetry_and_order(ax, ay, ah, bx, by, bh):
     assert gap_delta(v, w) <= dist_d(v, w) + 1e-12
 
 
-@given(finite, finite, finite, finite, finite, finite)
-def test_gap_is_cone_distance_of_difference(ax, ay, ah, bx, by, bh):
-    v, w = point(ax, ay, ah), point(bx, by, bh)
-    diff = np.asarray(v) - np.asarray(w)
-    assert gap_delta(v, w) / SQRT2 == pytest.approx(cone_distance(diff), abs=1e-9)
-
-
-def test_cone_distance_hand_values():
-    assert cone_distance([1, 0, 1]) == 0.0
-    assert cone_distance([2, 0, 0]) == pytest.approx(SQRT2)
-    assert cone_distance([0, 0, 5]) == pytest.approx(5 / SQRT2)
-
-
-def test_nearest_cone_point_hand_values():
-    w = nearest_cone_point([2, 0, 0])
-    assert np.allclose(np.asarray(w), [1, 0, 1])
-    assert np.allclose(np.asarray(nearest_cone_point([1, 0, 1])), [1, 0, 1])
-    w = nearest_cone_point([3, 0, 1])
-    assert np.allclose(np.asarray(w), [2, 0, 2])
-    assert np.hypot(3 - 2, 1 - 2) == pytest.approx(SQRT2)
-
-
-def test_nearest_cone_point_rejects_axis_and_negative():
-    with pytest.raises(ValueError):
-        nearest_cone_point([0, 0, 1])
-    with pytest.raises(ValueError):
-        nearest_cone_point([1, 0, -1])
-
-
-def test_nearest_point_achieves_cone_distance_bulk():
-    rng = np.random.default_rng(0)
-    pts = np.column_stack([
-        rng.uniform(-50, 50, 4000),
-        rng.uniform(-50, 50, 4000),
-        rng.uniform(0, 50, 4000),
-    ])
-    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-6]
-    for p in pts:
-        w = nearest_cone_point(p).to_array()
-        gap = abs(np.hypot(p[0], p[1]) - abs(p[2]))
-        assert np.linalg.norm(p - w) == pytest.approx(cone_distance(p), abs=1e-9)
-        assert cone_distance(p) <= gap + 1e-9
-        assert gap <= 2 * cone_distance(p) + 1e-9
-
-
 # ---------------------------------------------------------------------------
 # lightlike bases
 
@@ -120,14 +68,20 @@ def test_basis_rejects_non_unit():
         LightlikeBasis(1.0, 1.0)
 
 
+def basis_change(basis, other):
+    """M[i, j] = <other_i, basis_j>, rows and columns ordered (s, m, l)."""
+    return other.matrix() @ basis.matrix().T
+
+
 @given(angle, angle)
 def test_basis_change_closed_form(t1, t2):
+    # with theta the angle from b1's planar direction to b2's, the entries
+    # are closed forms in cos theta and sin theta
     b1 = LightlikeBasis(math.cos(t1), math.sin(t1))
     b2 = LightlikeBasis(math.cos(t2), math.sin(t2))
-    m = basis_change_coefficients(b1, b2)
+    m = basis_change(b1, b2)
     assert np.allclose(m @ m.T, np.eye(3), atol=1e-10)
-    th = planar_angle(b1, b2)
-    c, s = math.cos(th), math.sin(th)
+    c, s = math.cos(t2 - t1), math.sin(t2 - t1)
     ref = np.array([
         [(c + 1) / 2, -s / SQRT2, (c - 1) / 2],
         [s / SQRT2, c, s / SQRT2],
@@ -139,10 +93,10 @@ def test_basis_change_closed_form(t1, t2):
 def test_basis_change_quarter_turn():
     b1 = LightlikeBasis(1.0, 0.0)
     b2 = LightlikeBasis(0.0, 1.0)  # theta = pi/2
-    m = basis_change_coefficients(b1, b2)
+    m = basis_change(b1, b2)
     # row of the rotated short axis against (e_s, e_m, e_l)
     assert np.allclose(m[0], [0.5, -1 / SQRT2, -0.5], atol=1e-12)
-    assert np.allclose(basis_change_coefficients(b1, b1), np.eye(3), atol=1e-12)
+    assert np.allclose(basis_change(b1, b1), np.eye(3), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -162,40 +116,35 @@ def test_plank_rejects_unordered_dims():
 
 def test_plank_membership_center_and_corner():
     p = make_plank()
-    assert plank_membership(p, p.center)
+    assert membership_dilation(p, p.center) == 0.0
     hs, hm, hl = p.half_dims
     corner = p.center.to_array() + hs * p.basis.e_s + hm * p.basis.e_m + hl * p.basis.e_l
-    assert plank_membership(p, corner)
+    assert membership_dilation(p, corner) == pytest.approx(1.0, abs=1e-12)
     far = p.center.to_array() + 2 * hl * p.basis.e_l
-    assert not plank_membership(p, far)
-    assert plank_membership(p, far, dilation=2.0)
+    assert membership_dilation(p, far) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_plank_corners_are_boundary_members():
     p = make_plank(theta=1.1)
     corners = p.corners()
     assert corners.shape == (8, 3)
-    assert bool(np.all(plank_membership(p, corners)))
     assert np.allclose(membership_dilation(p, corners), 1.0, atol=1e-9)
 
 
 @given(angle, st.floats(0.1, 3.0), st.floats(1.0, 4.0))
 @settings(max_examples=50)
 def test_membership_monotone_in_dilation(theta, scale, lam):
+    # a point pushed out from the center by lam needs lam times the dilation
     p = make_plank(theta=theta)
-    x = p.center.to_array() + scale * (p.basis.e_s * p.half_dims[0]
-                                       + p.basis.e_l * p.half_dims[2])
-    if plank_membership(p, x, dilation=1.0):
-        assert plank_membership(p, x, dilation=lam)
-    need = membership_dilation(p, x)
-    assert plank_membership(p, x, dilation=need + 1e-9)
-    if need > 1e-6:
-        assert not plank_membership(p, x, dilation=need * (1 - 1e-3) - 1e-12)
+    step = scale * (p.basis.e_s * p.half_dims[0] + p.basis.e_l * p.half_dims[2])
+    need = membership_dilation(p, p.center.to_array() + step)
+    assert need == pytest.approx(scale, rel=1e-9)
+    farther = membership_dilation(p, p.center.to_array() + lam * step)
+    assert farther == pytest.approx(lam * need, rel=1e-9)
+    assert farther >= need
 
 
 def test_dilated_plank_scales_dims():
     p = make_plank()
-    q = p.dilated(3.0)
-    assert q.half_dims == tuple(3.0 * h for h in p.half_dims)
-    assert q.dilation == pytest.approx(3.0)
+    q = Lightplank(p.center, p.basis, tuple(3.0 * h for h in p.half_dims))
     assert membership_dilation(q, p.corners()).max() == pytest.approx(1 / 3.0, abs=1e-9)

@@ -1,24 +1,12 @@
-"""Annulus rasterization, multiplicity fields, and the circular maximal function."""
+"""Annulus rasterization, multiplicity fields, and the L^{3/2} multiplicity ratio."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conelab.maximal import (
-    RasterGrid,
-    WeightedFamily,
-    annulus_average,
-    default_grid,
-    maximal_function,
-    multiplicity_field,
-    radial_lp,
-    radius_grid,
-    weighted_field,
-    wolff_duality_check,
-    wolff_example_check,
-)
-from conelab.measures import ALPHA0, MAXIMAL_RADII, CircleConfig, generate_config
+from conelab.maximal import RasterGrid, default_grid, multiplicity_field, wolff_example_check
+from conelab.measures import MAXIMAL_RADII, CircleConfig, generate_config
 
 
 def reference_mask(circle, delta, grid):
@@ -99,106 +87,6 @@ class TestRasterization:
         field, grid = multiplicity_field(config, grid)
         area = field.sum() * grid.cell_area
         assert area == pytest.approx(4 * math.pi * delta, rel=0.05)
-
-
-class TestAverages:
-    def test_ones_average_exactly_one(self):
-        delta = 2.0 ** -6
-        grid = default_grid(delta)
-        f = np.ones((len(grid.nodes_1d),) * 2)
-        assert annulus_average(f, grid, (0.01, 0.01), 1.0, delta) == 1.0
-
-    def test_half_plane_average(self):
-        delta = 2.0 ** -6
-        grid = default_grid(delta)
-        xs = grid.nodes_1d
-        a = (0.01, 0.01)
-        f = (xs[None, :] >= a[0]).astype(float) * np.ones((len(xs), 1))
-        assert annulus_average(f, grid, a, 1.0, delta) == pytest.approx(0.5, abs=0.05)
-
-    def test_out_of_window_raises(self):
-        delta = 2.0 ** -6
-        grid = default_grid(delta)
-        f = np.ones((len(grid.nodes_1d),) * 2)
-        with pytest.raises(ValueError):
-            annulus_average(f, grid, (0.5, 0.5), 1.0, delta)
-
-    def test_lp_norm_requires_p_at_least_one(self):
-        with pytest.raises(ValueError):
-            radial_lp(np.ones(4), 0.01, 0.5)
-
-
-class TestMaximalFunction:
-    def test_constant_one(self):
-        delta = 2.0 ** -6
-        grid = default_grid(delta)
-        f = np.ones((len(grid.nodes_1d),) * 2)
-        out = maximal_function(f, delta, grid)
-        assert np.allclose(out["value"], 1.0)
-        assert np.all(out["upper"] >= out["value"])
-
-    def test_single_annulus_peak(self):
-        delta = 2.0 ** -6
-        grid = default_grid(delta)
-        r0 = radius_grid(delta)[0]
-        # center on the delta/2 scan lattice so the sup is attained there
-        a = (delta, delta / 2)
-        f = reference_mask((a[0], a[1], r0), delta, grid)[0].astype(float)
-        out = maximal_function(f, delta, grid)
-        k = int(np.argmin(np.abs(out["radii"] - r0)))
-        assert out["value"][k] >= 0.999  # up to boundary-cell roundoff
-        assert np.all(out["value"] <= 1.0 + 1e-12)
-
-    def test_value_is_max_of_annulus_averages(self):
-        # one annulus rule: the maximal function reads the same cells, by the
-        # same sums, as annulus_average at each scan-lattice center
-        delta = 2.0 ** -6
-        grid = default_grid(delta)
-        f = np.random.default_rng(3).normal(size=(len(grid.nodes_1d),) * 2)
-        radii = radius_grid(delta)[:2]
-        out = maximal_function(f, delta, grid, radii=radii)
-        step = delta / 2
-        c1d = step * np.arange(int(math.floor(2 * ALPHA0 / step)) + 1)
-        for k, r in enumerate(radii):
-            best = max(annulus_average(f, grid, (a1, a2), r, delta)
-                       for a1 in c1d for a2 in c1d)
-            assert out["value"][k] == best
-
-
-class TestWeightedFamily:
-    def make_family(self, delta=2.0 ** -8, seed=0):
-        rng = np.random.default_rng(seed)
-        radii = radius_grid(delta)
-        centers = rng.uniform(0.0, 0.02, size=(len(radii), 2))
-        weights = rng.uniform(0.0, 2.0, size=len(radii))
-        return WeightedFamily(delta, centers, weights)
-
-    def test_validation(self):
-        delta = 2.0 ** -8
-        n = len(radius_grid(delta))
-        with pytest.raises(ValueError):
-            WeightedFamily(delta, np.zeros((n - 1, 2)), np.ones(n - 1))
-        with pytest.raises(ValueError):
-            WeightedFamily(delta, np.zeros((n, 2)), -np.ones(n))
-        bad_centers = np.full((n, 2), 0.05)
-        with pytest.raises(ValueError):
-            WeightedFamily(delta, bad_centers, np.ones(n))
-
-    def test_weighted_field_mass(self):
-        family = self.make_family()
-        g, grid = weighted_field(family)
-        # area-normalized indicators integrate to delta each
-        total = float(g.sum()) * grid.cell_area
-        assert total == pytest.approx(family.delta * family.weights.sum(), rel=1e-9)
-
-    def test_duality_chain(self):
-        family = self.make_family()
-        config = generate_config("wolff_radii", family.delta, 6, seed=5)
-        grid = default_grid(family.delta)
-        f, _ = multiplicity_field(config, grid=grid)
-        out = wolff_duality_check(f.astype(float), family, grid)
-        assert out["ok"], out
-        assert out["rhs"] <= out["rhs_upper"] * (1 + 1e-12)
 
 
 class TestWolffExample:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.geometry import Lightplank, SpacetimePoint, plank_membership
+from conelab.geometry import Lightplank, SpacetimePoint, membership_dilation
 from conelab.rectangles import (
     C0,
     GREEDY_BLOCK,
@@ -23,7 +23,6 @@ from conelab.rectangles import (
     rect_sample_points,
     sample_points,
     tangency_plank,
-    tangency_plank_pair,
 )
 
 from oracle_suites import (
@@ -92,24 +91,12 @@ class TestTangencyPlank:
         for _ in range(50):
             rect = seeded_rectangle(rng)
             plank = tangency_plank(rect, 1.0)
-            assert plank_membership(plank, rect.core.to_array())
+            assert membership_dilation(plank, rect.core.to_array()) == 0.0
 
     def test_sub_resolution_arc_raises(self):
         rect = example_rect(delta=1e-4, tau=4e-3)  # tau < sqrt(delta)/2
         with pytest.raises(SubResolutionArcError):
             tangency_plank(rect, 1.0)
-
-    def test_near_critical_pair(self):
-        rect = example_rect(delta=1e-4, tau=1.5e-2)
-        with_arc, against_arc = tangency_plank_pair(rect, 1.0)
-        assert plank_membership(with_arc, rect.core.to_array())
-        assert not plank_membership(against_arc, rect.core.to_array())
-        # Reflected anchor sits across the arc line at the same height.
-        gap = np.linalg.norm(against_arc.center.to_array() - rect.core.to_array())
-        assert gap == pytest.approx(2 * rect.core.h, rel=1e-12)
-        wide = example_rect(delta=1e-4, tau=3e-2)
-        with pytest.raises(ValueError):
-            tangency_plank_pair(wide, 1.0)
 
 
 class TestDuality:

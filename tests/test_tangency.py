@@ -1,21 +1,16 @@
-"""Tangent pairs, common planks, and incidence counting."""
+"""Tangent pairs and incidence counting."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conelab.geometry import membership_dilation
-from conelab.measures import MAXIMAL_RADII, CircleConfig, generate_config
-from conelab.tangency import (
-    classify_pairs,
-    common_plank,
-    main_geom_check,
-    nu_multiplicity,
-    pair_count,
-)
+from conelab.experiments import CONFIG_KINDS
 from conelab.geometry import COORD_TOL
+from conelab.measures import MAXIMAL_RADII, CircleConfig, generate_config
 from conelab.rectangles import sample_points
+from conelab.tangency import classify_pairs, main_geom_check, nu_multiplicity, pair_count
+from oracle_suites import dist_d, gap_delta
 
 
 def brute_force_pairs(circles):
@@ -44,6 +39,17 @@ class TestClassifyPairs:
             gd, gdd = got[(a, b)]
             assert gd == pytest.approx(d, rel=1e-12)
             assert gdd == pytest.approx(dd, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", CONFIG_KINDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_closed_forms(self, kind, seed):
+        # the pdist sums of classify_pairs against d and Delta pair by pair
+        config = generate_config(kind, 2.0 ** -6, 32, seed=seed, radius_band=MAXIMAL_RADII)
+        table = classify_pairs(config)
+        v, w = config.circles[table.i], config.circles[table.j]
+        assert len(table.d) == config.count * (config.count - 1) // 2
+        assert np.max(np.abs(table.d - dist_d(v, w))) <= 1e-12
+        assert np.max(np.abs(table.delta_defect - gap_delta(v, w))) <= 1e-12
 
     def test_single_circle_empty_table(self):
         config = CircleConfig(np.array([[0.0, 0.0, 1.0]]), delta=1e-2)
@@ -83,57 +89,6 @@ class TestClassifyPairs:
         assert levels[-1] * 2 > table.d.max()
         ratios = np.diff(np.log2(levels))
         assert np.allclose(ratios, 1.0)
-
-
-class TestCommonPlank:
-    def test_both_circles_inside_dilation_two(self):
-        rng = np.random.default_rng(7)
-        delta = 1e-3
-        checked = 0
-        while checked < 200:
-            v = np.array([rng.uniform(0, 0.02), rng.uniform(0, 0.02),
-                          rng.uniform(0.9, 1.1)])
-            D = rng.uniform(8 * delta, 0.2)
-            defect = rng.uniform(0, 2 * delta)
-            planar = (D + math.copysign(defect, rng.uniform(-1, 1))) / 2
-            radial = D - planar
-            ang = rng.uniform(0, 2 * math.pi)
-            w = v + np.array([planar * math.cos(ang), planar * math.sin(ang),
-                              math.copysign(radial, rng.uniform(-1, 1))])
-            if w[2] <= 0.1:
-                continue
-            plank = common_plank(v, w, delta)
-            checked += 1
-            assert membership_dilation(plank, v) <= 2.0 + 1e-9
-            assert membership_dilation(plank, w) <= 2.0 + 1e-9
-
-    def test_plank_shape(self):
-        delta = 1e-3
-        v = np.array([0.0, 0.0, 1.0])
-        w = np.array([0.1, 0.0, 0.9])  # internal tangency at D = 0.2
-        plank = common_plank(v, w, delta)
-        tau = math.sqrt(delta / 0.2)
-        assert plank.half_dims == pytest.approx((delta, delta / tau, delta / tau ** 2),
-                                                rel=1e-12)
-
-    def test_error_cases(self):
-        delta = 1e-3
-        with pytest.raises(ValueError):   # too close
-            common_plank((0, 0, 1.0), (1e-3, 0, 1.0 + 1e-3), delta)
-        with pytest.raises(ValueError):   # defect too large
-            common_plank((0, 0, 1.0), (0.1, 0, 1.06), delta)
-        with pytest.raises(ValueError):   # concentric
-            common_plank((0, 0, 1.0), (0, 0, 1.1), delta)
-
-    def test_descending_radius_reflection(self):
-        # both radial signs produce planks containing the pair
-        delta = 1e-3
-        v = np.array([0.01, 0.01, 1.0])
-        for w3 in (1.0 + 0.08, 1.0 - 0.08):
-            w = np.array([0.09, 0.01, w3])
-            plank = common_plank(v, w, delta)
-            assert membership_dilation(plank, v) <= 2.0
-            assert membership_dilation(plank, w) <= 2.0
 
 
 class TestPairCount:
@@ -222,7 +177,7 @@ class TestMainGeomCheck:
         assert out["log3_normalized"] <= out["max_value"]
 
     def test_tau_validation(self):
-        config = generate_config("wolff_radii", 2.0 ** -5, 8, seed=0,
-                                 radius_band=MAXIMAL_RADII)
-        with pytest.raises(ValueError):
-            main_geom_check(config, tau=2.0)
+        # tau = sqrt(delta) leaves [delta, 1] once delta > 1
+        config = CircleConfig(np.array([[0.0, 0.0, 3.0]]), delta=2.0)
+        with pytest.raises(ValueError, match=r"\[delta, 1\]"):
+            main_geom_check(config)
