@@ -44,9 +44,14 @@ MAXIMAL_PLANAR = (-0.05, 0.05)
 
 _GENERATOR_KINDS = ("light_tube", "vertical_tube", "knapp_pair", "wolff_radii", "random_frostman")
 
-# plank-scan directions per block: each direction's dense key box grows as
-# R^1.5 for spread measures, so 4 keeps a block's bincount near 30 MB at R=512
-PLANK_DIR_BLOCK = 4
+# plank-scan block size: a block holds as many directions as keep
+# (key entries + dense box cells) x weight rows within this budget, where a
+# direction has points x (2 widen + 1)^3 entries and its box is bounded from
+# the point cloud's diameter.  Light tubes at R <= 128 (51-143 directions)
+# take one block, or 1-4 with the 4 rows of a transference scan; spread
+# measures at R >= 256 take one direction per block, since a direction's box
+# grows as R^1.5 (four directions a block would hold 30 MB at R=512).
+PLANK_SCAN_BUDGET = 1 << 19
 _KEY_BITS = 19  # bits per lattice coordinate in a packed Frostman-sampler key
 _KEY_BIAS = 1 << (_KEY_BITS - 1)
 
@@ -145,57 +150,89 @@ def _plank_frame(theta: float) -> np.ndarray:
 
 
 def _max_lattice_plank_count(points: np.ndarray, half_dims, dir_spacing: float,
-                             widen: int, weights=None) -> float:
-    """Max point count (or weight sum) over planks on the half-dimension lattice.
+                             widens, weights=None):
+    """Max point count (or weight sum per row) over planks on the half-dimension lattice.
 
-    widen = 1 scans planks of the given half dims, widen = 2 scans the
-    doubled family on the same center lattice.  Directions go in blocks of
-    PLANK_DIR_BLOCK; each direction's lattice keys map to dense offsets in
-    its bounding box, stacked per block, and one bincount counts the block.
-    Weights are gathered point-major, so each plank sums them in point order.
+    For each widen in `widens`, widen = 1 scans planks of the given half
+    dims and widen = 2 the doubled family on the same center lattice.  Each
+    block of directions builds the lattice keys of the widest family once;
+    a narrower family is the inner offsets of the same keys under its own
+    |q - c| <= widen mask.  A direction's keys map to dense offsets in its
+    bounding box, stacked per block.  Blocks hold as many directions as
+    PLANK_SCAN_BUDGET allows (module comment).
+
+    Returns one int count per widen when weights is None.  With a (k, n)
+    weight stack it returns a (len(widens), k) array of weighted maxima
+    from one bincount over keys offset per row; weights are gathered
+    point-major, so each plank sums them in point order.
     """
+    nrow = 1 if weights is None else len(weights)
     if len(points) == 0:
-        return 0
+        return [0] * len(widens) if weights is None else np.zeros((len(widens), nrow))
     half = np.asarray(half_dims, dtype=float)
+    wide = max(widens)
+    noff = 2 * wide + 1
     ndir = max(1, int(math.ceil(2 * math.pi / dir_spacing)))
-    offsets = np.arange(-widen, widen + 1)[:, None]
-    best = 0.0
-    for b0 in range(0, ndir, PLANK_DIR_BLOCK):
-        frames = np.stack([_plank_frame(i * dir_spacing)
-                           for i in range(b0, min(b0 + PLANK_DIR_BLOCK, ndir))])
-        q = (np.matmul(points, frames.transpose(0, 2, 1)) / half).transpose(0, 2, 1)
+    frames = np.stack([_plank_frame(i * dir_spacing) for i in range(ndir)])
+    # a direction's box spans at most diam / half + 2 * wide + 2 cells per axis
+    diam = float(np.linalg.norm(np.ptp(points, axis=0)))
+    box = float(np.prod(np.floor(diam / half) + 2 * wide + 2))
+    block = max(1, int(PLANK_SCAN_BUDGET // ((len(points) * noff ** 3 + box) * nrow)))
+    offsets = np.arange(-wide, wide + 1)[:, None]
+    point = np.arange(len(points))[:, None, None, None]
+    best = [0] * len(widens) if weights is None else np.zeros((len(widens), nrow))
+    for b0 in range(0, ndir, block):
+        frame = frames[b0:b0 + block]
+        q = (np.matmul(points, frame.transpose(0, 2, 1)) / half).transpose(0, 2, 1)
         base = np.floor(q).astype(np.int64)                        # (b, 3, n)
         cand = base[:, :, None, :] + offsets                        # (b, 3, noff, n)
-        valid = np.abs(q[:, :, None, :] - cand) <= widen + 1e-12
-        lo = base.min(axis=2) - widen
-        size = base.max(axis=2) + widen + 1 - lo                    # (b, 3)
+        dist = np.abs(q[:, :, None, :] - cand)
+        lo = base.min(axis=2) - wide
+        size = base.max(axis=2) + wide + 1 - lo                     # (b, 3)
         cells = size.prod(axis=1)
         c = cand - lo[:, :, None, None]
         k0 = (c[:, 0] * (size[:, 1] * size[:, 2])[:, None, None]
               + (np.cumsum(cells) - cells)[:, None, None])
         k1 = c[:, 1] * size[:, 2, None, None]
         keys = k0[:, :, None, None] + k1[:, None, :, None] + c[:, 2, None, None]
-        mask = valid[:, 0, :, None, None] & valid[:, 1, None, :, None] & valid[:, 2, None, None]
-        if weights is None:
-            best = max(best, int(np.bincount(keys[mask]).max()))
-        else:
-            keys, mask = np.moveaxis(keys, -1, 1), np.moveaxis(mask, -1, 1)
-            w = np.broadcast_to(np.asarray(weights, dtype=float)[:, None, None, None],
-                                mask.shape)[mask]
-            best = max(best, float(np.bincount(keys[mask], weights=w).max()))
+        for i, widen in enumerate(widens):
+            inner = slice(wide - widen, wide + widen + 1)
+            valid = dist[:, :, inner] <= widen + 1e-12
+            mask = valid[:, 0, :, None, None] & valid[:, 1, None, :, None] & valid[:, 2, None, None]
+            sub = keys[:, inner, inner, inner]
+            if weights is None:
+                best[i] = max(best[i], int(np.bincount(sub[mask]).max()))
+                continue
+            sub, mask = np.moveaxis(sub, -1, 1), np.moveaxis(mask, -1, 1)
+            total = int(cells.sum())
+            row_keys = (sub[mask] + total * np.arange(nrow)[:, None]).ravel()
+            w = weights[:, np.broadcast_to(point, mask.shape)[mask]].ravel()
+            sums = np.bincount(row_keys, weights=w, minlength=nrow * total)
+            best[i] = np.maximum(best[i], sums.reshape(nrow, total).max(axis=1))
     return best
+
+
+def _lightplank_scan(nu: CubeMeasure, widens, weights=None):
+    """The 1 x sqrt(R) x R plank family of nu: half dims and direction spacing."""
+    half = (0.5, 0.5 * math.sqrt(nu.R), 0.5 * nu.R)
+    return _max_lattice_plank_count(nu.centers, half, 0.5 / math.sqrt(nu.R), widens, weights)
 
 
 def max_plank_mass(nu: CubeMeasure, weights=None):
     """Bracket [lower, upper] for the largest 1 x sqrt(R) x R plank mass.
 
     Optional per-cube weights give the weighted plank mass (for measures
-    h * nu with a density on the cubes).
+    h * nu with a density on the cubes): floats for one weight row, and for
+    a (k, mass) stack two length-k arrays, one entry per row.  Both
+    brackets come from one scan.
     """
-    half = (0.5, 0.5 * math.sqrt(nu.R), 0.5 * nu.R)
-    spacing = 0.5 / math.sqrt(nu.R)
-    lower = _max_lattice_plank_count(nu.centers, half, spacing, 1, weights)
-    upper = _max_lattice_plank_count(nu.centers, half, spacing, 2, weights)
+    if weights is None:
+        lower, upper = _lightplank_scan(nu, (1, 2))
+        return lower, upper
+    w = np.asarray(weights, dtype=float)
+    lower, upper = _lightplank_scan(nu, (1, 2), np.atleast_2d(w))
+    if w.ndim == 1:
+        return float(lower[0]), float(upper[0])
     return lower, upper
 
 
@@ -206,7 +243,7 @@ def gamma_tau(config: CircleConfig, tau: float) -> int:
     delta/tau^2 plank; the scan runs the doubled family of such planks.
     """
     d = config.delta
-    return _max_lattice_plank_count(config.circles, (d, d / tau, d / tau ** 2), 0.5 * tau, 2)
+    return _max_lattice_plank_count(config.circles, (d, d / tau, d / tau ** 2), 0.5 * tau, (2,))[0]
 
 
 def rescale_to_Q(nu: CubeMeasure) -> CircleConfig:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import cube_midpoints, e1_grid, extension_bandwidths, make_quadrature
-from .measures import CubeMeasure, max_plank_mass
+from .measures import CubeMeasure, _lightplank_scan
 
 DUAL_ITERS = 20
 LANCZOS_ITERS = 300  # cap on the Krylov dimension of the norm iteration
@@ -256,7 +256,9 @@ def transference_check(op: DiscreteExtensionOperator, subweights, trials: int = 
     Each h (array over cubes of op.nu, values in [0, 1]) defines the positive
     measure h nu; the report asserts mass(h nu) <= mass(nu), P_upper(h nu) <=
     P_upper(nu), and per random trial f (seeded by the operator) that
-    |Ef|_{L1(h nu)} <= |Ef|_{L1(nu)}.
+    |Ef|_{L1(h nu)} <= |Ef|_{L1(nu)}.  P_upper of nu and of every h nu come
+    from one scan of the doubled planks (the upper bracket of max_plank_mass;
+    the lower bracket is not computed).
     """
     nu = op.nu
     hs = [np.asarray(h, dtype=float).reshape(-1) for h in subweights]
@@ -267,10 +269,11 @@ def transference_check(op: DiscreteExtensionOperator, subweights, trials: int = 
             raise ValueError("h values must lie in [0, 1]")
     images = _unit_trials(op, trials)
     base_l1 = op.image_l1(images)
-    _, p_upper = max_plank_mass(nu)
+    # one scan of the doubled planks: row 0 weighs nu by ones, row i + 1 by hs[i]
+    uppers = _lightplank_scan(nu, (2,), np.vstack([np.ones(nu.mass), *hs]))[0]
+    p_upper = uppers[0]
     rows = []
-    for h in hs:
-        _, p_upper_h = max_plank_mass(nu, weights=h)
+    for h, p_upper_h in zip(hs, uppers[1:]):
         l1_h = op.image_l1(images, h)
         ok = (float(h.sum()) <= nu.mass + 1e-9
               and p_upper_h <= p_upper + 1e-9

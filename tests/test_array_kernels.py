@@ -44,6 +44,14 @@ KINDS = ("light_tube", "vertical_tube", "knapp_pair", "wolff_radii", "random_fro
 DELTAS = tuple(2.0 ** -k for k in range(5, 10))
 
 
+def pairs_taus(config) -> list:
+    """The tau values the pairs sweep asks gamma_tau for."""
+    taus = [math.sqrt(config.delta / D) for D in classify_pairs(config).dyadic_D()
+            if D >= 8 * config.delta]
+    assert taus
+    return taus
+
+
 def bits(a) -> np.ndarray:
     """Float array as its int64 bit patterns, so equality is bitwise."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
@@ -55,6 +63,53 @@ def with_oracle(monkeypatch, name, oracle, call):
     try:
         return call()
     finally:
+        monkeypatch.undo()
+
+
+def with_plank_oracle(monkeypatch, call):
+    """call() with the plank scan answered by the per-direction oracle.
+
+    The adapter takes the scan's signature and makes one oracle call per
+    widen and per weight row; the assert catches a production route that
+    no longer reaches the scan by that name.
+    """
+    calls = []
+
+    def adapter(points, half_dims, dir_spacing, widens, weights=None):
+        calls.append(widens)
+        if weights is None:
+            return [plank_count_per_direction(points, half_dims, dir_spacing, w) for w in widens]
+        return np.array([[plank_count_per_direction(points, half_dims, dir_spacing, w, row)
+                          for row in weights] for w in widens])
+
+    out = with_oracle(monkeypatch, "_max_lattice_plank_count", adapter, call)
+    assert calls
+    return out
+
+
+def weight_stack(n: int, seed: int) -> np.ndarray:
+    """Rows of ones, alternating 1/0 and uniform [0, 1) weights."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([np.ones(n), (np.arange(n) % 2).astype(float), rng.random(n)])
+
+
+def same_values(got, ref) -> bool:
+    """Equal by `==` with equal types, arrays compared bitwise with equal dtypes."""
+    if isinstance(got, np.ndarray):
+        return (type(ref) is np.ndarray and got.dtype == ref.dtype
+                and np.array_equal(bits(got), bits(ref)))
+    if isinstance(got, (tuple, list)):
+        return (type(got) is type(ref) and len(got) == len(ref)
+                and all(same_values(g, r) for g, r in zip(got, ref)))
+    return got == ref and type(got) is type(ref)
+
+
+def same_at_every_block_size(monkeypatch, scans) -> None:
+    """scans() gives its default-budget values at one direction per block and at all in one."""
+    want = scans()
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(measures, "PLANK_SCAN_BUDGET", budget)
+        assert same_values(scans(), want), budget
         monkeypatch.undo()
 
 
@@ -141,25 +196,57 @@ class TestPlankScan:
             nu = generate(kind, R, seed)
             w = np.random.default_rng(seed).uniform(0.0, 2.0, nu.mass)
             got = (max_plank_mass(nu), max_plank_mass(nu, weights=w))
-            ref = with_oracle(monkeypatch, "_max_lattice_plank_count",
-                              plank_count_per_direction,
-                              lambda: (max_plank_mass(nu), max_plank_mass(nu, weights=w)))
+            ref = with_plank_oracle(monkeypatch,
+                                    lambda: (max_plank_mass(nu), max_plank_mass(nu, weights=w)))
             assert got == ref
             assert [type(v) for pair in got for v in pair] == \
                 [type(v) for pair in ref for v in pair]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_weight_stack_matches_per_direction(self, monkeypatch, kind):
+        for R, seed in ((16, 0), (32, 1), (64, 2)):
+            nu = generate(kind, R, seed)
+            stack = weight_stack(nu.mass, seed)
+            got = max_plank_mass(nu, weights=stack)
+            ref = with_plank_oracle(monkeypatch, lambda: max_plank_mass(nu, weights=stack))
+            assert type(got) is tuple and len(got) == 2
+            assert all((g == r).all() for g, r in zip(got, ref))
+            assert same_values(got, ref)
+            # each row is the 1-D call on that row
+            rows = [max_plank_mass(nu, weights=h) for h in stack]
+            assert [(float(lo), float(up)) for lo, up in zip(*got)] == rows
 
     @pytest.mark.parametrize("kind", ("wolff_radii", "random_frostman"))
     @pytest.mark.parametrize("delta", (2.0 ** -6, 2.0 ** -8))
     def test_gamma_tau_matches_per_direction_at_pairs_taus(self, monkeypatch, kind, delta):
         config = generate_config(kind, delta, int(round(0.5 / delta)), 0,
                                  radius_band=MAXIMAL_RADII)
-        taus = [math.sqrt(delta / D) for D in classify_pairs(config).dyadic_D()
-                if D >= 8 * delta]
-        assert taus
+        taus = pairs_taus(config)
         got = [gamma_tau(config, tau) for tau in taus]
-        ref = with_oracle(monkeypatch, "_max_lattice_plank_count", plank_count_per_direction,
-                          lambda: [gamma_tau(config, tau) for tau in taus])
+        ref = with_plank_oracle(monkeypatch, lambda: [gamma_tau(config, tau) for tau in taus])
         assert got == ref and all(type(g) is int for g in got)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_size_does_not_change_results(self, monkeypatch, kind):
+        def scans():
+            out = []
+            for R in (16, 32, 64):
+                nu = generate(kind, R, 0)
+                w = weight_stack(nu.mass, R)
+                out.append((max_plank_mass(nu), max_plank_mass(nu, weights=w[2]),
+                            max_plank_mass(nu, weights=w)))
+            return out
+
+        same_at_every_block_size(monkeypatch, scans)
+
+    @pytest.mark.parametrize("kind", ("wolff_radii", "random_frostman"))
+    def test_gamma_tau_block_size_does_not_change_results(self, monkeypatch, kind):
+        configs = [generate_config(kind, delta, int(round(0.5 / delta)), 0,
+                                   radius_band=MAXIMAL_RADII)
+                   for delta in (2.0 ** -6, 2.0 ** -8)]
+
+        same_at_every_block_size(
+            monkeypatch, lambda: [[gamma_tau(c, tau) for tau in pairs_taus(c)] for c in configs])
 
     def test_return_types(self):
         nu = generate("knapp_pair", 16, 0)
@@ -168,6 +255,9 @@ class TestPlankScan:
         wl, wu = max_plank_mass(nu, weights=np.full(nu.mass, 0.5))
         assert type(wl) is float and type(wu) is float
         assert (wl, wu) == (0.5 * lower, 0.5 * upper)
+        sl, su = max_plank_mass(nu, weights=np.full((2, nu.mass), 0.5))
+        assert sl.dtype == su.dtype == np.float64 and sl.shape == su.shape == (2,)
+        assert list(sl) == [wl, wl] and list(su) == [wu, wu]
         config = generate_config("wolff_radii", 2.0 ** -6, 16, 0, radius_band=MAXIMAL_RADII)
         assert type(gamma_tau(config, 0.25)) is int
 

@@ -23,7 +23,7 @@ from conelab.fourier import (
     sigma_check,
     weighted_l2,
 )
-from conelab.measures import CubeMeasure, generate
+from conelab.measures import CubeMeasure, generate, max_plank_mass
 from conelab.operators import (
     bbcr_equivalence_check,
     build_extension_operator,
@@ -267,6 +267,20 @@ class TestTransference:
         hs = [rng.uniform(0, 1, nu.mass) for _ in range(3)]
         res = transference_check(build_extension_operator(nu, m=2), hs, trials=5)
         assert res["ok"] and all(r["p_upper"] <= res["p_upper"] + 1e-9 for r in res["sub"])
+
+    def test_plank_masses_match_the_public_route(self):
+        # one scan for nu and its subweights prints what max_plank_mass gives
+        for kind, seeds in CRITERION_8:
+            for seed in seeds:
+                nu = _oracle_measure(kind, 32, seed)
+                rng = np.random.default_rng(seed)
+                subs = [np.ones(nu.mass), (np.arange(nu.mass) % 2).astype(float),
+                        rng.random(nu.mass)]
+                res = transference_check(build_extension_operator(nu, q=2.0, seed=seed),
+                                         subs, trials=5)
+                assert repr(res["p_upper"]) == repr(float(max_plank_mass(nu)[1]))
+                assert [repr(r["p_upper"]) for r in res["sub"]] == \
+                    [repr(max_plank_mass(nu, weights=h)[1]) for h in subs]
 
     def test_validation(self):
         nu = generate("light_tube", 8, 0)
