@@ -9,10 +9,8 @@ experiment harness that fits the scaling exponents the estimates predict.
 
 from .fitting import ScalingFit, fit_exponent
 from .fourier import (
-    decay_by_classes,
     decay_mean,
     decay_ratio,
-    extension_direct,
     extension_separable,
     knapp_sharpness,
     make_quadrature,

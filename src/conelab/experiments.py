@@ -30,10 +30,10 @@ import numpy as np
 import scipy
 
 from .fitting import fit_exponent
-from .fourier import (MAX_KERNEL_EVALS, MIDPOINTS, cube_midpoints, decay_ratio,
-                      diagnostic_points, extension_bandwidths, knapp_center, knapp_sector,
-                      knapp_sharpness, knapp_tube_measure, make_quadrature, radial_fft_length,
-                      rho_split, stationary_phase_diagnostic)
+from .fourier import (MIDPOINTS, cube_midpoints, decay_ratio, diagnostic_points,
+                      extension_bandwidths, knapp_center, knapp_sector, knapp_sharpness,
+                      knapp_tube_measure, make_quadrature, radial_fft_length, rho_split,
+                      stationary_phase_diagnostic)
 from .maximal import wolff_example_check
 from .measures import MAXIMAL_RADII, generate, generate_config
 from .operators import (SAMPLES, bbcr_equivalence_check, build_extension_operator,
@@ -45,6 +45,7 @@ VALID_R = (16, 32, 64, 128, 256)
 DECAY_KINDS = ("light_tube", "vertical_tube", "knapp_pair", "random_frostman")
 CONFIG_KINDS = ("wolff_radii", "random_frostman")
 PIPELINE_NAMES = ("decay", "maximal", "pairs", "sharpness", "sigma", "duality")
+MAX_KERNEL_EVALS = 2 * 10 ** 9  # a pipeline refuses estimates above half of this
 MAX_GRAM_ROWS = 4096  # duality: G is one n x n complex array, 268 MB at this n
 
 

@@ -16,9 +16,9 @@ an oversampling factor.
 For purely angular f = h(phi) the phi sum factors through the radial
 transform G(u) = sum_rho a rho drho exp(2 pi i rho u), which is sampled
 exactly on a fine u-grid by a zero-padded FFT and then interpolated;
-Ef(x) = sum_phi h(phi) dphi G(x' . e(phi) + x3).  The direct and separable
-routes agree to the interpolation error and the direct route stays available
-as a cross-check.  For f = 1 the phi integral is exact, E1 being radial:
+Ef(x) = sum_phi h(phi) dphi G(x' . e(phi) + x3), which agrees with the full
+tensor sum to the interpolation error.  For f = 1 the phi integral is exact,
+E1 being radial:
 E1(r, x3) = sum_rho 2 pi a rho drho J0(2 pi rho r) exp(2 pi i rho x3), one
 matrix product over distinct radii and heights (sigma-check, Gram matrices).
 
@@ -37,15 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j0
 
-from .measures import CubeMeasure, max_plank_mass, rescale_to_Q
-from .tangency import classify_pairs
+from .measures import CubeMeasure, max_plank_mass
 
 BUMP_ORDER = 2  # Gevrey exponent of the amplitude's flatness at rho = 1, 2
-MAX_KERNEL_EVALS = 2 * 10 ** 9
 PHI_BATCH = 8  # phi nodes per decay_mean batch
 SAMPLES_PER_UNIT = 1024  # radial-table samples per unit of u, at least
 MIDPOINTS = 4  # weighted_l2: midpoint samples per cube axis
-NEAR_EPS = 0.05  # decay_by_classes: the near class reaches separation R^(10 NEAR_EPS)
 SIGMA_RADII = (10, 20, 50, 100, 200)  # stationary_phase_diagnostic: on-cone |x|
 SIGMA_DISTANCES = (0, 1, 2, 5, 10, 20)  # and cone distances from |x| = 50
 
@@ -108,32 +105,6 @@ def extension_bandwidths(points) -> tuple[float, float]:
     b_rho = float(np.max(planar + np.abs(pts[:, 2]), initial=0.0)) + 16.0
     b_phi = 2.0 * float(np.max(planar, initial=0.0)) + 16.0
     return b_rho, b_phi
-
-
-def extension_direct(points, quad: ConeQuadrature, f=None) -> np.ndarray:
-    """Ef at each point by the full tensor sum; f maps (rho, phi) grids to values."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts) * quad.node_count > MAX_KERNEL_EVALS:
-        raise ValueError(f"{len(pts)} points x {quad.node_count} nodes exceeds "
-                         f"budget {MAX_KERNEL_EVALS:.2g}")
-    rho = quad.rho
-    cw = quad.amplitude * quad.radial_weight  # (n_rho,)
-    if f is None:
-        fv = np.ones((len(rho), len(quad.phi)))
-    else:
-        fv = np.asarray(f(rho[:, None], quad.phi[None, :]))
-    coeff = fv * cw[:, None] * quad.dphi  # (n_rho, n_phi)
-    cph, sph = np.cos(quad.phi), np.sin(quad.phi)
-    out = np.empty(len(pts), dtype=complex)
-    chunk = max(1, int(2 * 10 ** 6 / max(len(rho), 1)))
-    for i, p in enumerate(pts):
-        u = p[0] * cph + p[1] * sph + p[2]  # (n_phi,)
-        acc = 0.0 + 0.0j
-        for s in range(0, len(u), chunk):
-            phase = np.exp(2j * math.pi * np.outer(rho, u[s:s + chunk]))
-            acc += np.sum(coeff[:, s:s + chunk] * phase)
-        out[i] = acc
-    return out
 
 
 @dataclass(frozen=True)
@@ -395,47 +366,3 @@ def stationary_phase_diagnostic(q: float = 8.0, radii=SIGMA_RADII,
         "doubling_rel": float(np.max(np.abs(vals2 - vals) / vals)),
     }
 
-
-def _pair_kernel(rho, phi):
-    """|unit-cube transform|^2 restricted to the cone segment."""
-    s = np.sinc(rho * np.cos(phi)) * np.sinc(rho * np.sin(phi)) * np.sinc(rho)
-    return s * s
-
-
-def _pair_kernel_values(nu: CubeMeasure, q: float):
-    """K(0) and K(c_j - c_i) for i < j, K = extension of the cube kernel."""
-    c = nu.centers
-    i, j = np.triu_indices(len(c), k=1)
-    pts = np.vstack([np.zeros((1, 3)), c[j] - c[i]])
-    quad = make_quadrature(*extension_bandwidths(pts), q)
-    vals = extension_direct(pts, quad, f=_pair_kernel)
-    return float(vals[0].real), vals[1:].real
-
-
-def decay_by_classes(nu: CubeMeasure, q: float = 2.0) -> dict:
-    """decay_mean by the kernel route, grouped by separation classes.
-
-    K(x) = integral |cube transform|^2 exp(2 pi i x.xi) dsigma, so the sum
-    of K(c' - c) over ordered center pairs, `total`, reproduces integral
-    |hat(nu)|^2 dsigma exactly; it is quadratic in the mass and serves as an
-    independent cross-check.  Off-diagonal pairs split into a near class
-    (cube-scale separation at most R^(10 NEAR_EPS)) and dyadic bands
-    [D, 2D) of the rescaled separation; the partition is exact, so diag +
-    near + sum of bands equals the total and the table shows which
-    separations carry the decay mean.
-    """
-    k0, off = _pair_kernel_values(nu, q)
-    contrib = 2.0 * off
-    table = classify_pairs(rescale_to_Q(nu))
-    near = table.d / table.delta <= nu.R ** (10.0 * NEAR_EPS)
-    bands = {}
-    for D in table.dyadic_D():
-        mask = table.band_mask(D) & ~near
-        if np.any(mask):
-            bands[D] = float(np.sum(contrib[mask]))
-    return {
-        "diag": nu.mass * k0,
-        "near": float(np.sum(contrib[near])),
-        "bands": bands,
-        "total": nu.mass * k0 + float(np.sum(contrib)),
-    }

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 ALPHA0 = 1.0 / 100.0
 
@@ -73,7 +72,6 @@ class CubeMeasure:
                 raise ValueError("cube corners outside [0,R-1]^2 x [R,2R-1]")
         c.setflags(write=False)
         self.cubes = c
-        self._frostman: float | None = None
 
     @property
     def mass(self) -> int:
@@ -82,11 +80,6 @@ class CubeMeasure:
     @property
     def centers(self) -> np.ndarray:
         return self.cubes + 0.5
-
-    def frostman_constant(self) -> float:
-        if self._frostman is None:
-            self._frostman = _frostman_value(self.centers, base=1.0)
-        return self._frostman
 
 
 @dataclass
@@ -103,41 +96,10 @@ class CircleConfig:
         c = c[order]
         c.setflags(write=False)
         self.circles = c
-        self._frostman: float | None = None
 
     @property
     def count(self) -> int:
         return len(self.circles)
-
-    def frostman_constant(self) -> float:
-        if self._frostman is None:
-            self._frostman = _frostman_value(self.circles, base=self.delta)
-        return self._frostman
-
-
-def _frostman_value(points: np.ndarray, base: float) -> float:
-    """max over dyadic r >= base of (points in B(x0, r)) / (r / base).
-
-    Candidate centers are the points themselves plus the (r/2)-grid nodes
-    adjacent to them; a ball-covering argument gives
-    true sup over all centers and r >= base <= 4 * returned value.
-    """
-    if len(points) == 0:
-        return 0.0
-    tree = cKDTree(points)
-    diam = float(np.max(points.max(axis=0) - points.min(axis=0))) + base
-    levels = int(math.ceil(math.log2(max(2.0 * diam / base, 2.0)))) + 1
-    best = 0.0
-    ring = np.array([[i, j, k] for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)])
-    for k in range(levels):
-        r = base * (2.0 ** k)
-        step = 0.5 * r
-        nodes = np.round(points / step).astype(np.int64)[:, None, :] + ring
-        nodes = np.unique(nodes.reshape(-1, 3), axis=0) * step
-        cands = np.vstack([points, nodes])
-        counts = tree.query_ball_point(cands, r, return_length=True)
-        best = max(best, float(np.max(counts)) / (r / base))
-    return best
 
 
 def _plank_frame(theta: float) -> np.ndarray:
@@ -218,22 +180,9 @@ def _lightplank_scan(nu: CubeMeasure, widens, weights=None):
     return _max_lattice_plank_count(nu.centers, half, 0.5 / math.sqrt(nu.R), widens, weights)
 
 
-def max_plank_mass(nu: CubeMeasure, weights=None):
-    """Bracket [lower, upper] for the largest 1 x sqrt(R) x R plank mass.
-
-    Optional per-cube weights give the weighted plank mass (for measures
-    h * nu with a density on the cubes): floats for one weight row, and for
-    a (k, mass) stack two length-k arrays, one entry per row.  Both
-    brackets come from one scan.
-    """
-    if weights is None:
-        lower, upper = _lightplank_scan(nu, (1, 2))
-        return lower, upper
-    w = np.asarray(weights, dtype=float)
-    lower, upper = _lightplank_scan(nu, (1, 2), np.atleast_2d(w))
-    if w.ndim == 1:
-        return float(lower[0]), float(upper[0])
-    return lower, upper
+def max_plank_mass(nu: CubeMeasure) -> tuple[int, int]:
+    """Bracket [lower, upper] for the largest 1 x sqrt(R) x R plank mass, from one scan."""
+    return tuple(_lightplank_scan(nu, (1, 2)))
 
 
 def gamma_tau(config: CircleConfig, tau: float) -> int:
@@ -351,7 +300,7 @@ def _frostman_sample(draw, n: int, base: float, span: float, max_attempts: int) 
 
 
 def generate(kind: str, R: int, seed: int = 0, **params) -> CubeMeasure:
-    """Seeded test-family generator; every family has frostman_constant <= 8.
+    """Seeded test-family generator; every family has Frostman constant <= 8 at unit scale.
 
     kinds: light_tube(gamma), vertical_tube(length), knapp_pair(gamma),
     wolff_radii(n) (distinct heights), random_frostman(n).

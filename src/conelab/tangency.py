@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .geometry import COORD_TOL, SpacetimePoint
 from .measures import CircleConfig, gamma_tau
@@ -69,9 +68,10 @@ def classify_pairs(config: CircleConfig) -> PairTable:
     if n < 2:
         empty = np.empty(0)
         return PairTable(empty.astype(int), empty.astype(int), empty, empty, config.delta)
-    planar = pdist(c[:, :2])
-    radial = pdist(c[:, 2:3])
     i, j = np.triu_indices(n, k=1)
+    dv = c[i] - c[j]
+    planar = np.sqrt(np.sum(dv[:, :2] * dv[:, :2], axis=1))
+    radial = np.abs(dv[:, 2])
     return PairTable(i, j, planar + radial, np.abs(planar - radial), config.delta)
 
 

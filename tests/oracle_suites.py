@@ -13,14 +13,22 @@ time; the library kernels must reproduce them bit for bit.
 The closed forms (`dist_d`, `gap_delta`, `nu_hat`) restate, point by point,
 numbers the library computes in bulk: the pair table's separations and
 defects, and the cube-measure transform inside `decay_mean`.
+
+The second routes to library quantities: the full tensor sum
+`extension_direct` (for the separable extension and sigma_check), the pair
+sum `decay_by_classes` (for `decay_mean`), and `frostman_constant`, the
+ball-count check behind the generators' Frostman bound.
 """
 
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from conelab import experiments
+from conelab.fourier import ConeQuadrature, extension_bandwidths, make_quadrature
 from conelab.geometry import SpacetimePoint, membership_dilation
-from conelab.measures import _plank_frame
+from conelab.measures import CircleConfig, CubeMeasure, _plank_frame, rescale_to_Q
 from conelab.rectangles import (
     C0,
     DeltaTauRectangle,
@@ -34,6 +42,9 @@ from conelab.rectangles import (
     sample_points,
     tangency_plank,
 )
+from conelab.tangency import classify_pairs
+
+NEAR_EPS = 0.05  # decay_by_classes: the near class reaches separation R^(10 NEAR_EPS)
 
 
 def dist_d(v, w) -> float | np.ndarray:
@@ -437,3 +448,112 @@ def raster_per_annulus(spans, n: int) -> np.ndarray:
         np.add.at(diff, (rows, starts), 1)
         np.add.at(diff, (rows, ends + 1), -1)
     return np.cumsum(diff, axis=1)[:, :n]
+
+
+# ---------------------------------------------------------------------------
+# second routes to Fourier quantities: the full tensor sum and the pair sum
+
+
+def extension_direct(points, quad: ConeQuadrature, f=None) -> np.ndarray:
+    """Ef at each point by the full tensor sum; f maps (rho, phi) grids to values."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if len(pts) * quad.node_count > experiments.MAX_KERNEL_EVALS:
+        raise ValueError(f"{len(pts)} points x {quad.node_count} nodes exceeds "
+                         f"budget {experiments.MAX_KERNEL_EVALS:.2g}")
+    rho = quad.rho
+    cw = quad.amplitude * quad.radial_weight  # (n_rho,)
+    if f is None:
+        fv = np.ones((len(rho), len(quad.phi)))
+    else:
+        fv = np.asarray(f(rho[:, None], quad.phi[None, :]))
+    coeff = fv * cw[:, None] * quad.dphi  # (n_rho, n_phi)
+    cph, sph = np.cos(quad.phi), np.sin(quad.phi)
+    out = np.empty(len(pts), dtype=complex)
+    chunk = max(1, int(2 * 10 ** 6 / max(len(rho), 1)))
+    for i, p in enumerate(pts):
+        u = p[0] * cph + p[1] * sph + p[2]  # (n_phi,)
+        acc = 0.0 + 0.0j
+        for s in range(0, len(u), chunk):
+            phase = np.exp(2j * math.pi * np.outer(rho, u[s:s + chunk]))
+            acc += np.sum(coeff[:, s:s + chunk] * phase)
+        out[i] = acc
+    return out
+
+
+def _pair_kernel(rho, phi):
+    """|unit-cube transform|^2 restricted to the cone segment."""
+    s = np.sinc(rho * np.cos(phi)) * np.sinc(rho * np.sin(phi)) * np.sinc(rho)
+    return s * s
+
+
+def _pair_kernel_values(nu: CubeMeasure, q: float):
+    """K(0) and K(c_j - c_i) for i < j, K = extension of the cube kernel."""
+    c = nu.centers
+    i, j = np.triu_indices(len(c), k=1)
+    pts = np.vstack([np.zeros((1, 3)), c[j] - c[i]])
+    quad = make_quadrature(*extension_bandwidths(pts), q)
+    vals = extension_direct(pts, quad, f=_pair_kernel)
+    return float(vals[0].real), vals[1:].real
+
+
+def decay_by_classes(nu: CubeMeasure, q: float = 2.0) -> dict:
+    """decay_mean by the kernel route, grouped by separation classes.
+
+    K(x) = integral |cube transform|^2 exp(2 pi i x.xi) dsigma, so the sum
+    of K(c' - c) over ordered center pairs, `total`, reproduces integral
+    |hat(nu)|^2 dsigma exactly; it is quadratic in the mass and serves as an
+    independent cross-check.  Off-diagonal pairs split into a near class
+    (cube-scale separation at most R^(10 NEAR_EPS)) and dyadic bands
+    [D, 2D) of the rescaled separation; the partition is exact, so diag +
+    near + sum of bands equals the total and the table shows which
+    separations carry the decay mean.
+    """
+    k0, off = _pair_kernel_values(nu, q)
+    contrib = 2.0 * off
+    table = classify_pairs(rescale_to_Q(nu))
+    near = table.d / table.delta <= nu.R ** (10.0 * NEAR_EPS)
+    bands = {}
+    for D in table.dyadic_D():
+        mask = table.band_mask(D) & ~near
+        if np.any(mask):
+            bands[D] = float(np.sum(contrib[mask]))
+    return {
+        "diag": nu.mass * k0,
+        "near": float(np.sum(contrib[near])),
+        "bands": bands,
+        "total": nu.mass * k0 + float(np.sum(contrib)),
+    }
+
+
+# ---------------------------------------------------------------------------
+# the generators' Frostman bound
+
+
+def frostman_constant(measure: CubeMeasure | CircleConfig) -> float:
+    """max over dyadic r >= base of (points in B(x0, r)) / (r / base).
+
+    The points are a cube measure's centers at base 1 or a configuration's
+    circles at base delta.  Candidate centers are the points themselves plus
+    the (r/2)-grid nodes adjacent to them; a ball-covering argument gives
+    true sup over all centers and r >= base <= 4 * returned value.
+    """
+    if isinstance(measure, CircleConfig):
+        points, base = measure.circles, measure.delta
+    else:
+        points, base = measure.centers, 1.0
+    if len(points) == 0:
+        return 0.0
+    tree = cKDTree(points)
+    diam = float(np.max(points.max(axis=0) - points.min(axis=0))) + base
+    levels = int(math.ceil(math.log2(max(2.0 * diam / base, 2.0)))) + 1
+    best = 0.0
+    ring = np.array([[i, j, k] for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)])
+    for k in range(levels):
+        r = base * (2.0 ** k)
+        step = 0.5 * r
+        nodes = np.round(points / step).astype(np.int64)[:, None, :] + ring
+        nodes = np.unique(nodes.reshape(-1, 3), axis=0) * step
+        cands = np.vstack([points, nodes])
+        counts = tree.query_ball_point(cands, r, return_length=True)
+        best = max(best, float(np.max(counts)) / (r / base))
+    return best

@@ -23,6 +23,7 @@ from conftest import acceptance_lines
 from oracle_suites import (
     angle_suite,
     annuli_area_suite,
+    decay_by_classes,
     dictionary_suite,
     duality_roundtrip_suite,
     engulfing_suite,
@@ -35,7 +36,6 @@ import numpy as np
 from conelab.experiments import ExperimentConfig, run_experiment
 from conelab.fitting import fit_exponent
 from conelab.fourier import (
-    decay_by_classes,
     decay_mean,
     decay_ratio,
     knapp_sharpness,

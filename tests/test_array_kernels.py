@@ -27,6 +27,7 @@ from conelab.measures import (
     Q_RADII,
     CircleConfig,
     _frostman_sample,
+    _lightplank_scan,
     _pack_keys,
     gamma_tau,
     generate,
@@ -194,27 +195,27 @@ class TestPlankScan:
     def test_max_plank_mass_matches_per_direction(self, monkeypatch, kind):
         for R, seed in ((16, 0), (32, 1), (64, 2)):
             nu = generate(kind, R, seed)
-            w = np.random.default_rng(seed).uniform(0.0, 2.0, nu.mass)
-            got = (max_plank_mass(nu), max_plank_mass(nu, weights=w))
+            w = np.random.default_rng(seed).uniform(0.0, 2.0, (1, nu.mass))
+            got = (max_plank_mass(nu), _lightplank_scan(nu, (1, 2), w))
             ref = with_plank_oracle(monkeypatch,
-                                    lambda: (max_plank_mass(nu), max_plank_mass(nu, weights=w)))
-            assert got == ref
-            assert [type(v) for pair in got for v in pair] == \
-                [type(v) for pair in ref for v in pair]
+                                    lambda: (max_plank_mass(nu), _lightplank_scan(nu, (1, 2), w)))
+            assert same_values(got, ref)
+            assert [type(v) for v in got[0]] == [int, int]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_weight_stack_matches_per_direction(self, monkeypatch, kind):
         for R, seed in ((16, 0), (32, 1), (64, 2)):
             nu = generate(kind, R, seed)
             stack = weight_stack(nu.mass, seed)
-            got = max_plank_mass(nu, weights=stack)
-            ref = with_plank_oracle(monkeypatch, lambda: max_plank_mass(nu, weights=stack))
-            assert type(got) is tuple and len(got) == 2
-            assert all((g == r).all() for g, r in zip(got, ref))
+            got = _lightplank_scan(nu, (1, 2), stack)
+            ref = with_plank_oracle(monkeypatch, lambda: _lightplank_scan(nu, (1, 2), stack))
+            assert got.shape == (2, len(stack))
+            assert (got == ref).all()
             assert same_values(got, ref)
-            # each row is the 1-D call on that row
-            rows = [max_plank_mass(nu, weights=h) for h in stack]
-            assert [(float(lo), float(up)) for lo, up in zip(*got)] == rows
+            # each row is the scan of that row alone, and the row of ones counts
+            rows = [_lightplank_scan(nu, (1, 2), h[None]) for h in stack]
+            assert same_values(got, np.hstack(rows))
+            assert tuple(got[:, 0]) == max_plank_mass(nu)
 
     @pytest.mark.parametrize("kind", ("wolff_radii", "random_frostman"))
     @pytest.mark.parametrize("delta", (2.0 ** -6, 2.0 ** -8))
@@ -233,8 +234,8 @@ class TestPlankScan:
             for R in (16, 32, 64):
                 nu = generate(kind, R, 0)
                 w = weight_stack(nu.mass, R)
-                out.append((max_plank_mass(nu), max_plank_mass(nu, weights=w[2]),
-                            max_plank_mass(nu, weights=w)))
+                out.append((max_plank_mass(nu), _lightplank_scan(nu, (1, 2), w[2:]),
+                            _lightplank_scan(nu, (1, 2), w)))
             return out
 
         same_at_every_block_size(monkeypatch, scans)
@@ -252,12 +253,9 @@ class TestPlankScan:
         nu = generate("knapp_pair", 16, 0)
         lower, upper = max_plank_mass(nu)
         assert type(lower) is int and type(upper) is int
-        wl, wu = max_plank_mass(nu, weights=np.full(nu.mass, 0.5))
-        assert type(wl) is float and type(wu) is float
-        assert (wl, wu) == (0.5 * lower, 0.5 * upper)
-        sl, su = max_plank_mass(nu, weights=np.full((2, nu.mass), 0.5))
+        sl, su = _lightplank_scan(nu, (1, 2), np.full((2, nu.mass), 0.5))
         assert sl.dtype == su.dtype == np.float64 and sl.shape == su.shape == (2,)
-        assert list(sl) == [wl, wl] and list(su) == [wu, wu]
+        assert list(sl) == [0.5 * lower] * 2 and list(su) == [0.5 * upper] * 2
         config = generate_config("wolff_radii", 2.0 ** -6, 16, 0, radius_band=MAXIMAL_RADII)
         assert type(gamma_tau(config, 0.25)) is int
 

@@ -6,11 +6,12 @@ Oracles:
   * an independent Bessel-function route for the radial integral of
     ``sigma_check`` (planar rotation invariance reduces it to a 1-d
     oscillatory integral against ``J0``, here by adaptive quadrature), and
-    the phi x rho tensor sum ``extension_direct``,
+    the phi x rho tensor sum ``extension_direct`` of ``oracle_suites``,
   * a direct tensor sum of |nu_hat|^2 over the decay quadrature's nodes, the
     closed-form oracle for ``decay_mean``,
-  * pair-sum versus quadrature-mean route agreement, which exercises two
-    genuinely different algorithms for the same bilinear quantity,
+  * pair-sum (``decay_by_classes`` of ``oracle_suites``) versus
+    quadrature-mean route agreement, which exercises two genuinely
+    different algorithms for the same bilinear quantity,
   * frozen regression values computed once at q=2/q=3 and pinned at full
     double precision.
 """
@@ -24,12 +25,10 @@ from scipy.special import j0
 
 from conelab.fourier import (
     cube_midpoints,
-    decay_by_classes,
     decay_mean,
     decay_ratio,
     diagnostic_points,
     extension_bandwidths,
-    extension_direct,
     extension_separable,
     knapp_sector,
     knapp_sharpness,
@@ -40,9 +39,9 @@ from conelab.fourier import (
     stationary_phase_diagnostic,
     weighted_l2,
 )
-from conelab import fourier
+from conelab import experiments
 from conelab.measures import CubeMeasure, generate
-from oracle_suites import nu_hat
+from oracle_suites import decay_by_classes, extension_direct, nu_hat
 
 
 def bessel_route(x, q=3.0):
@@ -226,7 +225,7 @@ class TestExtensionRoutes:
     def test_budget_guard(self, monkeypatch):
         quad = make_quadrature(8.0, 8.0, q=2.0)
         pts = np.zeros((20, 3))
-        monkeypatch.setattr(fourier, "MAX_KERNEL_EVALS", 10)
+        monkeypatch.setattr(experiments, "MAX_KERNEL_EVALS", 10)
         with pytest.raises(ValueError, match="budget"):
             extension_direct(pts, quad)
 

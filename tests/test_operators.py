@@ -23,7 +23,7 @@ from conelab.fourier import (
     sigma_check,
     weighted_l2,
 )
-from conelab.measures import CubeMeasure, generate, max_plank_mass
+from conelab.measures import CubeMeasure, generate
 from conelab.operators import (
     bbcr_equivalence_check,
     build_extension_operator,
@@ -33,6 +33,7 @@ from conelab.operators import (
     operator_from_gram,
     transference_check,
 )
+from oracle_suites import plank_count_per_direction
 
 ORACLE_CASES = (("light_tube", 8, 2), ("random_frostman", 8, 2),
                 ("vertical_tube", 16, 2), ("light_tube", 16, 4))
@@ -269,18 +270,23 @@ class TestTransference:
         assert res["ok"] and all(r["p_upper"] <= res["p_upper"] + 1e-9 for r in res["sub"])
 
     def test_plank_masses_match_the_public_route(self):
-        # one scan for nu and its subweights prints what max_plank_mass gives
+        # one scan for nu and its subweights prints what the per-direction
+        # oracle gives for each doubled-plank family alone
         for kind, seeds in CRITERION_8:
             for seed in seeds:
                 nu = _oracle_measure(kind, 32, seed)
+                half, spacing = (0.5, 0.5 * math.sqrt(nu.R), 0.5 * nu.R), 0.5 / math.sqrt(nu.R)
+
+                def doubled(w=None):
+                    return float(plank_count_per_direction(nu.centers, half, spacing, 2, w))
                 rng = np.random.default_rng(seed)
                 subs = [np.ones(nu.mass), (np.arange(nu.mass) % 2).astype(float),
                         rng.random(nu.mass)]
                 res = transference_check(build_extension_operator(nu, q=2.0, seed=seed),
                                          subs, trials=5)
-                assert repr(res["p_upper"]) == repr(float(max_plank_mass(nu)[1]))
+                assert repr(res["p_upper"]) == repr(doubled())
                 assert [repr(r["p_upper"]) for r in res["sub"]] == \
-                    [repr(max_plank_mass(nu, weights=h)[1]) for h in subs]
+                    [repr(doubled(h)) for h in subs]
 
     def test_validation(self):
         nu = generate("light_tube", 8, 0)

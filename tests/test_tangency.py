@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
-from conelab.experiments import CONFIG_KINDS
+from conelab.experiments import CONFIG_KINDS, DECAY_KINDS, _swept_config, _swept_measure
 from conelab.geometry import COORD_TOL
-from conelab.measures import MAXIMAL_RADII, CircleConfig, generate_config
+from conelab.measures import MAXIMAL_RADII, CircleConfig, generate_config, rescale_to_Q
 from conelab.rectangles import sample_points
 from conelab.tangency import classify_pairs, main_geom_check, nu_multiplicity, pair_count
 from oracle_suites import dist_d, gap_delta
@@ -26,7 +27,28 @@ def brute_force_pairs(circles):
     return out
 
 
+def assert_matches_pdist(config):
+    """d and Delta equal scipy's pdist of the planar and radial parts, added and subtracted."""
+    planar = pdist(config.circles[:, :2])
+    radial = pdist(config.circles[:, 2:3])
+    table = classify_pairs(config)
+    assert np.array_equal(table.d, planar + radial)
+    assert np.array_equal(table.delta_defect, np.abs(planar - radial))
+
+
 class TestClassifyPairs:
+    @pytest.mark.parametrize("kind", CONFIG_KINDS)
+    def test_matches_pdist_on_swept_configs(self, kind):
+        for seed in range(5):
+            for delta in (2.0 ** -k for k in range(5, 10)):
+                assert_matches_pdist(_swept_config(kind, delta, seed, None))
+
+    @pytest.mark.parametrize("kind", DECAY_KINDS)
+    def test_matches_pdist_on_rescaled_measures(self, kind):
+        for seed in range(5):
+            for R in (16, 32, 64, 128):
+                assert_matches_pdist(rescale_to_Q(_swept_measure(kind, R, seed, None)[0]))
+
     def test_matches_brute_force(self):
         config = generate_config("random_frostman", 2.0 ** -5, 12, seed=0,
                                  radius_band=MAXIMAL_RADII)
@@ -43,7 +65,7 @@ class TestClassifyPairs:
     @pytest.mark.parametrize("kind", CONFIG_KINDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_closed_forms(self, kind, seed):
-        # the pdist sums of classify_pairs against d and Delta pair by pair
+        # classify_pairs against the closed forms of d and Delta pair by pair
         config = generate_config(kind, 2.0 ** -6, 32, seed=seed, radius_band=MAXIMAL_RADII)
         table = classify_pairs(config)
         v, w = config.circles[table.i], config.circles[table.j]
