@@ -8,16 +8,15 @@ randomness is seeded per task, so reruns with the same configuration are
 byte-identical; sweep points may evaluate in parallel worker processes
 without affecting the output.
 
-Five pipelines are sweeps run by `run_sweep` from two tables: `DEFAULTS`
-(what each pipeline sweeps when the configuration leaves it open, shared
-with the evaluation budget) and `SWEEPS` (each sweep's point function and
-output layout).  `sigma` profiles one fixed set of points instead.
+Five pipelines are sweeps, each one entry of `SWEEPS`: its default scope,
+its point function and the point's cost in kernel evaluations, and its
+output layout.  `run_sweep` runs the tasks `_tasks` lists, and the budget
+sums their costs.  `sigma` profiles one fixed set of points instead.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import platform
 import time
@@ -34,8 +33,8 @@ from .fourier import (MIDPOINTS, cube_midpoints, decay_ratio, diagnostic_points,
                       extension_bandwidths, knapp_center, knapp_sector, knapp_sharpness,
                       knapp_tube_measure, make_quadrature, radial_fft_length, rho_split,
                       stationary_phase_diagnostic)
-from .maximal import wolff_example_check
-from .measures import MAXIMAL_RADII, generate, generate_config
+from .maximal import default_grid, wolff_example_check
+from .measures import MAXIMAL_PLANAR, MAXIMAL_RADII, generate, generate_config
 from .operators import (SAMPLES, bbcr_equivalence_check, build_extension_operator,
                         gram_grid, transference_check)
 from .svgplot import svg_scatter
@@ -47,6 +46,7 @@ CONFIG_KINDS = ("wolff_radii", "random_frostman")
 PIPELINE_NAMES = ("decay", "maximal", "pairs", "sharpness", "sigma", "duality")
 MAX_KERNEL_EVALS = 2 * 10 ** 9  # a pipeline refuses estimates above half of this
 MAX_GRAM_ROWS = 4096  # duality: G is one n x n complex array, 268 MB at this n
+SIGMA_Q = 8.0  # sigma's quadrature oversampling where the configuration leaves q open
 
 
 class BudgetExceededError(ValueError):
@@ -90,37 +90,6 @@ class ExperimentConfig:
             if len(self.R) != len(self.delta) or any(
                     abs(d * r - 1.0) > 1e-12 for r, d in zip(self.R, self.delta)):
                 raise ValueError("when both are given, delta must equal 1/R pairwise")
-
-
-@dataclass(frozen=True)
-class Defaults:
-    """What a pipeline sweeps where its configuration leaves it open."""
-
-    axis: str = "R"            # the ExperimentConfig field holding the sweep values
-    values: tuple = ()
-    kinds: tuple = ()          # the generator kinds the pipeline understands
-    q: float | None = None     # quadrature oversampling
-
-
-DEFAULTS = {
-    "decay": Defaults("R", (16, 32, 64, 128), DECAY_KINDS, 2.0),
-    "maximal": Defaults("delta", tuple(2.0 ** -k for k in range(5, 9)), CONFIG_KINDS),
-    "pairs": Defaults("delta", (2.0 ** -6, 2.0 ** -8), CONFIG_KINDS),
-    "sharpness": Defaults("R", (16, 32, 64), q=8.0),
-    "sigma": Defaults(q=8.0),
-    "duality": Defaults("R", (32,), DECAY_KINDS, 2.0),
-}
-
-
-def _scope(experiment: str, cfg: ExperimentConfig) -> tuple:
-    """(sweep values, kinds, q) of one pipeline: configured, else its defaults.
-
-    Kinds the pipeline does not understand are skipped, so a shared config
-    (the `all` experiment) can name kinds that other sweeps own.
-    """
-    d = DEFAULTS[experiment]
-    kinds = tuple(k for k in cfg.kinds if k in d.kinds) or d.kinds
-    return getattr(cfg, d.axis) or d.values, kinds, cfg.q or d.q
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +148,14 @@ def write_manifest(path, cfg: ExperimentConfig, wall: dict, files: list) -> None
 
 
 def _run_tasks(fn, tasks, workers: int):
+    """fn over tasks, in at most min(workers, len(tasks)) processes.
+
+    The pool is capped at the task count: under fork the executor starts
+    all of its workers at the first submit.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -201,104 +175,15 @@ def _fit_rows(groups, x) -> list:
     return out
 
 
-def _gamma_branches(spec: str):
-    if spec == "both":
-        return [("sqrt", None), ("full", None)]
-    if spec in ("sqrt", "full"):
-        return [(spec, None)]
-    return [("fixed", int(spec))]
-
-
-def _branch_gamma(branch: str, fixed, R: int) -> int:
-    if branch == "sqrt":
-        return int(round(math.sqrt(R)))
-    if branch == "full":
-        return R
-    return int(fixed)
-
-
 def _circle_count(n, delta: float) -> int:
     """Configured circle count, else 1/(2 delta)."""
     return n or int(round(0.5 / delta))
 
 
 # ---------------------------------------------------------------------------
-# kernel-evaluation budget
-
-
-def estimate_evals(experiment: str, cfg: ExperimentConfig) -> float:
-    """Kernel evaluations of one pipeline at cfg's scope, sized by the calls it makes.
-
-    A duality point with more than MAX_GRAM_ROWS Gram rows raises
-    BudgetExceededError unless cfg.force is set.
-    """
-    values, kinds, q = _scope(experiment, cfg)
-    seeds = len(cfg.seeds)
-    total = 0.0
-    if experiment == "decay":
-        # per phi node and cube: decay_mean's two step tables and their product
-        for kind, R, seed in itertools.product(kinds, values, cfg.seeds):
-            nu = _swept_measure(kind, R, seed, cfg.n)[0]
-            quad = make_quadrature(*extension_bandwidths(np.ptp(nu.centers, axis=0)), q)
-            n_baby, n_giant = rho_split(len(quad.rho))
-            total += len(quad.phi) * nu.mass * (n_baby * n_giant + n_baby + n_giant)
-    elif experiment == "sharpness":
-        # per point: one radial-table lookup per midpoint sample and sector
-        # node (extension_separable skips the nodes off the sector), plus the
-        # table's padded FFT, sized as weighted_l2 sizes them
-        for R in values:
-            for branch, fixed in _gamma_branches(cfg.gamma):
-                g = _branch_gamma(branch, fixed, R)
-                pts = cube_midpoints(knapp_tube_measure(R, g), MIDPOINTS) - knapp_center(R)
-                quad = make_quadrature(*extension_bandwidths(pts), q)
-                h_phi, _ = knapp_sector(g)
-                support = np.count_nonzero(h_phi(quad.phi))
-                total += len(pts) * support + radial_fft_length(quad)
-    elif experiment == "sigma":
-        # J0 and exponential tables over at most one radius and height per
-        # point, n_rho entries each, at q and 2q
-        pts = diagnostic_points()
-        total = sum(len(make_quadrature(*extension_bandwidths(pts), qq).rho) * 2 * len(pts)
-                    for qq in (q, 2 * q))
-    elif experiment == "maximal":
-        for d in values:
-            n = _circle_count(cfg.n, d)
-            # span raster touches ~4*pi*r*delta/h^2 cells per annulus
-            # (h = delta/4) plus one cumsum over the grid per config
-            total += len(kinds) * seeds * (n * 160.0 / d + (8.8 / d) ** 2)
-    elif experiment == "pairs":
-        for d in values:
-            n = _circle_count(cfg.n, d)
-            total += len(kinds) * seeds * (n * n + n / d)
-    elif experiment == "duality":
-        # J0 and exponential tables over the distinct difference radii and
-        # heights, n_rho entries each, plus the n^2 Gram entries
-        for kind, R, seed in itertools.product(kinds, values, cfg.seeds):
-            pts = cube_midpoints(_swept_measure(kind, R, seed, cfg.n)[0], SAMPLES)
-            n = len(pts)
-            if n > MAX_GRAM_ROWS and not cfg.force:
-                raise BudgetExceededError(
-                    f"duality: {kind} R={R} seed={seed} has n = {n} Gram rows, over the "
-                    f"{MAX_GRAM_ROWS} budget; G alone takes {16 * n * n / 1e9:.2g} GB; "
-                    f"rerun with force enabled")
-            r, z, _ = gram_grid(pts, SAMPLES)
-            n_rho = len(make_quadrature(*extension_bandwidths(pts), q).rho)
-            total += n_rho * (len(r) + len(z)) + n ** 2
-    return total
-
-
-def check_budget(experiment: str, cfg: ExperimentConfig) -> float:
-    est = estimate_evals(experiment, cfg)
-    if est > MAX_KERNEL_EVALS / 2 and not cfg.force:
-        raise BudgetExceededError(
-            f"{experiment}: estimated {est:.3g} kernel evaluations exceeds the "
-            f"{MAX_KERNEL_EVALS / 2:.0g} budget; rerun with force enabled")
-    return est
-
-
-# ---------------------------------------------------------------------------
 # sweep points (top-level functions so worker processes can import them);
-# each takes one task tuple and returns its data rows
+# each takes one task tuple and returns its data rows; its cost, next to it,
+# takes (task, force) and returns the kernel evaluations of its calls
 
 
 def _swept_measure(kind: str, R: int, seed: int, n):
@@ -329,6 +214,15 @@ def _decay_point(task):
              "ratio": rep["ratio"]}]
 
 
+def _decay_cost(task, force):
+    # per phi node and cube: decay_mean's two step tables and their product
+    kind, R, seed, n, q = task
+    nu = _swept_measure(kind, R, seed, n)[0]
+    quad = make_quadrature(*extension_bandwidths(np.ptp(nu.centers, axis=0)), q)
+    n_baby, n_giant = rho_split(len(quad.rho))
+    return len(quad.phi) * nu.mass * (n_baby * n_giant + n_baby + n_giant)
+
+
 def _maximal_point(task):
     kind, delta, seed, n, _ = task
     config = _swept_config(kind, delta, seed, n)
@@ -337,6 +231,17 @@ def _maximal_point(task):
              "params": f"n={config.count}", "count": config.count,
              "l32_norm": rep["l32_norm"], "l32_dyadic": rep["l32_dyadic"],
              "ratio": rep["ratio"], "ratio_dyadic": rep["ratio_dyadic"]}]
+
+
+def _maximal_cost(task, force):
+    # the span cells of each annulus, at most the grid cells that meet the
+    # annulus widened by one step h at the top of the radius band, plus one
+    # pass over the raster grid
+    _, delta, _, n, _ = task
+    grid, r = default_grid(delta), MAXIMAL_RADII[1]
+    w = delta + grid.h
+    span = math.pi * ((r + w) ** 2 - max(r - w, 0.0) ** 2) / grid.cell_area
+    return _circle_count(n, delta) * span + len(grid.nodes_1d) ** 2
 
 
 def _pairs_point(task):
@@ -357,12 +262,36 @@ def _pairs_point(task):
     return rows
 
 
+def _pairs_cost(task, force):
+    # the pair table plus each band's gamma_tau scan: n (2 * 2 + 1)^3 keys per
+    # direction at spacing tau_D / 2, for D = delta 2^k from 8 delta up to the
+    # widest separation in the maximal-function box
+    _, delta, _, n, _ = task
+    n = _circle_count(n, delta)
+    planar = MAXIMAL_PLANAR[1] - MAXIMAL_PLANAR[0]
+    d_max = MAXIMAL_RADII[1] - MAXIMAL_RADII[0] + math.sqrt(2) * planar
+    dirs = sum(math.ceil(2 * math.pi / (0.5 * math.sqrt(delta / (delta * 2.0 ** k))))
+               for k in range(3, int(math.log2(d_max / delta)) + 1))
+    return n * n + n * 5 ** 3 * dirs
+
+
 def _sharpness_point(task):
     branch, R, gamma, q = task
     rep = knapp_sharpness(R, gamma, q=q)
     return [{"row": "data", "branch": branch, "R": R, "gamma": gamma,
              "weighted_l2": rep["weighted_l2"], "f_norm2": rep["f_norm2"],
              "ratio": rep["ratio"]}]
+
+
+def _sharpness_cost(task, force):
+    # one radial-table lookup per midpoint sample and sector node
+    # (extension_separable skips the nodes off the sector), plus the table's
+    # padded FFT, sized as weighted_l2 sizes them
+    _, R, gamma, q = task
+    pts = cube_midpoints(knapp_tube_measure(R, gamma), MIDPOINTS) - knapp_center(R)
+    quad = make_quadrature(*extension_bandwidths(pts), q)
+    support = int(np.count_nonzero(knapp_sector(gamma)[0](quad.phi)))
+    return len(pts) * support + radial_fft_length(quad)
 
 
 def _duality_point(task):
@@ -377,6 +306,23 @@ def _duality_point(task):
              "mass": nu.mass, "u_l2_lower": rep["U_L2"], "u_l2_upper": rep["U_L2_upper"],
              "u_l1_lower": rep["U_L1"], "ratio": rep["ratio"],
              "lambda_star": rep["lambda_star"], "transference_ok": trans["ok"]}]
+
+
+def _duality_cost(task, force):
+    # J0 and exponential tables over the distinct difference radii and
+    # heights, n_rho entries each, plus the n^2 Gram entries; a point with
+    # more than MAX_GRAM_ROWS Gram rows is refused unless forced
+    kind, R, seed, n, q = task
+    pts = cube_midpoints(_swept_measure(kind, R, seed, n)[0], SAMPLES)
+    n = len(pts)
+    if n > MAX_GRAM_ROWS and not force:
+        raise BudgetExceededError(
+            f"duality: {kind} R={R} seed={seed} has n = {n} Gram rows, over the "
+            f"{MAX_GRAM_ROWS} budget; G alone takes {16 * n * n / 1e9:.2g} GB; "
+            f"rerun with force enabled")
+    r, z, _ = gram_grid(pts, SAMPLES)
+    n_rho = len(make_quadrature(*extension_bandwidths(pts), q).rho)
+    return n_rho * (len(r) + len(z)) + n ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +361,7 @@ def _duality_summary(rows, fits) -> dict:
 
 @dataclass(frozen=True)
 class Sweep:
-    """How a sweep turns its points into one CSV/SVG pair and a summary.
+    """One sweep: its scope, its points and their cost, its CSV/SVG pair and summary.
 
     The figure plots `y` against `x`, one series per value of the row field
     `series`: a generator kind, or for sharpness a gamma branch.  `fit`
@@ -426,11 +372,16 @@ class Sweep:
     """
 
     point: Callable              # task -> data rows
+    cost: Callable               # (task, force) -> kernel evaluations of the point
     stem: str                    # writes <stem>.csv and <stem>.svg
     header: tuple
     title: str
     xlabel: str
     summary: Callable            # (data rows, fit rows) -> summary entries
+    axis: str = "R"              # the ExperimentConfig field holding the sweep values
+    values: tuple = ()           # swept where the configuration leaves them open
+    kinds: tuple = ()            # the generator kinds the sweep understands
+    q: float | None = None       # default quadrature oversampling
     x: Callable = lambda r: r["R"]
     y: Callable = lambda r: r["ratio"]
     series: str = "kind"
@@ -440,50 +391,89 @@ class Sweep:
 
 SWEEPS = {
     "decay": Sweep(
-        _decay_point, "decay_ratio",
+        _decay_point, _decay_cost, "decay_ratio",
         ("row", "kind", "R", "seed", "params", "mass", "decay_mean", "plank_lower",
          "plank_upper", "ratio", "slope", "intercept", "residual_max"),
         "decay mean over sqrt(P) * mass", "R", _decay_summary,
-        fit="series", pooled=True),
+        values=(16, 32, 64, 128), kinds=DECAY_KINDS, q=2.0, fit="series", pooled=True),
     "maximal": Sweep(
-        _maximal_point, "wolff_ratio",
+        _maximal_point, _maximal_cost, "wolff_ratio",
         ("row", "kind", "delta", "seed", "params", "count", "l32_norm", "l32_dyadic",
          "ratio", "ratio_dyadic", "slope", "intercept", "residual_max"),
         "L3/2 multiplicity over (delta n)^(2/3)", "1/delta", _maximal_summary,
+        axis="delta", values=tuple(2.0 ** -k for k in range(5, 9)), kinds=CONFIG_KINDS,
         x=lambda r: 1.0 / r["delta"], fit="seed"),
     "pairs": Sweep(
-        _pairs_point, "pair_counts",
+        _pairs_point, _pairs_cost, "pair_counts",
         ("row", "kind", "delta", "seed", "params", "D", "count", "gamma", "tau_D",
          "ratio", "log_bound"),
         "tangent pairs over gamma^(1/2) (D/delta)^(1/2) n", "D/delta", _pairs_summary,
+        axis="delta", values=(2.0 ** -6, 2.0 ** -8), kinds=CONFIG_KINDS,
         x=lambda r: r["D"] / r["delta"], y=lambda r: max(r["ratio"], 1e-12)),
     "sharpness": Sweep(
-        _sharpness_point, "knapp_sharpness",
+        _sharpness_point, _sharpness_cost, "knapp_sharpness",
         ("row", "branch", "R", "gamma", "weighted_l2", "f_norm2", "ratio", "slope",
          "intercept", "residual_max"),
         "Knapp ratio: weighted L2 over gamma^(1/2) |f|^2", "R", _sharpness_summary,
-        series="branch", fit="series"),
+        values=(16, 32, 64), q=8.0, series="branch", fit="series"),
     "duality": Sweep(
-        _duality_point, "duality",
+        _duality_point, _duality_cost, "duality",
         ("row", "kind", "R", "seed", "mass", "u_l2_lower", "u_l2_upper", "u_l1_lower",
          "ratio", "lambda_star", "transference_ok"),
-        "L2 norm over L1 constant / mass^(1/2)", "R", _duality_summary),
+        "L2 norm over L1 constant / mass^(1/2)", "R", _duality_summary,
+        values=(32,), kinds=DECAY_KINDS, q=2.0),
 }
+
+
+def _tasks(sweep: Sweep, cfg: ExperimentConfig) -> list:
+    """The sweep's point tasks at cfg's scope, in output order.
+
+    Kinds the sweep does not understand are skipped, so a shared config
+    (the `all` experiment) can name kinds that other sweeps own.
+    """
+    values, q = getattr(cfg, sweep.axis) or sweep.values, cfg.q or sweep.q
+    if sweep.series == "branch":  # sharpness: gamma = sqrt(R), R, or a fixed integer
+        gammas = {"sqrt": lambda R: int(round(math.sqrt(R))), "full": lambda R: R}
+        if cfg.gamma != "both":
+            gammas = ({cfg.gamma: gammas[cfg.gamma]} if cfg.gamma in gammas
+                      else {"fixed": lambda R: int(cfg.gamma)})
+        return [(b, R, g(R), q) for b, g in gammas.items() for R in values]
+    kinds = tuple(k for k in cfg.kinds if k in sweep.kinds) or sweep.kinds
+    return [(kind, v, seed, cfg.n, q) for kind in kinds for v in values for seed in cfg.seeds]
+
+
+def estimate_evals(experiment: str, cfg: ExperimentConfig) -> float:
+    """Kernel evaluations of one pipeline at cfg's scope: the sum of its points' costs.
+
+    A duality point with more than MAX_GRAM_ROWS Gram rows raises
+    BudgetExceededError unless cfg.force is set.
+    """
+    if experiment == "sigma":
+        # J0 and exponential tables over at most one radius and height per
+        # point, n_rho entries each, at q and 2q
+        pts, q = diagnostic_points(), cfg.q or SIGMA_Q
+        return float(sum(len(make_quadrature(*extension_bandwidths(pts), qq).rho)
+                         * 2 * len(pts) for qq in (q, 2 * q)))
+    sweep = SWEEPS[experiment]
+    return float(sum(sweep.cost(t, cfg.force) for t in _tasks(sweep, cfg)))
+
+
+def check_budget(experiment: str, cfg: ExperimentConfig) -> float:
+    est = estimate_evals(experiment, cfg)
+    if est > MAX_KERNEL_EVALS / 2 and not cfg.force:
+        raise BudgetExceededError(
+            f"{experiment}: estimated {est:.3g} kernel evaluations exceeds the "
+            f"{MAX_KERNEL_EVALS / 2:.0g} budget; rerun with force enabled")
+    return est
 
 
 def run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     """Run the sweep `cfg.experiment` and write its CSV/SVG pair under `out`."""
     sweep = SWEEPS[cfg.experiment]
-    values, kinds, q = _scope(cfg.experiment, cfg)
+    tasks = _tasks(sweep, cfg)
+    labels = list(dict.fromkeys(t[0] for t in tasks))
     if sweep.series == "branch":
-        branches = _gamma_branches(cfg.gamma)
-        tasks = [(branch, R, _branch_gamma(branch, fixed, R), q)
-                 for branch, fixed in branches for R in values]
-        labels = sorted(branch for branch, _ in branches)
-    else:
-        tasks = [(kind, v, seed, cfg.n, q)
-                 for kind in kinds for v in values for seed in cfg.seeds]
-        labels = kinds
+        labels.sort()
     rows = [row for chunk in _run_tasks(sweep.point, tasks, cfg.workers) for row in chunk]
     series = {s: [r for r in rows if r[sweep.series] == s] for s in labels}
     groups = []
@@ -509,7 +499,7 @@ def run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def sigma_decay(cfg: ExperimentConfig, out: Path) -> dict:
-    rep = stationary_phase_diagnostic(q=cfg.q or DEFAULTS["sigma"].q)
+    rep = stationary_phase_diagnostic(q=cfg.q or SIGMA_Q)
     on_rows = [{"row": "data", "radius": float(r), "value": float(v)}
                for r, v in zip(rep["radii"], rep["on_cone"])]
     fit = fit_exponent(rep["radii"], rep["on_cone"])
@@ -540,8 +530,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the configured pipeline(s); returns the summary per pipeline.
 
     Output land in <out>/<pipeline>/ as CSV + SVG pairs plus manifest.txt.
+    A single pipeline refuses kinds it does not sweep; `all` skips them
+    per sweep.
     """
     names = PIPELINE_NAMES if cfg.experiment == "all" else (cfg.experiment,)
+    swept = SWEEPS[cfg.experiment].kinds if cfg.experiment in SWEEPS else ()
+    stray = [k for k in cfg.kinds if k not in swept]
+    if stray and cfg.experiment != "all":
+        raise ValueError(f"{cfg.experiment}: kind {stray[0]!r} is not swept by this pipeline "
+                         f"(it sweeps {', '.join(swept) or 'no kinds'})")
     summaries = {}
     for name in names:
         check_budget(name, cfg)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from test_acceptance import REDUCED_SCOPE
 
-from conelab import experiments, fourier, operators
+from conelab import experiments, fourier, maximal, measures, operators, tangency
 from conelab.cli import main, parse_config_file
 from conelab.experiments import (BudgetExceededError, ExperimentConfig, check_budget,
                                  estimate_evals, run_experiment)
@@ -150,6 +150,45 @@ class TestPipelines:
         assert code == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pipeline, kind", [("decay", "wolff_radii"),
+                                                ("maximal", "light_tube"),
+                                                ("sharpness", "light_tube"),
+                                                ("sigma", "random_frostman")])
+    def test_kind_not_swept_exits_2(self, pipeline, kind, tmp_path, capsys):
+        code = main([pipeline, "--kind", kind, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(kind) in err and f"{pipeline}:" in err
+        assert not (tmp_path / pipeline).exists()
+
+    def test_all_skips_kinds_other_sweeps_own(self):
+        shared = ExperimentConfig(experiment="all", kinds=("light_tube", "wolff_radii"))
+        for name, own in (("decay", "light_tube"), ("pairs", "wolff_radii")):
+            alone = ExperimentConfig(experiment=name, kinds=(own,))
+            assert estimate_evals(name, shared) == estimate_evals(name, alone)
+
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        assert experiments._run_tasks(abs, [-1, -2, -3], workers=64) == [1, 2, 3]
+        assert experiments._run_tasks(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
+        assert experiments._run_tasks(abs, [-1], workers=64) == [1]
+        assert started == [3, 2]
+
     def test_invalid_r_exits_2(self, tmp_path, capsys):
         code = main(["decay", "--R", "17", "--out", str(tmp_path)])
         assert code == 2
@@ -182,18 +221,25 @@ class TestPipelines:
         # the default scope tops out at n = 2048
         check_budget("duality", ExperimentConfig(experiment="duality"))
 
-    @pytest.mark.parametrize("experiment", ["sigma", "duality", "decay", "sharpness"])
+    @pytest.mark.parametrize("experiment",
+                             ["sigma", "duality", "decay", "sharpness", "maximal", "pairs"])
     def test_estimate_bounds_actual_work(self, experiment, tmp_path, monkeypatch):
         # counted: J0 and exponential table entries, n_rho per radius and
         # height, plus one entry per Gram matrix element; for decay, per phi
         # node and cube, the two step tables and their product, as sized by
         # the rho split decay_mean calls; for sharpness, the radial-table
-        # lookups and the length of the FFT that fills each table
-        counted, phis, splits = [], [], []
+        # lookups and the length of the FFT that fills each table; for
+        # maximal, the cells of every annulus span plus the raster grid; for
+        # pairs, the pair-table entries plus the lattice keys of every
+        # gamma_tau scan, (2 * 2 + 1)^3 per circle and scanned direction
+        counted, phis, splits, frames = [], [], [], []
         e1_grid, build = fourier.e1_grid, operators.build_extension_operator
         make_quadrature, rho_split = fourier.make_quadrature, fourier.rho_split
         decay_mean = fourier.decay_mean
         lookup, table = fourier.RadialTable.__call__, fourier.radial_transform_table
+        spans, raster = maximal._annulus_spans, maximal._raster
+        classify, gamma_tau, plank_frame = (tangency.classify_pairs, tangency.gamma_tau,
+                                            measures._plank_frame)
 
         def counting_lookup(self, u):
             counted.append(np.size(u))
@@ -230,6 +276,30 @@ class TestPipelines:
                            for n_phi, (nb, ng) in zip(phis, splits, strict=True))
             return value
 
+        def counting_spans(circle, delta, grid):
+            rows, starts, ends = spans(circle, delta, grid)
+            counted.append(int(np.sum(ends - starts + 1)))
+            return rows, starts, ends
+
+        def counting_raster(annuli, n):
+            counted.append(n * n)
+            return raster(annuli, n)
+
+        def counting_classify(config):
+            out = classify(config)
+            counted.append(len(out.d))
+            return out
+
+        def counting_frame(theta):
+            frames.append(theta)
+            return plank_frame(theta)
+
+        def counting_gamma_tau(config, tau):
+            frames.clear()
+            value = gamma_tau(config, tau)
+            counted.append(config.count * 5 ** 3 * len(frames))
+            return value
+
         monkeypatch.setattr(fourier, "e1_grid", counting_e1_grid)
         monkeypatch.setattr(operators, "e1_grid", counting_e1_grid)
         monkeypatch.setattr(experiments, "build_extension_operator", counting_build)
@@ -238,11 +308,18 @@ class TestPipelines:
         monkeypatch.setattr(fourier, "decay_mean", counting_decay_mean)
         monkeypatch.setattr(fourier.RadialTable, "__call__", counting_lookup)
         monkeypatch.setattr(fourier, "radial_transform_table", counting_table)
+        monkeypatch.setattr(maximal, "_annulus_spans", counting_spans)
+        monkeypatch.setattr(maximal, "_raster", counting_raster)
+        monkeypatch.setattr(experiments, "classify_pairs", counting_classify)
+        monkeypatch.setattr(tangency, "gamma_tau", counting_gamma_tau)
+        monkeypatch.setattr(measures, "_plank_frame", counting_frame)
         for scope in ({}, REDUCED_SCOPE[experiment]):
             counted.clear()
             cfg = ExperimentConfig(experiment=experiment, out=str(tmp_path), **scope)
             run_experiment(cfg)
-            assert 0 < sum(counted) <= estimate_evals(experiment, cfg), scope
+            estimate = estimate_evals(experiment, cfg)
+            assert type(estimate) is float
+            assert 0 < sum(counted) <= estimate, scope
 
 
 class TestEntryPoint:
