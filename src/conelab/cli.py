@@ -4,21 +4,24 @@
             [--kind a,b] [--seed 0,1] [--n N] [--gamma sqrt|full|both|G]
             [--q Q] [--workers N] [--out DIR] [--force]
 
-Subcommands: gen (write a measure/configuration file) plus the pipelines
-decay, maximal, pairs, sharpness, sigma, duality, and all.  Flags are
-long-form only; values in the --config file (flat key=value lines, same
-keys as the flags) override the flags.  Each pipeline refuses up front if
-its estimated kernel-evaluation count exceeds the budget, unless forced.
+Subcommands: gen (write a measure/configuration file per kind, value and
+seed) plus the pipelines decay, maximal, pairs, sharpness, sigma, duality,
+and all.  Flags are long-form only; values in the --config file (flat
+key=value lines, same keys as the flags) override the flags.  A single
+pipeline refuses settings none of its points reads, and each pipeline
+refuses up front if its estimated kernel-evaluation count exceeds the
+budget, unless forced.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import product
 from pathlib import Path
 
-from .experiments import (BudgetExceededError, ExperimentConfig, PIPELINE_NAMES,
-                          _swept_config, format_value, run_experiment)
+from .experiments import (ExperimentConfig, PIPELINE_NAMES, _swept_config, format_value,
+                          run_experiment)
 from .measures import generate, save_config, save_measure
 
 _LIST_KEYS = {"R": int, "delta": float, "kind": str, "seed": int}
@@ -103,32 +106,28 @@ def _collect(args: argparse.Namespace) -> dict:
 
 
 def run_gen(values: dict) -> int:
-    kinds = values.get("kind") or ("random_frostman",)
-    kind = kinds[0]
-    seed = (values.get("seed") or (0,))[0]
-    out = values.get("out")
-    out_dir = Path(out) if out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if values.get("delta"):
-        delta = values["delta"][0]
-        config = _swept_config(kind, delta, seed, values.get("n"))
-        path = out_dir / f"{kind}_d{format_value(delta)}_s{seed}.circles"
-        save_config(path, config)
-    elif values.get("R"):
-        R = values["R"][0]
-        params = {}
-        if values.get("n"):
-            params["n"] = values["n"]
-        if values.get("gamma") and values["gamma"].isdigit():
-            params["gamma"] = int(values["gamma"])
-        nu = generate(kind, R, seed, **params)
-        path = out_dir / f"{kind}_R{R}_s{seed}.cubes"
-        save_measure(path, nu)
-    else:
+    """Write one measure (--R) or configuration (--delta) file per kind, value and seed."""
+    deltas, Rs = values.get("delta"), values.get("R")
+    if not deltas and not Rs:
         print("gen: need --R (cube measure) or --delta (circle configuration)",
               file=sys.stderr)
         return 2
-    print(path)
+    params = {}
+    if values.get("n"):
+        params["n"] = values["n"]
+    if values.get("gamma") and values["gamma"].isdigit():
+        params["gamma"] = int(values["gamma"])
+    out_dir = Path(values.get("out") or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for kind, value, seed in product(values.get("kind") or ("random_frostman",),
+                                     deltas or Rs, values.get("seed") or (0,)):
+        if deltas:
+            path = out_dir / f"{kind}_d{format_value(value)}_s{seed}.circles"
+            save_config(path, _swept_config(kind, value, seed, values.get("n")))
+        else:
+            path = out_dir / f"{kind}_R{value}_s{seed}.cubes"
+            save_measure(path, generate(kind, value, seed, **params))
+        print(path)
     return 0
 
 
@@ -141,9 +140,6 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig(experiment=args.command,
                                **{_CONFIG_FIELDS.get(k, k): v for k, v in values.items()})
         summaries = run_experiment(cfg)
-    except BudgetExceededError as err:
-        print(f"conelab: {err}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as err:
         print(f"conelab: {err}", file=sys.stderr)
         return 2

@@ -526,19 +526,45 @@ def sigma_decay(cfg: ExperimentConfig, out: Path) -> dict:
             "doubling_rel": rep["doubling_rel"]}
 
 
+def _refuse_unread(cfg: ExperimentConfig) -> None:
+    """Raise ValueError naming the settings cfg gives that no point of its pipeline reads.
+
+    A sweep reads its own axis, q where it has a default q, gamma when its
+    series are gamma branches, and its kinds, seeds and n when it sweeps
+    generator kinds; sigma reads only q.  A setting counts as given when it
+    differs from its ExperimentConfig default.
+    """
+    sweep = SWEEPS.get(cfg.experiment)
+    swept, read = (), {"q"}
+    if sweep is not None:
+        swept, read = sweep.kinds, {sweep.axis}
+        if sweep.q is not None:
+            read.add("q")
+        if sweep.series == "branch":
+            read.add("gamma")
+        if swept:
+            read |= {"kinds", "seeds", "n"}
+    stray = [k for k in cfg.kinds if k not in swept]
+    if stray:
+        raise ValueError(f"{cfg.experiment}: kind {stray[0]!r} is not swept by this pipeline "
+                         f"(it sweeps {', '.join(swept) or 'no kinds'})")
+    unread = [f.name for f in fields(cfg) if f.name in ("R", "delta", "seeds", "n", "gamma", "q")
+              and f.name not in read and getattr(cfg, f.name) != f.default]
+    if unread:
+        raise ValueError(f"{cfg.experiment}: no point of this pipeline reads {', '.join(unread)} "
+                         f"(it reads {', '.join(sorted(read))})")
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the configured pipeline(s); returns the summary per pipeline.
 
     Output land in <out>/<pipeline>/ as CSV + SVG pairs plus manifest.txt.
-    A single pipeline refuses kinds it does not sweep; `all` skips them
-    per sweep.
+    A single pipeline refuses settings it does not read (`_refuse_unread`);
+    `all` skips, per sweep, the kinds it does not sweep.
     """
     names = PIPELINE_NAMES if cfg.experiment == "all" else (cfg.experiment,)
-    swept = SWEEPS[cfg.experiment].kinds if cfg.experiment in SWEEPS else ()
-    stray = [k for k in cfg.kinds if k not in swept]
-    if stray and cfg.experiment != "all":
-        raise ValueError(f"{cfg.experiment}: kind {stray[0]!r} is not swept by this pipeline "
-                         f"(it sweeps {', '.join(swept) or 'no kinds'})")
+    if cfg.experiment != "all":
+        _refuse_unread(cfg)
     summaries = {}
     for name in names:
         check_budget(name, cfg)

@@ -10,12 +10,12 @@ Conventions fixed here once and used everywhere:
 
 * circle distance      d(v, w)  = |v' - w'| + |v3 - w3|
 * tangency defect      Delta(v, w) = | |v' - w'| - |v3 - w3| |
-* a lightlike basis attached to a planar unit vector e:
+* the lightlike frame of a planar unit vector e, :func:`lightlike_frame`:
       e_s = (-e, -1)/sqrt(2)      (short axis)
       e_m = (rot90(e), 0)         (middle axis, rot90 = CCW quarter turn)
       e_l = (-e, +1)/sqrt(2)      (long axis, increasing height)
   The triple (e_s, e_m, e_l) is orthonormal; e_s is e_l reflected in
-  the plane {x3 = 0}.
+  the plane {x3 = 0}.  Lightplanks and every plank-mass scan use it.
 """
 
 from __future__ import annotations
@@ -65,62 +65,38 @@ def _as_points(p) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class LightlikeBasis:
-    """Orthonormal frame (e_s, e_m, e_l) attached to a planar unit vector."""
+def lightlike_frame(c, s) -> np.ndarray:
+    """Rows (e_s, e_m, e_l) for the planar unit vector (c, s).
 
-    ex: float
-    ey: float
-
-    def __post_init__(self):
-        n = math.hypot(self.ex, self.ey)
-        if abs(n - 1.0) > 1e-6:
-            raise ValueError(f"e_planar must be a unit vector, got norm {n}")
-
-    @classmethod
-    def from_planar(cls, e) -> "LightlikeBasis":
-        e = np.asarray(e, dtype=float)
-        n = math.hypot(e[0], e[1])
-        if n <= COORD_TOL:
-            raise ValueError("zero planar direction")
-        return cls(float(e[0] / n), float(e[1] / n))
-
-    @property
-    def e_planar(self) -> np.ndarray:
-        return np.array([self.ex, self.ey])
-
-    @property
-    def e_s(self) -> np.ndarray:
-        return np.array([-self.ex, -self.ey, -1.0]) / SQRT2
-
-    @property
-    def e_m(self) -> np.ndarray:
-        # CCW quarter turn of e_planar, horizontal.
-        return np.array([-self.ey, self.ex, 0.0])
-
-    @property
-    def e_l(self) -> np.ndarray:
-        return np.array([-self.ex, -self.ey, 1.0]) / SQRT2
-
-    def matrix(self) -> np.ndarray:
-        """Rows (e_s, e_m, e_l)."""
-        return np.vstack([self.e_s, self.e_m, self.e_l])
+    Arrays c and s of one shape give one frame per entry, shape (..., 3, 3);
+    each entry equals the frame of that direction alone, bit for bit.
+    """
+    c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
+    rt = 1.0 / SQRT2
+    frame = np.zeros(c.shape + (3, 3))
+    frame[..., 0, 0] = frame[..., 2, 0] = -c * rt
+    frame[..., 0, 1] = frame[..., 2, 1] = -s * rt
+    frame[..., 0, 2], frame[..., 2, 2] = -rt, rt
+    frame[..., 1, 0], frame[..., 1, 1] = -s, c
+    return frame
 
 
 @dataclass(frozen=True)
 class Lightplank:
-    """Axis-aligned box in a lightlike frame.
+    """Axis-aligned box in the lightlike frame of a planar unit direction.
 
     half_dims = (h_s, h_m, h_l) are half edge lengths along (e_s, e_m, e_l);
-    canonical planks have ratios (1 : A : A^2) up to the recorded dilation.
+    canonical planks have ratios (1 : A : A^2).
     """
 
     center: SpacetimePoint
-    basis: LightlikeBasis
+    direction: tuple[float, float]
     half_dims: tuple[float, float, float]
-    dilation: float = 1.0
 
     def __post_init__(self):
+        n = math.hypot(*self.direction)
+        if abs(n - 1.0) > 1e-6:
+            raise ValueError(f"direction must be a unit vector, got norm {n}")
         hs, hm, hl = self.half_dims
         if not (0 < hs <= hm * (1 + 1e-12) and hm <= hl * (1 + 1e-12)):
             raise ValueError(f"half_dims must be positive and ordered, got {self.half_dims}")
@@ -128,14 +104,14 @@ class Lightplank:
     def local_coords(self, x) -> np.ndarray:
         """Coordinates of x - center in the (e_s, e_m, e_l) frame, shape (..., 3)."""
         d = _as_points(x) - self.center.to_array()
-        return d @ self.basis.matrix().T
+        return d @ lightlike_frame(*self.direction).T
 
     def corners(self) -> np.ndarray:
         """The 8 corner points, shape (8, 3)."""
         hs, hm, hl = self.half_dims
         signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
         local = signs * np.array([hs, hm, hl])
-        return self.center.to_array() + local @ self.basis.matrix()
+        return self.center.to_array() + local @ lightlike_frame(*self.direction)
 
 
 def membership_dilation(plank: Lightplank, x):

@@ -30,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import lightlike_frame
+
 ALPHA0 = 1.0 / 100.0
 
 # Q box bounds: planar in [0, 2*alpha0]^2, radii in [1 -/+ alpha0].
@@ -102,15 +104,6 @@ class CircleConfig:
         return len(self.circles)
 
 
-def _plank_frame(theta: float) -> np.ndarray:
-    """Rows (e_s, e_m, e_l) for planar direction (cos theta, sin theta)."""
-    c, s = math.cos(theta), math.sin(theta)
-    rt = 1.0 / math.sqrt(2.0)
-    return np.array([[-c * rt, -s * rt, -rt],
-                     [-s, c, 0.0],
-                     [-c * rt, -s * rt, rt]])
-
-
 def _max_lattice_plank_count(points: np.ndarray, half_dims, dir_spacing: float,
                              widens, weights=None):
     """Max point count (or weight sum per row) over planks on the half-dimension lattice.
@@ -135,7 +128,8 @@ def _max_lattice_plank_count(points: np.ndarray, half_dims, dir_spacing: float,
     wide = max(widens)
     noff = 2 * wide + 1
     ndir = max(1, int(math.ceil(2 * math.pi / dir_spacing)))
-    frames = np.stack([_plank_frame(i * dir_spacing) for i in range(ndir)])
+    theta = np.arange(ndir) * dir_spacing
+    frames = lightlike_frame(np.cos(theta), np.sin(theta))
     # a direction's box spans at most diam / half + 2 * wide + 2 cells per axis
     diam = float(np.linalg.norm(np.ptp(points, axis=0)))
     box = float(np.prod(np.floor(diam / half) + 2 * wide + 2))

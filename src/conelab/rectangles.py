@@ -29,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    COORD_TOL,
-    SQRT2,
-    LightlikeBasis,
-    Lightplank,
-    SpacetimePoint,
-)
+from .geometry import COORD_TOL, SQRT2, Lightplank, SpacetimePoint
 
 # Comparability decision constant: thresholds A^(1/C0) and A^C0 bracket the
 # relation, the decision itself sits at the geometric midpoint A^(C0/2).
@@ -146,8 +140,7 @@ def tangency_plank(rect: DeltaTauRectangle, lam: float = 1.0) -> Lightplank:
     d, t = rect.delta, rect.tau
     if t < 0.5 * math.sqrt(d):
         raise SubResolutionArcError(f"tau={t} below sqrt(delta)/2={0.5 * math.sqrt(d)}")
-    basis = LightlikeBasis.from_planar(rect.arc_center)
-    return Lightplank(rect.core, basis, (lam * d, lam * d / t, lam * d / t ** 2), dilation=lam)
+    return Lightplank(rect.core, rect.arc_center, (lam * d, lam * d / t, lam * d / t ** 2))
 
 
 def dual_rectangle(plank: Lightplank, delta: float) -> DeltaTauRectangle:
@@ -155,15 +148,14 @@ def dual_rectangle(plank: Lightplank, delta: float) -> DeltaTauRectangle:
 
     The core is the plank center; the arc direction points from the core's
     planar part toward a0, the intersection of the long-axis lightray with
-    the plane {x3 = 0}, which equals center' + center_h * e_planar.
-    tau is recovered from the half-dim ratios (dilation invariant).
+    the plane {x3 = 0}, which equals center' + center_h * direction.
+    tau is recovered from the half-dim ratios, which dilation leaves alone.
     """
     hs, hm, hl = plank.half_dims
     tau1, tau2 = hs / hm, hm / hl
     if abs(tau1 - tau2) > 1e-6 * tau1:
         raise ValueError(f"plank is not canonically shaped: ratios {tau1} vs {tau2}")
-    u = plank.basis.e_planar
-    return DeltaTauRectangle(plank.center, (float(u[0]), float(u[1])), delta, tau1)
+    return DeltaTauRectangle(plank.center, plank.direction, delta, tau1)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from scipy.spatial import cKDTree
 
 from conelab import experiments
 from conelab.fourier import ConeQuadrature, extension_bandwidths, make_quadrature
-from conelab.geometry import SpacetimePoint, membership_dilation
-from conelab.measures import CircleConfig, CubeMeasure, _plank_frame, rescale_to_Q
+from conelab.geometry import SpacetimePoint, lightlike_frame, membership_dilation
+from conelab.measures import CircleConfig, CubeMeasure, rescale_to_Q
 from conelab.rectangles import (
     C0,
     DeltaTauRectangle,
@@ -379,7 +379,8 @@ def plank_count_per_direction(points, half_dims, dir_spacing: float, widen: int,
     enc = np.int64(1) << 20
     bias = np.int64(1) << 19
     for i in range(ndir):
-        coords = points @ _plank_frame(i * dir_spacing).T
+        theta = i * dir_spacing
+        coords = points @ lightlike_frame(math.cos(theta), math.sin(theta)).T
         q = coords / half
         base = np.floor(q).astype(np.int64)
         cand = base[:, :, None] + offsets[None, None, :]           # (n, 3, noff)

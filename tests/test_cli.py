@@ -86,6 +86,17 @@ class TestGen:
         config = load_config(cfgs[0])
         assert config.delta == 0.03125 and len(config.circles) == 16
 
+    def test_lists_write_every_file(self, tmp_path, capsys):
+        code = main(["gen", "--R", "16", "--kind", "light_tube,vertical_tube",
+                     "--seed", "0,1", "--out", str(tmp_path)])
+        assert code == 0
+        names = [f"{kind}_R16_s{seed}.cubes"
+                 for kind in ("light_tube", "vertical_tube") for seed in (0, 1)]
+        assert capsys.readouterr().out.split() == [str(tmp_path / name) for name in names]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert load_measure(tmp_path / names[1]).cubes.tolist() != \
+            load_measure(tmp_path / names[0]).cubes.tolist()
+
     def test_needs_scale_argument(self, tmp_path, capsys):
         code = main(["gen", "--out", str(tmp_path)])
         assert code == 2
@@ -150,15 +161,30 @@ class TestPipelines:
         assert code == 2
         assert "nope" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pipeline, kind", [("decay", "wolff_radii"),
-                                                ("maximal", "light_tube"),
-                                                ("sharpness", "light_tube"),
-                                                ("sigma", "random_frostman")])
-    def test_kind_not_swept_exits_2(self, pipeline, kind, tmp_path, capsys):
-        code = main([pipeline, "--kind", kind, "--out", str(tmp_path)])
+    @pytest.mark.parametrize("pipeline, flags, named", [
+        pytest.param("decay", ["--kind", "wolff_radii"], "'wolff_radii'",
+                     id="decay-wolff_radii"),
+        pytest.param("maximal", ["--kind", "light_tube"], "'light_tube'",
+                     id="maximal-light_tube"),
+        pytest.param("sharpness", ["--kind", "light_tube"], "'light_tube'",
+                     id="sharpness-light_tube"),
+        pytest.param("sigma", ["--kind", "random_frostman"], "'random_frostman'",
+                     id="sigma-random_frostman"),
+        # settings no point of the pipeline reads
+        pytest.param("decay", ["--delta", "0.0625", "--kind", "light_tube", "--q", "2"],
+                     "reads delta (", id="decay-delta"),
+        pytest.param("maximal", ["--R", "16"], "reads R (", id="maximal-R"),
+        pytest.param("maximal", ["--delta", "0.03125", "--q", "3", "--gamma", "full"],
+                     "reads gamma, q (", id="maximal-gamma-q"),
+        pytest.param("sharpness", ["--R", "16", "--seed", "3", "--n", "7"],
+                     "reads seeds, n (", id="sharpness-seed-n"),
+        pytest.param("sigma", ["--R", "16", "--q", "2"], "reads R (", id="sigma-R"),
+    ])
+    def test_kind_not_swept_exits_2(self, pipeline, flags, named, tmp_path, capsys):
+        code = main([pipeline, *flags, "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert repr(kind) in err and f"{pipeline}:" in err
+        assert named in err and f"{pipeline}:" in err
         assert not (tmp_path / pipeline).exists()
 
     def test_all_skips_kinds_other_sweeps_own(self):
@@ -238,8 +264,8 @@ class TestPipelines:
         decay_mean = fourier.decay_mean
         lookup, table = fourier.RadialTable.__call__, fourier.radial_transform_table
         spans, raster = maximal._annulus_spans, maximal._raster
-        classify, gamma_tau, plank_frame = (tangency.classify_pairs, tangency.gamma_tau,
-                                            measures._plank_frame)
+        classify, gamma_tau, frame = (tangency.classify_pairs, tangency.gamma_tau,
+                                      measures.lightlike_frame)
 
         def counting_lookup(self, u):
             counted.append(np.size(u))
@@ -290,14 +316,14 @@ class TestPipelines:
             counted.append(len(out.d))
             return out
 
-        def counting_frame(theta):
-            frames.append(theta)
-            return plank_frame(theta)
+        def counting_frame(c, s):
+            frames.append(np.size(c))  # directions per call
+            return frame(c, s)
 
         def counting_gamma_tau(config, tau):
             frames.clear()
             value = gamma_tau(config, tau)
-            counted.append(config.count * 5 ** 3 * len(frames))
+            counted.append(config.count * 5 ** 3 * sum(frames))
             return value
 
         monkeypatch.setattr(fourier, "e1_grid", counting_e1_grid)
@@ -312,7 +338,7 @@ class TestPipelines:
         monkeypatch.setattr(maximal, "_raster", counting_raster)
         monkeypatch.setattr(experiments, "classify_pairs", counting_classify)
         monkeypatch.setattr(tangency, "gamma_tau", counting_gamma_tau)
-        monkeypatch.setattr(measures, "_plank_frame", counting_frame)
+        monkeypatch.setattr(measures, "lightlike_frame", counting_frame)
         for scope in ({}, REDUCED_SCOPE[experiment]):
             counted.clear()
             cfg = ExperimentConfig(experiment=experiment, out=str(tmp_path), **scope)

@@ -1,4 +1,4 @@
-"""Point-circle distances, lightlike bases, and plank membership.
+"""Point-circle distances, lightlike frames, and plank membership.
 
 The distances are the closed-form oracles of `oracle_suites`; the library
 computes them in bulk inside `classify_pairs`, checked in test_tangency.py.
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.geometry import LightlikeBasis, Lightplank, SpacetimePoint, membership_dilation
+from conelab.geometry import Lightplank, SpacetimePoint, lightlike_frame, membership_dilation
 from oracle_suites import dist_d, gap_delta
 
 SQRT2 = math.sqrt(2.0)
@@ -50,36 +50,47 @@ def test_distance_symmetry_and_order(ax, ay, ah, bx, by, bh):
 
 
 # ---------------------------------------------------------------------------
-# lightlike bases
+# lightlike frames
+
+
+def frame_at(theta):
+    return lightlike_frame(math.cos(theta), math.sin(theta))
 
 
 @given(angle)
 def test_basis_is_orthonormal_and_lightlike(theta):
-    b = LightlikeBasis(math.cos(theta), math.sin(theta))
-    m = b.matrix()
+    m = frame_at(theta)
+    assert m.shape == (3, 3)
     assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
-    for v in (b.e_s, b.e_l):
+    e_s, e_m, e_l = m
+    for v in (e_s, e_l):
         assert np.hypot(v[0], v[1]) == pytest.approx(abs(v[2]), abs=1e-12)
-    assert b.e_m[2] == 0.0
+    assert e_m[2] == 0.0
 
 
-def test_basis_rejects_non_unit():
-    with pytest.raises(ValueError):
-        LightlikeBasis(1.0, 1.0)
+def test_frame_arrays_match_single_directions():
+    # the plank scan builds all its frames in one call; each must equal the
+    # frame of its direction alone, bit for bit
+    for spacing in (0.5 / math.sqrt(16), 0.5 / math.sqrt(256), 0.5 * 0.3):
+        theta = np.arange(int(math.ceil(2 * math.pi / spacing))) * spacing
+        frames = lightlike_frame(np.cos(theta), np.sin(theta))
+        assert frames.shape == (len(theta), 3, 3)
+        for i, t in enumerate(theta):
+            single = lightlike_frame(math.cos(t), math.sin(t))
+            assert np.array_equal(frames[i], single), t
+    assert lightlike_frame(np.ones((2, 4)), np.zeros((2, 4))).shape == (2, 4, 3, 3)
 
 
-def basis_change(basis, other):
-    """M[i, j] = <other_i, basis_j>, rows and columns ordered (s, m, l)."""
-    return other.matrix() @ basis.matrix().T
+def basis_change(m1, m2):
+    """M[i, j] = <frame2_i, frame1_j>, rows and columns ordered (s, m, l)."""
+    return m2 @ m1.T
 
 
 @given(angle, angle)
 def test_basis_change_closed_form(t1, t2):
-    # with theta the angle from b1's planar direction to b2's, the entries
-    # are closed forms in cos theta and sin theta
-    b1 = LightlikeBasis(math.cos(t1), math.sin(t1))
-    b2 = LightlikeBasis(math.cos(t2), math.sin(t2))
-    m = basis_change(b1, b2)
+    # with theta the angle from the first planar direction to the second, the
+    # entries are closed forms in cos theta and sin theta
+    m = basis_change(frame_at(t1), frame_at(t2))
     assert np.allclose(m @ m.T, np.eye(3), atol=1e-10)
     c, s = math.cos(t2 - t1), math.sin(t2 - t1)
     ref = np.array([
@@ -91,12 +102,12 @@ def test_basis_change_closed_form(t1, t2):
 
 
 def test_basis_change_quarter_turn():
-    b1 = LightlikeBasis(1.0, 0.0)
-    b2 = LightlikeBasis(0.0, 1.0)  # theta = pi/2
-    m = basis_change(b1, b2)
+    m1 = lightlike_frame(1.0, 0.0)
+    m2 = lightlike_frame(0.0, 1.0)  # theta = pi/2
+    m = basis_change(m1, m2)
     # row of the rotated short axis against (e_s, e_m, e_l)
     assert np.allclose(m[0], [0.5, -1 / SQRT2, -0.5], atol=1e-12)
-    assert np.allclose(basis_change(b1, b1), np.eye(3), atol=1e-12)
+    assert np.allclose(basis_change(m1, m1), np.eye(3), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +115,13 @@ def test_basis_change_quarter_turn():
 
 
 def make_plank(theta=0.3, half=(0.5, 1.0, 2.0), center=(0.1, -0.2, 1.0)):
-    return Lightplank(point(*center), LightlikeBasis(math.cos(theta), math.sin(theta)), half)
+    return Lightplank(point(*center), (math.cos(theta), math.sin(theta)), half)
+
+
+def test_plank_rejects_non_unit_direction():
+    with pytest.raises(ValueError, match="unit"):
+        Lightplank(point(0, 0, 1), (1.0, 1.0), (0.5, 1.0, 2.0))
+    assert make_plank().direction == (math.cos(0.3), math.sin(0.3))
 
 
 def test_plank_rejects_unordered_dims():
@@ -118,9 +135,10 @@ def test_plank_membership_center_and_corner():
     p = make_plank()
     assert membership_dilation(p, p.center) == 0.0
     hs, hm, hl = p.half_dims
-    corner = p.center.to_array() + hs * p.basis.e_s + hm * p.basis.e_m + hl * p.basis.e_l
+    e_s, e_m, e_l = lightlike_frame(*p.direction)
+    corner = p.center.to_array() + hs * e_s + hm * e_m + hl * e_l
     assert membership_dilation(p, corner) == pytest.approx(1.0, abs=1e-12)
-    far = p.center.to_array() + 2 * hl * p.basis.e_l
+    far = p.center.to_array() + 2 * hl * e_l
     assert membership_dilation(p, far) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -136,7 +154,8 @@ def test_plank_corners_are_boundary_members():
 def test_membership_monotone_in_dilation(theta, scale, lam):
     # a point pushed out from the center by lam needs lam times the dilation
     p = make_plank(theta=theta)
-    step = scale * (p.basis.e_s * p.half_dims[0] + p.basis.e_l * p.half_dims[2])
+    e_s, _, e_l = lightlike_frame(*p.direction)
+    step = scale * (e_s * p.half_dims[0] + e_l * p.half_dims[2])
     need = membership_dilation(p, p.center.to_array() + step)
     assert need == pytest.approx(scale, rel=1e-9)
     farther = membership_dilation(p, p.center.to_array() + lam * step)
@@ -146,5 +165,5 @@ def test_membership_monotone_in_dilation(theta, scale, lam):
 
 def test_dilated_plank_scales_dims():
     p = make_plank()
-    q = Lightplank(p.center, p.basis, tuple(3.0 * h for h in p.half_dims))
+    q = Lightplank(p.center, p.direction, tuple(3.0 * h for h in p.half_dims))
     assert membership_dilation(q, p.corners()).max() == pytest.approx(1 / 3.0, abs=1e-9)

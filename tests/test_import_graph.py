@@ -19,14 +19,27 @@ def test_import_leaves_scipy_spatial_out():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("module", ("fourier.py", "operators.py"))
-def test_fourier_side_skips_the_circle_geometry(module):
-    tree = ast.parse((PACKAGE / module).read_text())
+def _imported(module: str) -> set:
+    """Module and imported names of every import statement in the package file."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
         if isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").split(".")[-1])
+            imported.add("." * node.level + (node.module or ""))
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
-            imported.update(alias.name.split(".")[-1] for alias in node.names)
-    assert not imported & {"tangency", "rectangles", "geometry"}
+            imported.update(alias.name for alias in node.names)
+    return imported
+
+
+@pytest.mark.parametrize("module", ("fourier.py", "operators.py"))
+def test_fourier_side_skips_the_circle_geometry(module):
+    names = {name.split(".")[-1] for name in _imported(module)}
+    assert not names & {"tangency", "rectangles", "geometry"}
+
+
+def test_geometry_imports_nothing_from_the_package():
+    # measures imports geometry's lightlike frame, so geometry must stay a leaf
+    imported = _imported("geometry.py")
+    assert not {name for name in imported
+                if name.startswith(".") or name.split(".")[0] == "conelab"}
+    assert "lightlike_frame" in _imported("measures.py")

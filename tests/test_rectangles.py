@@ -120,7 +120,7 @@ class TestDuality:
     def test_non_canonical_plank_rejected(self):
         rect = example_rect()
         plank = tangency_plank(rect, 1.0)
-        squashed = Lightplank(plank.center, plank.basis, (1e-4, 1e-2, 0.5))
+        squashed = Lightplank(plank.center, plank.direction, (1e-4, 1e-2, 0.5))
         with pytest.raises(ValueError):
             dual_rectangle(squashed, 1e-4)
 
