@@ -7,8 +7,8 @@
 Subcommands: gen (write a measure/configuration file per kind, value and
 seed) plus the pipelines decay, maximal, pairs, sharpness, sigma, duality,
 and all.  Flags are long-form only; values in the --config file (flat
-key=value lines, same keys as the flags) override the flags.  A single
-pipeline refuses settings none of its points reads, and each pipeline
+key=value lines, same keys as the flags) override the flags.  gen and a
+single pipeline refuse settings nothing they write reads, and each pipeline
 refuses up front if its estimated kernel-evaluation count exceeds the
 budget, unless forced.
 """
@@ -106,17 +106,24 @@ def _collect(args: argparse.Namespace) -> dict:
 
 
 def run_gen(values: dict) -> int:
-    """Write one measure (--R) or configuration (--delta) file per kind, value and seed."""
+    """Write one measure (--R) or configuration (--delta) file per kind, value and seed.
+
+    Raises ValueError naming the settings no written file reads (--R next to
+    --delta, a non-integer --gamma, --q, --workers, --force and so on).
+    """
     deltas, Rs = values.get("delta"), values.get("R")
     if not deltas and not Rs:
         print("gen: need --R (cube measure) or --delta (circle configuration)",
               file=sys.stderr)
         return 2
-    params = {}
-    if values.get("n"):
-        params["n"] = values["n"]
-    if values.get("gamma") and values["gamma"].isdigit():
-        params["gamma"] = int(values["gamma"])
+    read = {"delta" if deltas else "R", "kind", "seed", "n", "out"}
+    if not deltas and values.get("gamma", "0").isdigit():
+        read.add("gamma")
+    unread = [k for k in values if k not in read]
+    if unread:
+        raise ValueError(f"gen: no written file reads {', '.join(unread)} "
+                         f"(it reads {', '.join(sorted(read))})")
+    params = {k: int(values[k]) for k in ("n", "gamma") if values.get(k)}
     out_dir = Path(values.get("out") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for kind, value, seed in product(values.get("kind") or ("random_frostman",),

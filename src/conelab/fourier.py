@@ -15,18 +15,20 @@ an oversampling factor.
 
 For purely angular f = h(phi) the phi sum factors through the radial
 transform G(u) = sum_rho a rho drho exp(2 pi i rho u), which is sampled
-exactly on a fine u-grid by a zero-padded FFT and then interpolated;
-Ef(x) = sum_phi h(phi) dphi G(x' . e(phi) + x3), which agrees with the full
-tensor sum to the interpolation error.  For f = 1 the phi integral is exact,
-E1 being radial:
+exactly on a fine u-grid by a zero-padded real FFT of the (real) radial
+weights, extended past half the period by Hermitian symmetry, and then
+interpolated; Ef(x) = sum_phi h(phi) dphi G(x' . e(phi) + x3), which
+agrees with the full tensor sum to the interpolation error.  For f = 1 the
+phi integral is exact, E1 being radial:
 E1(r, x3) = sum_rho 2 pi a rho drho J0(2 pi rho r) exp(2 pi i rho x3), one
 matrix product over distinct radii and heights (sigma-check, Gram matrices).
 
 Cube measures enter through their exact transform: a union of unit cubes
 with centers c has hat(nu)(xi) = prod_j sinc(xi_j) * sum_c exp(-2 pi i c.xi),
 and the decay mean integral(|hat(nu)|^2 dsigma) over the segment is
-accumulated per phi as one batched product of baby-step and giant-step
-tables of the cube phases in rho (about 2 sqrt(n_rho) entries per cube).
+accumulated over blocks of phi nodes, each one batched product of baby-step
+and giant-step tables of the cube phases in rho (about 2 sqrt(n_rho)
+entries per phi node and cube), with the block sized by a memory budget.
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ from scipy.special import j0
 from .measures import CubeMeasure, max_plank_mass
 
 BUMP_ORDER = 2  # Gevrey exponent of the amplitude's flatness at rho = 1, 2
-PHI_BATCH = 8  # phi nodes per decay_mean batch
+PHI_BATCH = 8  # decay_mean sums its terms in groups of this many phi rows
+# decay_mean: complex entries (4 MB) of one phi block's step tables and cube
+# sums; random_frostman takes 96 phi nodes a block at R=64, 8 from R=256 up
+DECAY_BLOCK_BUDGET = 1 << 18
 SAMPLES_PER_UNIT = 1024  # radial-table samples per unit of u, at least
 MIDPOINTS = 4  # weighted_l2: midpoint samples per cube axis
 SIGMA_RADII = (10, 20, 50, 100, 200)  # stationary_phase_diagnostic: on-cone |x|
@@ -111,8 +116,9 @@ def extension_bandwidths(points) -> tuple[float, float]:
 class RadialTable:
     """Samples of G(u) = sum_rho c_rho exp(2 pi i rho u) on a uniform u-grid.
 
-    Sampling is exact (zero-padded FFT); lookups interpolate linearly and
-    use G(-u) = conj(G(u)), which requires real radial coefficients.
+    Sampling is exact (a zero-padded real FFT, see radial_transform_table);
+    lookups interpolate linearly and use G(-u) = conj(G(u)), which, like the
+    real FFT, requires real radial coefficients.
     """
 
     du: float
@@ -135,9 +141,13 @@ def radial_fft_length(quad: ConeQuadrature) -> int:
 
 
 def radial_transform_table(quad: ConeQuadrature, u_max: float) -> RadialTable:
-    """Tabulate the radial transform of the amplitude out to |u| <= u_max."""
+    """Tabulate the radial transform of the amplitude out to |u| <= u_max.
+
+    The coefficients are real, so one real FFT gives the DFT samples up to
+    k = n_pad / 2; samples beyond it (n_keep > n_pad / 2 + 1, which happens
+    for q < 2) come from the Hermitian half, DFT[n_pad - k] = conj(DFT[k]).
+    """
     c = quad.amplitude * quad.radial_weight
-    n_rho = len(quad.rho)
     # G(k du) = exp(2 pi i rho_0 k du) * sum_j c_j exp(2 pi i j k / n_pad)
     # with rho_j = rho_0 + j drho and n_pad = 1 / (drho du): exact DFT samples.
     n_pad = radial_fft_length(quad)
@@ -145,9 +155,11 @@ def radial_transform_table(quad: ConeQuadrature, u_max: float) -> RadialTable:
     n_keep = int(u_max / du) + 2
     if n_keep > n_pad:
         raise ValueError("u_max beyond one DFT period; refine the quadrature")
-    inner = np.fft.ifft(np.concatenate([c, np.zeros(n_pad - n_rho)])) * n_pad
+    inner = np.conj(np.fft.rfft(c, n_pad)[:n_keep])
+    if n_keep > len(inner):
+        inner = np.concatenate([inner, np.conj(inner[n_pad - np.arange(len(inner), n_keep)])])
     k = np.arange(n_keep)
-    values = np.exp(2j * math.pi * quad.rho[0] * k * du) * inner[:n_keep]
+    values = np.exp(2j * math.pi * quad.rho[0] * k * du) * inner
     return RadialTable(du, values)
 
 
@@ -202,7 +214,10 @@ def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
     Bandwidths are the extension's at the centers' spread (the largest
     center difference per coordinate).  rho index j + n_baby t has cube phase
     z0 (step^n_baby)^t step^j: the giant-step table times the baby-step table
-    gives every cube sum, at two exponentials per (phi, cube).
+    gives every cube sum, at two exponentials per (phi, cube).  phi nodes go
+    in blocks of whole PHI_BATCH groups within DECAY_BLOCK_BUDGET; the tables
+    are step-major, (step, phi, cube), so each step is one contiguous product.
+    Terms are summed PHI_BATCH phi rows at a time, whatever the block size.
     """
     if nu.mass == 0:
         return 0.0
@@ -210,24 +225,31 @@ def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
     quad = make_quadrature(*extension_bandwidths(np.ptp(centers, axis=0)), q)
     rho = quad.rho
     w_rho = quad.amplitude * quad.radial_weight
-    total = 0.0
+    sinc_rho = np.sinc(rho)
     n_baby, n_giant = rho_split(len(rho))
-    for s in range(0, len(quad.phi), PHI_BATCH):
-        phi = quad.phi[s:s + PHI_BATCH]
-        k = (centers[:, 0] * np.cos(phi)[:, None]
-             + centers[:, 1] * np.sin(phi)[:, None] + centers[:, 2])  # (b, nc)
+    per_phi = (n_baby + n_giant) * nu.mass + n_baby * n_giant
+    block = min(PHI_BATCH * max(1, DECAY_BLOCK_BUDGET // (PHI_BATCH * per_phi)), len(quad.phi))
+    baby_table = np.empty((n_baby, block, nu.mass), dtype=complex)
+    giant_table = np.empty((n_giant, block, nu.mass), dtype=complex)
+    total = 0.0
+    for s in range(0, len(quad.phi), block):
+        phi = quad.phi[s:s + block]
+        cos, sin = np.cos(phi)[:, None], np.sin(phi)[:, None]
+        k = centers[:, 0] * cos + centers[:, 1] * sin + centers[:, 2]  # (b, nc)
         step = np.exp(-2j * math.pi * quad.drho * k)
-        baby = np.repeat(step[:, None, :], n_baby, axis=1)
-        baby[:, 0, :] = 1.0
-        np.cumprod(baby, axis=1, out=baby)  # step^j
-        giant = np.repeat((baby[:, -1, :] * step)[:, None, :], n_giant, axis=1)
-        giant[:, 0, :] = np.exp(-2j * math.pi * rho[0] * k)
-        np.cumprod(giant, axis=1, out=giant)  # z0 step^(n_baby t)
-        s_sum = (giant @ baby.transpose(0, 2, 1)).reshape(len(phi), -1)[:, :len(rho)]
-        form = (np.sinc(rho[None, :] * np.cos(phi)[:, None])
-                * np.sinc(rho[None, :] * np.sin(phi)[:, None])
-                * np.sinc(rho)[None, :])
-        total += float(np.sum((np.abs(s_sum) ** 2) * (form ** 2) * w_rho[None, :]))
+        baby, giant = baby_table[:, :len(phi)], giant_table[:, :len(phi)]
+        baby[0] = 1.0
+        for j in range(1, n_baby):
+            np.multiply(baby[j - 1], step, out=baby[j])  # step^j
+        giant[0] = np.exp(-2j * math.pi * rho[0] * k)
+        giant_step = baby[-1] * step
+        for t in range(1, n_giant):
+            np.multiply(giant[t - 1], giant_step, out=giant[t])  # z0 step^(n_baby t)
+        s_sum = (giant.transpose(1, 0, 2) @ baby.transpose(1, 2, 0)).reshape(len(phi), -1)
+        form = np.sinc(rho * cos) * np.sinc(rho * sin) * sinc_rho
+        terms = (np.abs(s_sum[:, :len(rho)]) ** 2) * (form ** 2) * w_rho
+        for r in range(0, len(phi), PHI_BATCH):
+            total += float(np.sum(terms[r:r + PHI_BATCH]))
     return total * quad.dphi
 
 

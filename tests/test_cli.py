@@ -97,6 +97,26 @@ class TestGen:
         assert load_measure(tmp_path / names[1]).cubes.tolist() != \
             load_measure(tmp_path / names[0]).cubes.tolist()
 
+    def test_integer_gamma_is_read(self, tmp_path):
+        code = main(["gen", "--R", "16", "--kind", "light_tube", "--gamma", "3",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert load_measure(tmp_path / "light_tube_R16_s0.cubes").mass == 3
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--R", "16", "--delta", "0.0625", "--kind", "wolff_radii", "--gamma", "5", "--q", "3"],
+         ["R", "gamma", "q"]),
+        (["--R", "16", "--kind", "light_tube", "--q", "3", "--workers", "4", "--gamma", "sqrt"],
+         ["gamma", "q", "workers"]),
+        (["--R", "16", "--force"], ["force"]),
+    ], ids=["delta-R-gamma-q", "R-q-workers-gamma", "force"])
+    def test_unread_settings_exit_2(self, tmp_path, capsys, flags, named):
+        code = main(["gen", *flags, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"no written file reads {', '.join(named)} " in err
+        assert not any(tmp_path.iterdir())
+
     def test_needs_scale_argument(self, tmp_path, capsys):
         code = main(["gen", "--out", str(tmp_path)])
         assert code == 2

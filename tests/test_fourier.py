@@ -9,6 +9,7 @@ Oracles:
     the phi x rho tensor sum ``extension_direct`` of ``oracle_suites``,
   * a direct tensor sum of |nu_hat|^2 over the decay quadrature's nodes, the
     closed-form oracle for ``decay_mean``,
+  * the direct sum over rho nodes for samples of the real-FFT radial table,
   * pair-sum (``decay_by_classes`` of ``oracle_suites``) versus
     quadrature-mean route agreement, which exercises two genuinely
     different algorithms for the same bilinear quantity,
@@ -17,13 +18,16 @@ Oracles:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scalar_quad
 from scipy.special import j0
 
+from conelab import fourier
 from conelab.fourier import (
+    PHI_BATCH,
     cube_midpoints,
     decay_mean,
     decay_ratio,
@@ -33,7 +37,9 @@ from conelab.fourier import (
     knapp_sector,
     knapp_sharpness,
     make_quadrature,
+    radial_fft_length,
     radial_transform_table,
+    rho_split,
     sigma_check,
     smooth_bump,
     stationary_phase_diagnostic,
@@ -222,6 +228,21 @@ class TestExtensionRoutes:
         all_phi = (table(u) * (hv * quad.dphi)).sum(axis=1)
         assert float(np.max(np.abs(all_phi - sep))) <= 1e-13 * float(np.max(np.abs(all_phi)))
 
+    @pytest.mark.parametrize("b_rho,q,u_max", [
+        (8.0, 4.0, 24.0),  # n_rho = 32: samples past k = n_pad / 2 by choice of u_max
+        (56.0, 1.25, 40.0),  # n_rho = 70: a sharpness-like table beyond its half period
+    ])
+    def test_radial_table_matches_direct_sum(self, b_rho, q, u_max):
+        quad = make_quadrature(b_rho, 8.0, q)
+        table = radial_transform_table(quad, u_max)
+        n_pad, n_keep = radial_fft_length(quad), len(table.values)
+        assert n_keep > n_pad // 2 + 1
+        c = quad.amplitude * quad.radial_weight
+        scale = float(np.max(np.abs(table.values)))
+        for k in (0, 1, n_pad // 2, n_pad // 2 + 1, n_keep - 1):
+            direct = np.sum(c * np.exp(2j * math.pi * quad.rho * k * table.du))
+            assert abs(table.values[k] - direct) <= 1e-12 * scale
+
     def test_budget_guard(self, monkeypatch):
         quad = make_quadrature(8.0, 8.0, q=2.0)
         pts = np.zeros((20, 3))
@@ -269,6 +290,21 @@ class TestDecayRoutes:
             xi = np.column_stack([quad.rho * math.cos(phi), quad.rho * math.sin(phi), quad.rho])
             direct += float(np.sum(np.abs(nu_hat(nu, xi)) ** 2 * w))
         assert decay_mean(nu) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,R", [("vertical_tube", 16), ("random_frostman", 32)])
+    def test_block_size_does_not_change_mean(self, monkeypatch, kind, R):
+        # one PHI_BATCH per block, then three batches per block: at least
+        # three blocks and a ragged last one, against the default budget
+        nu = generate(kind, R, 0)
+        quad = make_quadrature(*extension_bandwidths(np.ptp(nu.centers, axis=0)), 2.0)
+        n_baby, n_giant = rho_split(len(quad.rho))
+        per_phi = (n_baby + n_giant) * nu.mass + n_baby * n_giant
+        n_phi = len(quad.phi)
+        assert n_phi % PHI_BATCH and n_phi % (3 * PHI_BATCH) and n_phi > 6 * PHI_BATCH
+        ref = decay_mean(nu)
+        for budget in (1, 3 * PHI_BATCH * per_phi):
+            monkeypatch.setattr(fourier, "DECAY_BLOCK_BUDGET", budget)
+            assert decay_mean(nu) == pytest.approx(ref, rel=1e-15, abs=0)
 
     # frozen R=16, seed 0, q=2 regression values
     FROZEN_RATIO = {
@@ -353,3 +389,36 @@ class TestKnappSharpness:
         nu = generate("light_tube", 8, 0)
         with pytest.raises(ValueError):
             weighted_l2(nu, m=1)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    def test_decay_mean_keeps_to_its_block_budget(self):
+        # the step tables and cube sums of a block fill at most the budget's
+        # complex entries; the block's float term arrays add a few (phi, rho) rows
+        nu = generate("random_frostman", 128, 0)
+        peak = traced_peak(lambda: decay_mean(nu))
+        assert peak <= 1.5 * 16 * fourier.DECAY_BLOCK_BUDGET
+
+    def test_radial_table_keeps_the_half_spectrum(self, monkeypatch):
+        # the R=64, gamma=64, q=4 sharpness point: a 2^19-point FFT whose
+        # complex spectrum alone takes 8.4 MB
+        peaks = []
+        table = fourier.radial_transform_table
+
+        def traced(quad, u_max):
+            peaks.append(traced_peak(lambda: table(quad, u_max)))
+            return table(quad, u_max)
+
+        monkeypatch.setattr(fourier, "radial_transform_table", traced)
+        knapp_sharpness(64, 64, q=4.0)
+        assert len(peaks) == 1 and peaks[0] < 10 * 10 ** 6
