@@ -20,9 +20,9 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from .experiments import (ExperimentConfig, PIPELINE_NAMES, _swept_config, format_value,
-                          run_experiment)
-from .measures import generate, save_config, save_measure
+from .experiments import (CONFIG_KINDS, ExperimentConfig, PIPELINE_NAMES, _swept_config,
+                          format_value, run_experiment)
+from .measures import GENERATOR_PARAMS, generate, save_config, save_measure
 
 _LIST_KEYS = {"R": int, "delta": float, "kind": str, "seed": int}
 _SCALAR_KEYS = {"n": int, "gamma": str, "q": float, "workers": int, "out": str}
@@ -108,32 +108,39 @@ def _collect(args: argparse.Namespace) -> dict:
 def run_gen(values: dict) -> int:
     """Write one measure (--R) or configuration (--delta) file per kind, value and seed.
 
-    Raises ValueError naming the settings no written file reads (--R next to
-    --delta, a non-integer --gamma, --q, --workers, --force and so on).
+    A measure gets --n or an integer --gamma only if its kind reads it
+    (GENERATOR_PARAMS); a configuration reads --n.  Before writing any file,
+    raises ValueError for an unknown kind or naming the settings no file reads.
     """
     deltas, Rs = values.get("delta"), values.get("R")
     if not deltas and not Rs:
         print("gen: need --R (cube measure) or --delta (circle configuration)",
               file=sys.stderr)
         return 2
-    read = {"delta" if deltas else "R", "kind", "seed", "n", "out"}
-    if not deltas and values.get("gamma", "0").isdigit():
-        read.add("gamma")
-    unread = [k for k in values if k not in read]
+    kinds = values.get("kind") or ("random_frostman",)
+    known = CONFIG_KINDS if deltas else tuple(GENERATOR_PARAMS)
+    stray = [k for k in kinds if k not in known]
+    if stray:
+        raise ValueError(f"gen: unknown kind {stray[0]!r}, expected one of {', '.join(known)}")
+    size = {k: "n" if deltas else GENERATOR_PARAMS[k][0] for k in kinds}
+    read = {"delta" if deltas else "R", "kind", "seed", "out"}
+    read |= set(size.values()) & set(_SCALAR_KEYS)  # the sizes a flag can set
+    if not values.get("gamma", "0").isdigit():
+        read.discard("gamma")
+    unread = sorted(k for k in values if k not in read)
     if unread:
         raise ValueError(f"gen: no written file reads {', '.join(unread)} "
                          f"(it reads {', '.join(sorted(read))})")
-    params = {k: int(values[k]) for k in ("n", "gamma") if values.get(k)}
+    params = {k: {p: int(values[p])} if values.get(p) else {} for k, p in size.items()}
     out_dir = Path(values.get("out") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for kind, value, seed in product(values.get("kind") or ("random_frostman",),
-                                     deltas or Rs, values.get("seed") or (0,)):
+    for kind, value, seed in product(kinds, deltas or Rs, values.get("seed") or (0,)):
         if deltas:
             path = out_dir / f"{kind}_d{format_value(value)}_s{seed}.circles"
             save_config(path, _swept_config(kind, value, seed, values.get("n")))
         else:
             path = out_dir / f"{kind}_R{value}_s{seed}.cubes"
-            save_measure(path, generate(kind, value, seed, **params))
+            save_measure(path, generate(kind, value, seed, **params[kind]))
         print(path)
     return 0
 

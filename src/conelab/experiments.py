@@ -34,9 +34,10 @@ from .fourier import (MIDPOINTS, cube_midpoints, decay_ratio, diagnostic_points,
                       knapp_tube_measure, make_quadrature, radial_fft_length, rho_split,
                       stationary_phase_diagnostic)
 from .maximal import default_grid, wolff_example_check
-from .measures import MAXIMAL_PLANAR, MAXIMAL_RADII, generate, generate_config
-from .operators import (SAMPLES, bbcr_equivalence_check, build_extension_operator,
-                        gram_grid, transference_check)
+from .measures import (GENERATOR_PARAMS, MAXIMAL_PLANAR, MAXIMAL_RADII, generate,
+                       generate_config)
+from .operators import (bbcr_equivalence_check, build_extension_operator, gram_grid,
+                        transference_check)
 from .svgplot import svg_scatter
 from .tangency import classify_pairs, pair_count
 
@@ -78,7 +79,7 @@ class ExperimentConfig:
         if self.experiment not in PIPELINE_NAMES + ("all",):
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for k in self.kinds:
-            if k not in DECAY_KINDS + CONFIG_KINDS:
+            if k not in GENERATOR_PARAMS:
                 raise ValueError(f"unknown kind {k!r}")
         for r in self.R:
             if r not in VALID_R:
@@ -189,13 +190,12 @@ def _circle_count(n, delta: float) -> int:
 def _swept_measure(kind: str, R: int, seed: int, n):
     """Cube measure of a sweep point and its generator parameter as text.
 
-    random_frostman takes the configured n (default R); the tube families
-    keep their generator defaults.
+    A kind that reads n takes the configured n; every other parameter, and
+    n when none is configured, takes its GENERATOR_PARAMS default.
     """
-    if kind == "random_frostman":
-        return generate(kind, R, seed, n=n or R), f"n={n or R}"
-    param = f"length={R}" if kind == "vertical_tube" else f"gamma={int(round(math.sqrt(R)))}"
-    return generate(kind, R, seed), param
+    name, default = GENERATOR_PARAMS[kind]
+    value = n if name == "n" and n else default(R)
+    return generate(kind, R, seed, **{name: value}), f"{name}={value}"
 
 
 def _swept_config(kind: str, delta: float, seed: int, n):
@@ -207,11 +207,8 @@ def _swept_config(kind: str, delta: float, seed: int, n):
 def _decay_point(task):
     kind, R, seed, n, q = task
     nu, params = _swept_measure(kind, R, seed, n)
-    rep = decay_ratio(nu, q)
     return [{"row": "data", "kind": kind, "R": R, "seed": seed, "params": params,
-             "mass": rep["mass"], "decay_mean": rep["decay_mean"],
-             "plank_lower": rep["plank_lower"], "plank_upper": rep["plank_upper"],
-             "ratio": rep["ratio"]}]
+             **decay_ratio(nu, q)}]
 
 
 def _decay_cost(task, force):
@@ -226,11 +223,8 @@ def _decay_cost(task, force):
 def _maximal_point(task):
     kind, delta, seed, n, _ = task
     config = _swept_config(kind, delta, seed, n)
-    rep = wolff_example_check(config)
     return [{"row": "data", "kind": kind, "delta": delta, "seed": seed,
-             "params": f"n={config.count}", "count": config.count,
-             "l32_norm": rep["l32_norm"], "l32_dyadic": rep["l32_dyadic"],
-             "ratio": rep["ratio"], "ratio_dyadic": rep["ratio_dyadic"]}]
+             "params": f"n={config.count}", **wolff_example_check(config)}]
 
 
 def _maximal_cost(task, force):
@@ -248,18 +242,10 @@ def _pairs_point(task):
     kind, delta, seed, n, _ = task
     config = _swept_config(kind, delta, seed, n)
     table = classify_pairs(config)
-    rows = []
     bound = 32.0 * math.log2(1.0 / delta) ** 3
-    for D in table.dyadic_D():
-        if D < 8 * delta:
-            continue
-        rep = pair_count(config, table, D)
-        rows.append({"row": "data", "kind": kind, "delta": delta, "seed": seed,
-                     "params": f"n={config.count}", "D": rep["D"],
-                     "count": rep["count"], "gamma": rep["gamma"],
-                     "tau_D": rep["tau_D"], "ratio": rep["ratio"],
-                     "log_bound": bound})
-    return rows
+    return [{"row": "data", "kind": kind, "delta": delta, "seed": seed,
+             "params": f"n={config.count}", **pair_count(config, table, D), "log_bound": bound}
+            for D in table.dyadic_D() if D >= 8 * delta]
 
 
 def _pairs_cost(task, force):
@@ -277,10 +263,8 @@ def _pairs_cost(task, force):
 
 def _sharpness_point(task):
     branch, R, gamma, q = task
-    rep = knapp_sharpness(R, gamma, q=q)
     return [{"row": "data", "branch": branch, "R": R, "gamma": gamma,
-             "weighted_l2": rep["weighted_l2"], "f_norm2": rep["f_norm2"],
-             "ratio": rep["ratio"]}]
+             **knapp_sharpness(R, gamma, q=q)}]
 
 
 def _sharpness_cost(task, force):
@@ -313,14 +297,14 @@ def _duality_cost(task, force):
     # heights, n_rho entries each, plus the n^2 Gram entries; a point with
     # more than MAX_GRAM_ROWS Gram rows is refused unless forced
     kind, R, seed, n, q = task
-    pts = cube_midpoints(_swept_measure(kind, R, seed, n)[0], SAMPLES)
+    pts = cube_midpoints(_swept_measure(kind, R, seed, n)[0], MIDPOINTS)
     n = len(pts)
     if n > MAX_GRAM_ROWS and not force:
         raise BudgetExceededError(
             f"duality: {kind} R={R} seed={seed} has n = {n} Gram rows, over the "
             f"{MAX_GRAM_ROWS} budget; G alone takes {16 * n * n / 1e9:.2g} GB; "
             f"rerun with force enabled")
-    r, z, _ = gram_grid(pts, SAMPLES)
+    r, z, _ = gram_grid(pts, MIDPOINTS)
     n_rho = len(make_quadrature(*extension_bandwidths(pts), q).rho)
     return n_rho * (len(r) + len(z)) + n ** 2
 
@@ -530,9 +514,10 @@ def _refuse_unread(cfg: ExperimentConfig) -> None:
     """Raise ValueError naming the settings cfg gives that no point of its pipeline reads.
 
     A sweep reads its own axis, q where it has a default q, gamma when its
-    series are gamma branches, and its kinds, seeds and n when it sweeps
-    generator kinds; sigma reads only q.  A setting counts as given when it
-    differs from its ExperimentConfig default.
+    series are gamma branches, its kinds and seeds when it sweeps generator
+    kinds, and n when one of the kinds it sweeps reads n (GENERATOR_PARAMS;
+    both configuration kinds do); sigma reads only q.  A setting counts as
+    given when it differs from its ExperimentConfig default.
     """
     sweep = SWEEPS.get(cfg.experiment)
     swept, read = (), {"q"}
@@ -543,11 +528,13 @@ def _refuse_unread(cfg: ExperimentConfig) -> None:
         if sweep.series == "branch":
             read.add("gamma")
         if swept:
-            read |= {"kinds", "seeds", "n"}
+            read |= {"kinds", "seeds"}
     stray = [k for k in cfg.kinds if k not in swept]
     if stray:
         raise ValueError(f"{cfg.experiment}: kind {stray[0]!r} is not swept by this pipeline "
                          f"(it sweeps {', '.join(swept) or 'no kinds'})")
+    if any(GENERATOR_PARAMS[k][0] == "n" for k in cfg.kinds or swept):
+        read.add("n")
     unread = [f.name for f in fields(cfg) if f.name in ("R", "delta", "seeds", "n", "gamma", "q")
               and f.name not in read and getattr(cfg, f.name) != f.default]
     if unread:

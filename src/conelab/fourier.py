@@ -47,7 +47,9 @@ PHI_BATCH = 8  # decay_mean sums its terms in groups of this many phi rows
 # sums; random_frostman takes 96 phi nodes a block at R=64, 8 from R=256 up
 DECAY_BLOCK_BUDGET = 1 << 18
 SAMPLES_PER_UNIT = 1024  # radial-table samples per unit of u, at least
-MIDPOINTS = 4  # weighted_l2: midpoint samples per cube axis
+# midpoint samples per cube axis of weighted_l2 and the extension operator;
+# |A c|^2 equals weighted_l2 only when both use the same m
+MIDPOINTS = 4
 SIGMA_RADII = (10, 20, 50, 100, 200)  # stationary_phase_diagnostic: on-cone |x|
 SIGMA_DISTANCES = (0, 1, 2, 5, 10, 20)  # and cone distances from |x| = 50
 

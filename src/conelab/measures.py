@@ -43,7 +43,14 @@ Q_RADII = (1.0 - ALPHA0, 1.0 + ALPHA0)
 MAXIMAL_RADII = (0.5, 1.0)
 MAXIMAL_PLANAR = (-0.05, 0.05)
 
-_GENERATOR_KINDS = ("light_tube", "vertical_tube", "knapp_pair", "wolff_radii", "random_frostman")
+# cube-measure kind -> (the one size it reads, in [1, R], and its default at R)
+GENERATOR_PARAMS = {
+    "light_tube": ("gamma", lambda R: int(round(math.sqrt(R)))),
+    "vertical_tube": ("length", lambda R: R),
+    "knapp_pair": ("gamma", lambda R: int(round(math.sqrt(R)))),
+    "wolff_radii": ("n", lambda R: R),
+    "random_frostman": ("n", lambda R: R),
+}
 
 # plank-scan block size: a block holds as many directions as keep
 # (key entries + dense box cells) x weight rows within this budget, where a
@@ -296,50 +303,45 @@ def _frostman_sample(draw, n: int, base: float, span: float, max_attempts: int) 
 def generate(kind: str, R: int, seed: int = 0, **params) -> CubeMeasure:
     """Seeded test-family generator; every family has Frostman constant <= 8 at unit scale.
 
-    kinds: light_tube(gamma), vertical_tube(length), knapp_pair(gamma),
-    wolff_radii(n) (distinct heights), random_frostman(n).
+    Each kind reads the one size GENERATOR_PARAMS names and refuses any other
+    parameter; knapp_pair(gamma) adds a vertical tube of length R - gamma and
+    wolff_radii(n) uses distinct heights.
     """
-    if kind not in _GENERATOR_KINDS:
-        raise ValueError(f"unknown kind {kind!r}, expected one of {_GENERATOR_KINDS}")
+    if kind not in GENERATOR_PARAMS:
+        raise ValueError(f"unknown kind {kind!r}, expected one of {tuple(GENERATOR_PARAMS)}")
+    name, default = GENERATOR_PARAMS[kind]
+    unread = sorted(set(params) - {name})
+    if unread:
+        raise ValueError(f"{kind} reads {name}, not {', '.join(unread)}")
     if R < 8:
         raise ValueError("R too small")
+    size = int(params.get(name, default(R)))
+    if not 1 <= size <= R:
+        raise ValueError(f"{name} must lie in [1, R]")
     rng = np.random.default_rng(seed)
     if kind == "light_tube":
-        gamma = int(params.get("gamma", int(round(math.sqrt(R)))))
-        if not 1 <= gamma <= R:
-            raise ValueError("gamma must lie in [1, R]")
-        return CubeMeasure(R, _light_tube(rng, R, gamma))
+        return CubeMeasure(R, _light_tube(rng, R, size))
     if kind == "vertical_tube":
-        length = int(params.get("length", R))
-        if not 1 <= length <= R:
-            raise ValueError("length must lie in [1, R]")
-        return CubeMeasure(R, _vertical_tube(rng, R, length))
+        return CubeMeasure(R, _vertical_tube(rng, R, size))
     if kind == "knapp_pair":
-        gamma = int(params.get("gamma", int(round(math.sqrt(R)))))
-        tube = _light_tube(rng, R, gamma)
+        tube = _light_tube(rng, R, size)
         for _ in range(64):
-            vert = _vertical_tube(rng, R, R - gamma)
+            vert = _vertical_tube(rng, R, R - size)
             both = np.vstack([tube, vert])
             if len(np.unique(both, axis=0)) == len(both):
                 return CubeMeasure(R, both)
         raise RuntimeError("could not place disjoint knapp pair")
     if kind == "wolff_radii":
-        n = int(params.get("n", R))
-        if not 1 <= n <= R:
-            raise ValueError("n must lie in [1, R]")
-        heights = rng.choice(np.arange(R, 2 * R), size=n, replace=False)
-        xy = rng.integers(0, R, size=(n, 2))
+        heights = rng.choice(np.arange(R, 2 * R), size=size, replace=False)
+        xy = rng.integers(0, R, size=(size, 2))
         return CubeMeasure(R, np.column_stack([xy, heights]))
-    n = int(params.get("n", R))
-    if not 1 <= n <= R:
-        raise ValueError("n must lie in [1, R]")
 
     def corner_center():
         corner = (rng.integers(0, R), rng.integers(0, R), rng.integers(R, 2 * R))
         return np.array(corner, dtype=float) + 0.5
 
-    centers = _frostman_sample(corner_center, n, 1.0, R, 500 * n)
-    if len(centers) < n:
+    centers = _frostman_sample(corner_center, size, 1.0, R, 500 * size)
+    if len(centers) < size:
         raise RuntimeError("frostman sampler failed to place points")
     return CubeMeasure(R, np.floor(centers).astype(np.int64))
 

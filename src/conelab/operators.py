@@ -33,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import cube_midpoints, e1_grid, extension_bandwidths, make_quadrature
+from .fourier import MIDPOINTS, cube_midpoints, e1_grid, extension_bandwidths, make_quadrature
 from .measures import CubeMeasure, _lightplank_scan
 
 DUAL_ITERS = 20
 LANCZOS_ITERS = 300  # cap on the Krylov dimension of the norm iteration
 LANCZOS_TOL = 1e-13  # Ritz residual, relative to the Ritz value, that stops it
-SAMPLES = 4  # midpoint samples per cube axis
 ROW_BLOCK = 256  # Gram rows filled per table lookup
 
 
@@ -159,7 +158,7 @@ def gram_matrix(nu: CubeMeasure, q: float, m: int) -> np.ndarray:
     return gram
 
 
-def build_extension_operator(nu: CubeMeasure, q: float = 2.0, m: int = SAMPLES,
+def build_extension_operator(nu: CubeMeasure, q: float = 2.0, m: int = MIDPOINTS,
                              seed: int = 0) -> DiscreteExtensionOperator:
     """The operator of gram_matrix(nu, q, m); `seed` seeds its random trials."""
     return operator_from_gram(nu, gram_matrix(nu, q, m), m, seed)

@@ -38,8 +38,6 @@ C0 = 6
 # sample points stay inside the witness envelope.
 ENVELOPE_MARGIN = 1.05
 
-N_BOUNDARY_SAMPLES = 64
-N_INTERIOR_SAMPLES = 16
 GREEDY_BLOCK = 256  # greedy candidates tested per pairwise separation call
 
 

@@ -109,13 +109,23 @@ class TestGen:
         (["--R", "16", "--kind", "light_tube", "--q", "3", "--workers", "4", "--gamma", "sqrt"],
          ["gamma", "q", "workers"]),
         (["--R", "16", "--force"], ["force"]),
-    ], ids=["delta-R-gamma-q", "R-q-workers-gamma", "force"])
+        (["--R", "16", "--kind", "vertical_tube", "--n", "5", "--gamma", "3"], ["gamma", "n"]),
+        (["--R", "16", "--kind", "random_frostman,vertical_tube", "--gamma", "3"], ["gamma"]),
+    ], ids=["delta-R-gamma-q", "R-q-workers-gamma", "force", "vertical_tube-n-gamma",
+            "no-kind-reads-gamma"])
     def test_unread_settings_exit_2(self, tmp_path, capsys, flags, named):
         code = main(["gen", *flags, "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert f"no written file reads {', '.join(named)} " in err
         assert not any(tmp_path.iterdir())
+
+    def test_each_kind_gets_its_own_size(self, tmp_path):
+        code = main(["gen", "--R", "16", "--kind", "light_tube,random_frostman",
+                     "--n", "5", "--gamma", "3", "--out", str(tmp_path)])
+        assert code == 0
+        assert load_measure(tmp_path / "light_tube_R16_s0.cubes").mass == 3
+        assert load_measure(tmp_path / "random_frostman_R16_s0.cubes").mass == 5
 
     def test_needs_scale_argument(self, tmp_path, capsys):
         code = main(["gen", "--out", str(tmp_path)])
@@ -199,6 +209,11 @@ class TestPipelines:
         pytest.param("sharpness", ["--R", "16", "--seed", "3", "--n", "7"],
                      "reads seeds, n (", id="sharpness-seed-n"),
         pytest.param("sigma", ["--R", "16", "--q", "2"], "reads R (", id="sigma-R"),
+        # n where no swept kind reads it
+        pytest.param("decay", ["--R", "16", "--kind", "vertical_tube", "--n", "5", "--q", "2"],
+                     "reads n (", id="decay-vertical_tube-n"),
+        pytest.param("duality", ["--R", "16", "--kind", "light_tube", "--n", "7"],
+                     "reads n (", id="duality-light_tube-n"),
     ])
     def test_kind_not_swept_exits_2(self, pipeline, flags, named, tmp_path, capsys):
         code = main([pipeline, *flags, "--out", str(tmp_path)])

@@ -43,3 +43,22 @@ def test_geometry_imports_nothing_from_the_package():
     assert not {name for name in imported
                 if name.startswith(".") or name.split(".")[0] == "conelab"}
     assert "lightlike_frame" in _imported("measures.py")
+
+
+def test_every_module_constant_is_read():
+    # an upper-case module-level name that nothing in the package reads is dead
+    assigned, read = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                assigned.update(name.id for name in ast.walk(target)
+                                if isinstance(name, ast.Name) and name.id.isupper())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert sorted(assigned - read) == []

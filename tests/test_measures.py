@@ -87,6 +87,13 @@ class TestGenerators:
             generate("light_tube", 16, gamma=17)
         with pytest.raises(ValueError):
             generate("vertical_tube", 16, length=0)
+        with pytest.raises(ValueError, match="gamma"):
+            generate("knapp_pair", 16, 0, gamma=17)
+        # a parameter the kind does not read
+        with pytest.raises(ValueError, match="vertical_tube reads length, not n$"):
+            generate("vertical_tube", 16, 0, n=5)
+        with pytest.raises(ValueError, match="random_frostman reads n, not gamma, length$"):
+            generate("random_frostman", 16, 0, length=3, gamma=3)
 
     def test_seed_determinism(self):
         a = generate("random_frostman", 32, seed=5)
