@@ -64,7 +64,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=_parse_list(float), help="comma-separated delta sweep")
     p.add_argument("--kind", type=_parse_list(str), help="generator kinds")
     p.add_argument("--seed", type=_parse_list(int), help="comma-separated seeds")
-    p.add_argument("--n", type=int, help="configuration size")
+    p.add_argument("--n", type=int, help="configuration size; wolff_radii takes at most 1/(2 delta)")
     p.add_argument("--gamma", help="sharpness branch: sqrt, full, both, or an integer")
     p.add_argument("--q", type=float, help="quadrature oversampling factor")
     p.add_argument("--workers", type=int, help="parallel sweep points")

@@ -177,8 +177,8 @@ def _fit_rows(groups, x) -> list:
 
 
 def _circle_count(n, delta: float) -> int:
-    """Configured circle count, else 1/(2 delta)."""
-    return n or int(round(0.5 / delta))
+    """Configured circle count, else floor(1/(2 delta)), the wolff_radii capacity of the band."""
+    return n or int(0.5 / delta)
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +513,16 @@ def sigma_decay(cfg: ExperimentConfig, out: Path) -> dict:
 def _refuse_unread(cfg: ExperimentConfig) -> None:
     """Raise ValueError naming the settings cfg gives that no point of its pipeline reads.
 
-    A sweep reads its own axis, q where it has a default q, gamma when its
-    series are gamma branches, its kinds and seeds when it sweeps generator
-    kinds, and n when one of the kinds it sweeps reads n (GENERATOR_PARAMS;
-    both configuration kinds do); sigma reads only q.  A setting counts as
-    given when it differs from its ExperimentConfig default.
+    A sweep reads its own axis, workers, q where it has a default q, gamma
+    when its series are gamma branches, its kinds and seeds when it sweeps
+    generator kinds, and n when one of the kinds it sweeps reads n
+    (GENERATOR_PARAMS; both configuration kinds do); sigma reads only q.  A
+    setting counts as given when it differs from its ExperimentConfig default.
     """
     sweep = SWEEPS.get(cfg.experiment)
     swept, read = (), {"q"}
     if sweep is not None:
-        swept, read = sweep.kinds, {sweep.axis}
+        swept, read = sweep.kinds, {sweep.axis, "workers"}
         if sweep.q is not None:
             read.add("q")
         if sweep.series == "branch":
@@ -535,7 +535,8 @@ def _refuse_unread(cfg: ExperimentConfig) -> None:
                          f"(it sweeps {', '.join(swept) or 'no kinds'})")
     if any(GENERATOR_PARAMS[k][0] == "n" for k in cfg.kinds or swept):
         read.add("n")
-    unread = [f.name for f in fields(cfg) if f.name in ("R", "delta", "seeds", "n", "gamma", "q")
+    unread = [f.name for f in fields(cfg)
+              if f.name in ("R", "delta", "seeds", "n", "gamma", "q", "workers")
               and f.name not in read and getattr(cfg, f.name) != f.default]
     if unread:
         raise ValueError(f"{cfg.experiment}: no point of this pipeline reads {', '.join(unread)} "

@@ -1,10 +1,10 @@
 """Point-circle duality and lightplank geometry.
 
-A point x = (x', x3) in R^2 x (0, inf) is identified with the circle of
-center x' and radius x3.  Throughout, the "cone" is the graph
-Gamma_0 = {(x', x3): |x'| = |x3|}, whose upper nappe carries the circle
-duality: displacements along a generator of Gamma_0 correspond to
-internally tangent circles.
+A point x = (x', x3) in R^2 x (0, inf), three floats (x, y, h), is
+identified with the circle of center x' and radius x3.  Throughout, the
+"cone" is the graph Gamma_0 = {(x', x3): |x'| = |x3|}, whose upper nappe
+carries the circle duality: displacements along a generator of Gamma_0
+correspond to internally tangent circles.
 
 Conventions fixed here once and used everywhere:
 
@@ -31,34 +31,16 @@ COORD_TOL = 1e-9
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """A point (x, y, h): planar part (x, y), height (= dual circle radius) h."""
-
-    x: float
-    y: float
-    h: float
-
-    @property
-    def planar(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.h])
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.x, self.y, self.h], dtype=dtype)
-
-    @classmethod
-    def from_array(cls, a) -> "SpacetimePoint":
-        a = np.asarray(a, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
+def as_point(p) -> tuple[float, float, float]:
+    """A point (x, y, h), given as any length-3 sequence, as three Python floats."""
+    a = np.asarray(p, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"a point is three floats (x, y, h), got shape {a.shape}")
+    return tuple(a.tolist())
 
 
 def _as_points(p) -> np.ndarray:
-    """Coerce a point, array, or batch of points to an (..., 3) float array."""
-    if isinstance(p, SpacetimePoint):
-        return p.to_array()
+    """Coerce a point or batch of points to an (..., 3) float array."""
     a = np.asarray(p, dtype=float)
     if a.shape[-1] != 3:
         raise ValueError(f"expected trailing dimension 3, got shape {a.shape}")
@@ -89,11 +71,12 @@ class Lightplank:
     canonical planks have ratios (1 : A : A^2).
     """
 
-    center: SpacetimePoint
+    center: tuple[float, float, float]
     direction: tuple[float, float]
     half_dims: tuple[float, float, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "center", as_point(self.center))
         n = math.hypot(*self.direction)
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"direction must be a unit vector, got norm {n}")
@@ -103,7 +86,7 @@ class Lightplank:
 
     def local_coords(self, x) -> np.ndarray:
         """Coordinates of x - center in the (e_s, e_m, e_l) frame, shape (..., 3)."""
-        d = _as_points(x) - self.center.to_array()
+        d = _as_points(x) - np.asarray(self.center)
         return d @ lightlike_frame(*self.direction).T
 
     def corners(self) -> np.ndarray:
@@ -111,7 +94,7 @@ class Lightplank:
         hs, hm, hl = self.half_dims
         signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
         local = signs * np.array([hs, hm, hl])
-        return self.center.to_array() + local @ lightlike_frame(*self.direction)
+        return np.asarray(self.center) + local @ lightlike_frame(*self.direction)
 
 
 def membership_dilation(plank: Lightplank, x):

@@ -6,10 +6,10 @@ multiplicity field m(x) counts the annuli containing x; its L^{3/2} norm
 over the trivial value (delta |X|)^(2/3) is the quantity of Wolff's
 Kakeya-type estimate for circles, which holds it to delta^(-eps).
 
-The field is rastered from the per-row chord spans of each annulus on a
-grid of spacing delta/4 over [-1.1, 1.1]^2, which fits every admissible
-configuration; every multiplicity statistic is read from one histogram of
-the integer field.
+The field is rastered from the per-row chord spans of all the annuli,
+found in one whole-array pass, on a grid of spacing delta/4 over
+[-1.1, 1.1]^2, which fits every admissible configuration; every
+multiplicity statistic is read from one histogram of the integer field.
 """
 
 from __future__ import annotations
@@ -47,25 +47,25 @@ def default_grid(delta: float) -> RasterGrid:
     return RasterGrid(h=delta / GRID_FACTOR, window=DEFAULT_WINDOW)
 
 
-def _annulus_spans(circle, delta: float, grid: RasterGrid):
-    """Inclusive per-row column spans of the annulus cells.
+def _annulus_spans(circles, delta: float, grid: RasterGrid):
+    """Inclusive per-row column spans of the cells of every annulus, in one pass.
 
-    Each grid row intersects the annulus in at most two chords; rows where
+    Each grid row intersects an annulus in at most two chords; rows where
     the inner disk does not reach merge into one.  Returns (rows, starts,
-    ends) index arrays, so rasterization touches O(annulus area / h^2)
-    cells instead of the whole grid.
+    ends) index arrays over all the circles, so rasterization touches
+    O(annulus area / h^2) cells instead of the whole grid.
     """
-    a1, a2, r = float(circle[0]), float(circle[1]), float(circle[2])
+    c = np.reshape(circles, (-1, 3))
     xs = grid.nodes_1d
     h, x0, n = grid.h, float(xs[0]), len(xs)
-    hi, lo = r + delta, max(r - delta, 0.0)
-    r0 = max(int(math.ceil((a2 - hi - x0) / h)), 0)
-    r1 = min(int(math.floor((a2 + hi - x0) / h)), n - 1)
-    empty = np.empty(0, dtype=np.int64)
-    if r1 < r0:
-        return empty, empty, empty
-    rows = np.arange(r0, r1 + 1)
-    dy = x0 + h * rows - a2
+    hi, lo = c[:, 2] + delta, np.maximum(c[:, 2] - delta, 0.0)
+    r0 = np.maximum(np.ceil((c[:, 1] - hi - x0) / h), 0).astype(np.int64)
+    r1 = np.minimum(np.floor((c[:, 1] + hi - x0) / h), n - 1).astype(np.int64)
+    count = np.maximum(r1 - r0 + 1, 0)
+    ic = np.repeat(np.arange(len(c)), count)  # the circle of each (circle, row) entry
+    rows = np.arange(len(ic)) + (r0 + count - np.cumsum(count))[ic]
+    a1, hi, lo = c[ic, 0], hi[ic], lo[ic]
+    dy = x0 + h * rows - c[ic, 1]
     wo = np.sqrt(np.maximum(hi * hi - dy * dy, 0.0))
     wi = np.sqrt(np.maximum(lo * lo - dy * dy, 0.0))
     left0 = np.ceil((a1 - wo - x0) / h).astype(np.int64)
@@ -82,20 +82,19 @@ def _annulus_spans(circle, delta: float, grid: RasterGrid):
 
 
 def _raster(spans, n: int) -> np.ndarray:
-    """int16 annulus count from the annuli's row spans.
+    """int16 annulus count from the (rows, starts, ends) spans of the annuli.
 
     One scatter adds +1 at each span start and -1 just past each span end;
     ends past the last column only close their row and are dropped.  The
     row prefix sum runs in place.
     """
-    idx, counts = [np.zeros(0, dtype=np.int64)], []
-    for rows, starts, ends in spans:
-        shut = ends + 1 < n
-        idx += [rows * n + starts, (rows * n + ends + 1)[shut]]
-        counts += [len(starts), int(np.count_nonzero(shut))]
-    signed = np.repeat(np.tile(np.array([1, -1], dtype=np.int16), len(spans)), counts)
+    rows, starts, ends = spans
+    shut = ends + 1 < n
+    idx = np.concatenate((rows * n + starts, (rows * n + ends + 1)[shut]))
+    signed = np.repeat(np.array([1, -1], dtype=np.int16),
+                       (len(starts), int(np.count_nonzero(shut))))
     diff = np.zeros((n, n), dtype=np.int16)
-    np.add.at(diff.reshape(-1), np.concatenate(idx), signed)
+    np.add.at(diff.reshape(-1), idx, signed)
     return np.cumsum(diff, axis=1, dtype=np.int16, out=diff)
 
 
@@ -108,8 +107,7 @@ def multiplicity_field(config: CircleConfig,
     reach = np.max(np.abs(c[:, :2]).max(axis=1) + c[:, 2] + config.delta, initial=0.0)
     if reach > grid.window:
         raise ValueError(f"annuli reach {reach:.3f} beyond raster window {grid.window}")
-    spans = [_annulus_spans(circle, config.delta, grid) for circle in c]
-    return _raster(spans, len(grid.nodes_1d)), grid
+    return _raster(_annulus_spans(c, config.delta, grid), len(grid.nodes_1d)), grid
 
 
 def _histogram(m: np.ndarray) -> np.ndarray:

@@ -351,22 +351,22 @@ def generate_config(kind: str, delta: float, n: int, seed: int = 0,
     """Unit-scale circle configurations of centers and radii.
 
     Centers lie in the Q planar box for the Q radius band and in the wider
-    maximal-function box otherwise.  wolff_radii places at most one
-    radius per delta-interval of the band (n capped at the band capacity);
-    random_frostman rejection-samples against a dyadic ball tree at base
-    scale delta (capacity 4 r/delta).
+    maximal-function box otherwise.  wolff_radii places one radius in each
+    of n distinct delta-intervals of the band and refuses n above their
+    count; random_frostman rejection-samples against a dyadic ball tree at
+    base scale delta (capacity 4 r/delta).
     """
     rng = np.random.default_rng(seed)
     lo, hi = radius_band
     planar_box = Q_PLANAR if radius_band == Q_RADII else MAXIMAL_PLANAR
     if kind == "wolff_radii":
         capacity = int((hi - lo) / delta)
-        if capacity < 1:
-            raise ValueError(f"radius band {radius_band} narrower than delta={delta}")
-        m = min(n, capacity)
-        bins = np.sort(rng.choice(capacity, size=m, replace=False))
-        radii = lo + (bins + rng.uniform(0.05, 0.95, size=m)) * delta
-        centers = rng.uniform(planar_box[0], planar_box[1], size=(m, 2))
+        if n > capacity:
+            raise ValueError(f"wolff_radii: n={n} exceeds the {capacity} delta-intervals "
+                             f"of radius band {radius_band} at delta={delta}")
+        bins = np.sort(rng.choice(capacity, size=n, replace=False))
+        radii = lo + (bins + rng.uniform(0.05, 0.95, size=n)) * delta
+        centers = rng.uniform(planar_box[0], planar_box[1], size=(n, 2))
         return CircleConfig(np.column_stack([centers, radii]), delta=delta)
     if kind != "random_frostman":
         raise ValueError(f"unknown config kind {kind!r}")

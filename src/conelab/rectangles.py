@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COORD_TOL, SQRT2, Lightplank, SpacetimePoint
+from .geometry import COORD_TOL, SQRT2, Lightplank, as_point
 
 # Comparability decision constant: thresholds A^(1/C0) and A^C0 bracket the
 # relation, the decision itself sits at the geometric midpoint A^(C0/2).
@@ -45,26 +45,27 @@ GREEDY_BLOCK = 256  # greedy candidates tested per pairwise separation call
 class DeltaTauRectangle:
     """A (delta, tau)-rectangle: core point, unit arc direction, parameters."""
 
-    core: SpacetimePoint
+    core: tuple[float, float, float]
     arc_center: tuple[float, float]
     delta: float
     tau: float
 
     def __post_init__(self):
+        object.__setattr__(self, "core", as_point(self.core))
         ax, ay = self.arc_center
         n = math.hypot(ax, ay)
         if n <= COORD_TOL:
             raise ValueError("arc_center must be a nonzero planar direction")
         object.__setattr__(self, "arc_center", (ax / n, ay / n))
-        if not (0 < self.delta < self.core.h):
-            raise ValueError(f"need 0 < delta < core height, got delta={self.delta}, h={self.core.h}")
+        if not (0 < self.delta < self.core[2]):
+            raise ValueError(f"need 0 < delta < core height, got delta={self.delta}, h={self.core[2]}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
 
     @property
     def a0(self) -> np.ndarray:
         """Arc midpoint v' + v3 * arc_center."""
-        return self.core.planar + self.core.h * np.asarray(self.arc_center)
+        return np.asarray(self.core[:2]) + self.core[2] * np.asarray(self.arc_center)
 
 
 def rect_contains(rect: DeltaTauRectangle, points) -> bool | np.ndarray:
@@ -72,8 +73,8 @@ def rect_contains(rect: DeltaTauRectangle, points) -> bool | np.ndarray:
     p = np.asarray(points, dtype=float)
     squeeze = p.ndim == 1
     p = np.atleast_2d(p)
-    rel = p - rect.core.planar
-    band = np.abs(np.hypot(rel[:, 0], rel[:, 1]) - rect.core.h) <= rect.delta + COORD_TOL
+    rel = p - rect.core[:2]
+    band = np.abs(np.hypot(rel[:, 0], rel[:, 1]) - rect.core[2]) <= rect.delta + COORD_TOL
     reach = np.hypot(*(p - rect.a0).T) <= rect.tau + COORD_TOL
     out = band & reach
     return bool(out[0]) if squeeze else out
@@ -118,7 +119,7 @@ def sample_points(cores: np.ndarray, dirs: np.ndarray, delta: float, tau: float)
 
 def rect_sample_points(rect: DeltaTauRectangle) -> np.ndarray:
     """The (80, 2) sample points of one rectangle; see :func:`sample_points`."""
-    return sample_points(rect.core.to_array(), rect.arc_center, rect.delta, rect.tau)[0]
+    return sample_points(rect.core, rect.arc_center, rect.delta, rect.tau)[0]
 
 
 class SubResolutionArcError(ValueError):
@@ -200,26 +201,23 @@ def _separation(cores_a: np.ndarray, us_a: np.ndarray, cores_b: np.ndarray,
 def comparability_separation(r1: DeltaTauRectangle, r2: DeltaTauRectangle) -> float:
     """Symmetric plank-frame separation used by the comparability decision."""
     _check_same_scale(r1, r2)
-    sep = _separation(r1.core.to_array()[None, :], np.asarray(r1.arc_center)[None, :],
-                      r2.core.to_array()[None, :], np.asarray(r2.arc_center)[None, :],
-                      r1.delta, r1.tau)
+    sep = _separation(np.array([r1.core]), np.array([r1.arc_center]),
+                      np.array([r2.core]), np.array([r2.arc_center]), r1.delta, r1.tau)
     return float(sep[0, 0])
 
 
 def _build_envelope(r1: DeltaTauRectangle, r2: DeltaTauRectangle) -> DeltaTauRectangle:
     """Smallest sampled rectangle on the midpoint core containing both members."""
-    c1, c2 = r1.core.to_array(), r2.core.to_array()
-    mid = 0.5 * (c1 + c2)
+    mid = 0.5 * (np.asarray(r1.core) + np.asarray(r2.core))
     ub = np.asarray(r1.arc_center) + np.asarray(r2.arc_center)
     ub = ub / math.hypot(ub[0], ub[1])
-    pts = sample_points(np.array([c1, c2]), np.array([r1.arc_center, r2.arc_center]),
+    pts = sample_points(np.array([r1.core, r2.core]), np.array([r1.arc_center, r2.arc_center]),
                         r1.delta, r1.tau).reshape(-1, 2)
     rel = pts - mid[:2]
     band = float(np.max(np.abs(np.hypot(rel[:, 0], rel[:, 1]) - mid[2])))
     a0 = mid[:2] + mid[2] * ub
     reach = float(np.max(np.hypot(*(pts - a0).T)))
-    return DeltaTauRectangle(SpacetimePoint(*mid),
-                             (float(ub[0]), float(ub[1])),
+    return DeltaTauRectangle(mid, (float(ub[0]), float(ub[1])),
                              band * ENVELOPE_MARGIN + COORD_TOL,
                              reach * ENVELOPE_MARGIN + COORD_TOL)
 
@@ -249,7 +247,7 @@ def greedy_maximal_incomparable(rects: list[DeltaTauRectangle], A: float) -> lis
     already-kept member, so kept members are pairwise incomparable and
     every input is comparable to some member.  Ties between identical
     inputs resolve to the earlier one; callers wanting order independence
-    should pre-sort by (core.x, core.y, core.h, arc angle).
+    should pre-sort by (core, arc angle).
     """
     if not rects:
         return []
@@ -259,7 +257,7 @@ def greedy_maximal_incomparable(rects: list[DeltaTauRectangle], A: float) -> lis
     for r in rects:
         _check_same_scale(rects[0], r)
     thresh = A ** (C0 / 2)
-    cores = np.array([r.core.to_array() for r in rects])
+    cores = np.array([r.core for r in rects])
     us = np.array([r.arc_center for r in rects])
     kept_idx = np.zeros(0, dtype=int)
     for s in range(0, len(rects), GREEDY_BLOCK):
@@ -285,10 +283,9 @@ def intersect_angle(v, w) -> float:
     With center distance b and radii r, s the angle at either crossing is
     arccos((r^2 + s^2 - b^2) / (2 r s)); requires |r - s| < b < r + s.
     """
-    v = SpacetimePoint.from_array(np.asarray(v, dtype=float))
-    w = SpacetimePoint.from_array(np.asarray(w, dtype=float))
-    b = float(np.hypot(*(v.planar - w.planar)))
-    r, s = v.h, w.h
+    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
+    b = float(np.hypot(*(v[:2] - w[:2])))
+    r, s = float(v[2]), float(w[2])
     if not (abs(r - s) < b < r + s):
         raise ValueError(f"circles do not intersect transversally: b={b}, r={r}, s={s}")
     c = (r * r + s * s - b * b) / (2.0 * r * s)

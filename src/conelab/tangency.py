@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COORD_TOL, SpacetimePoint
+from .geometry import COORD_TOL
 from .measures import CircleConfig, gamma_tau
 from .rectangles import DeltaTauRectangle, greedy_maximal_incomparable, sample_points
 
@@ -147,8 +147,7 @@ def main_geom_check(config: CircleConfig) -> dict:
     worst = 0.0
     m = 1
     while m <= max(int(mult.max(initial=0)), 1):
-        members = [DeltaTauRectangle(SpacetimePoint(*circles[i // n_arc].tolist()),
-                                     arcs[i % n_arc], delta, tau)
+        members = [DeltaTauRectangle(circles[i // n_arc].tolist(), arcs[i % n_arc], delta, tau)
                    for i in np.flatnonzero((m <= mult) & (mult < 2 * m))]
         if members:
             kept = greedy_maximal_incomparable(members, A)

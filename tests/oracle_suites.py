@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree
 
 from conelab import experiments
 from conelab.fourier import ConeQuadrature, extension_bandwidths, make_quadrature
-from conelab.geometry import SpacetimePoint, lightlike_frame, membership_dilation
+from conelab.geometry import lightlike_frame, membership_dilation
 from conelab.measures import CircleConfig, CubeMeasure, rescale_to_Q
 from conelab.rectangles import (
     C0,
@@ -74,8 +74,7 @@ def seeded_rectangle(rng, delta=None, tau=None) -> DeltaTauRectangle:
         delta = float(10.0 ** rng.uniform(-4.0, -3.0))
     if tau is None:
         tau = float(delta ** rng.uniform(0.25, 0.5))
-    core = SpacetimePoint(rng.uniform(0.0, 0.02), rng.uniform(0.0, 0.02),
-                          rng.uniform(0.99, 1.01))
+    core = (rng.uniform(0.0, 0.02), rng.uniform(0.0, 0.02), rng.uniform(0.99, 1.01))
     ang = rng.uniform(0.0, 2 * math.pi)
     return DeltaTauRectangle(core, (math.cos(ang), math.sin(ang)), delta, tau)
 
@@ -90,7 +89,7 @@ def perturbed(rng, rect: DeltaTauRectangle, frac: float) -> DeltaTauRectangle:
     move = (rng.uniform(-frac, frac) * d * e_s
             + rng.uniform(-frac, frac) * (d / t) * e_m
             + rng.uniform(-frac, frac) * (d / t ** 2) * e_l)
-    core = SpacetimePoint(*(rect.core.to_array() + move))
+    core = np.asarray(rect.core) + move
     rot = rng.uniform(-frac, frac) * t
     c, s = math.cos(rot), math.sin(rot)
     u2 = (c * u[0] - s * u[1], s * u[0] + c * u[1])
@@ -110,7 +109,7 @@ def duality_roundtrip_suite(n: int, seed: int = 0) -> dict:
         ang_err = abs(math.atan2(
             rect.arc_center[0] * back.arc_center[1] - rect.arc_center[1] * back.arc_center[0],
             rect.arc_center[0] * back.arc_center[0] + rect.arc_center[1] * back.arc_center[1]))
-        core_err = float(np.max(np.abs(back.core.to_array() - rect.core.to_array())))
+        core_err = float(np.max(np.abs(np.subtract(back.core, rect.core))))
         worst = max(worst, ang_err / (rect.tau / 4.0))
         if ang_err > rect.tau / 4.0 or core_err > 1e-9 or abs(back.tau - rect.tau) > 1e-9 * rect.tau:
             violations += 1
@@ -132,10 +131,10 @@ def engulfing_suite(n: int, seed: int = 0, A: float = 2.0) -> dict:
     done = 0
     while done < n:
         rect = seeded_rectangle(rng)
-        v = rect.core.to_array()
+        v = np.asarray(rect.core)
         d, t = rect.delta, rect.tau
         for _ in range(64):
-            w = perturbed(rng, rect, 0.4 * A).core.to_array()
+            w = np.asarray(perturbed(rng, rect, 0.4 * A).core)
             if _circle_contains_rect(w, rect, A * d):
                 break
         else:
@@ -147,8 +146,7 @@ def engulfing_suite(n: int, seed: int = 0, A: float = 2.0) -> dict:
         pts = rect_sample_points(rect)
         reach = float(np.max(np.hypot(pts[:, 0] - a0_w[0], pts[:, 1] - a0_w[1])))
         B = max(reach / t, 1.0) * (1 + 1e-9)
-        envelope = DeltaTauRectangle(SpacetimePoint(*w), (u_w[0] / nw, u_w[1] / nw),
-                                     A * d, B * t)
+        envelope = DeltaTauRectangle(w, (u_w[0] / nw, u_w[1] / nw), A * d, B * t)
         env_pts = rect_sample_points(envelope)
         band_v = np.abs(np.hypot(env_pts[:, 0] - v[0], env_pts[:, 1] - v[1]) - v[2])
         a1 = float(np.max(band_v)) / (A * B ** 2 * d)
@@ -213,8 +211,7 @@ def dictionary_suite(n: int, seed: int = 0, A: float = 2.0) -> dict:
             continue
         u = np.asarray(r1.arc_center)
         shift = 10.0 * A ** (C0 / 2) * r1.delta
-        far_core = SpacetimePoint(*(r1.core.to_array()
-                                    + shift * np.array([-u[0], -u[1], -1.0]) / math.sqrt(2)))
+        far_core = np.asarray(r1.core) + shift * np.array([-u[0], -u[1], -1.0]) / math.sqrt(2)
         far = DeltaTauRectangle(far_core, tuple(u), r1.delta, r1.tau)
         if comparable(r1, far, A) is not None:
             violations += 1
@@ -232,8 +229,7 @@ def packing_suite(seeds, A: float = 2.0, A0: float = 4.0) -> dict:
     counts = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        center = SpacetimePoint(rng.uniform(0, 0.02), rng.uniform(0, 0.02),
-                                rng.uniform(0.99, 1.01))
+        center = (rng.uniform(0, 0.02), rng.uniform(0, 0.02), rng.uniform(0.99, 1.01))
         ang = rng.uniform(0, 2 * math.pi)
         u = np.array([math.cos(ang), math.sin(ang)])
         envelope = DeltaTauRectangle(center, tuple(u), A0 * A ** 2 * delta, A0 * A * tau)
@@ -241,7 +237,7 @@ def packing_suite(seeds, A: float = 2.0, A0: float = 4.0) -> dict:
         e_m = np.array([-u[1], u[0], 0.0])
         e_l = np.array([-u[0], -u[1], 1.0]) / math.sqrt(2.0)
         jitter = rng.uniform(-0.5, 0.5, size=4)
-        cores = (center.to_array()
+        cores = (np.asarray(center)
                  + ((ks + jitter[0]) * delta)[:, None] * e_s
                  + ((km + jitter[1]) * (delta / tau))[:, None] * e_m
                  + ((kl + jitter[2]) * (delta / tau ** 2))[:, None] * e_l)
@@ -253,7 +249,7 @@ def packing_suite(seeds, A: float = 2.0, A0: float = 4.0) -> dict:
         dirs = np.array([(x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in arcs])
         pts = sample_points(cores, dirs, delta, tau)
         inside = np.all(rect_contains(envelope, pts.reshape(-1, 2)).reshape(len(cores), -1), axis=1)
-        cands = [DeltaTauRectangle(SpacetimePoint(*cores[i].tolist()), arcs[i], delta, tau)
+        cands = [DeltaTauRectangle(cores[i].tolist(), arcs[i], delta, tau)
                  for i in np.flatnonzero(inside)]
         counts.append(len(greedy_maximal_incomparable(cands, A)))
     return {"instances": len(counts), "violations": sum(c > 4096 for c in counts),

@@ -275,7 +275,7 @@ class TestRaster:
     def test_raster_is_int16(self):
         delta = 2.0 ** -5
         grid = default_grid(delta)
-        spans = [_annulus_spans(c, delta, grid) for c in ((0.0, 0.0, 0.7), (0.01, 0.0, 0.7))]
+        spans = _annulus_spans(((0.0, 0.0, 0.7), (0.01, 0.0, 0.7)), delta, grid)
         out = _raster(spans, len(grid.nodes_1d))
         assert out.dtype == np.int16 and out.flags.c_contiguous
         assert out.shape == (len(grid.nodes_1d),) * 2 and out.max() == 2

@@ -209,6 +209,8 @@ class TestPipelines:
         pytest.param("sharpness", ["--R", "16", "--seed", "3", "--n", "7"],
                      "reads seeds, n (", id="sharpness-seed-n"),
         pytest.param("sigma", ["--R", "16", "--q", "2"], "reads R (", id="sigma-R"),
+        pytest.param("sigma", ["--q", "2", "--workers", "4"], "reads workers (",
+                     id="sigma-workers"),
         # n where no swept kind reads it
         pytest.param("decay", ["--R", "16", "--kind", "vertical_tube", "--n", "5", "--q", "2"],
                      "reads n (", id="decay-vertical_tube-n"),
@@ -221,6 +223,14 @@ class TestPipelines:
         err = capsys.readouterr().err
         assert named in err and f"{pipeline}:" in err
         assert not (tmp_path / pipeline).exists()
+
+    def test_wolff_n_above_capacity_exits_2(self, tmp_path, capsys):
+        # 1/(2 delta) = 16 radius intervals at delta = 2^-5
+        code = main(["maximal", "--delta", "0.03125", "--kind", "wolff_radii", "--n", "100",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "n=100 exceeds the 16 delta-intervals" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_all_skips_kinds_other_sweeps_own(self):
         shared = ExperimentConfig(experiment="all", kinds=("light_tube", "wolff_radii"))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.geometry import Lightplank, SpacetimePoint, lightlike_frame, membership_dilation
+from conelab.geometry import Lightplank, lightlike_frame, membership_dilation
 from oracle_suites import dist_d, gap_delta
 
 SQRT2 = math.sqrt(2.0)
@@ -21,7 +21,7 @@ angle = st.floats(0.0, 2 * math.pi - 1e-9)
 
 
 def point(x, y, h):
-    return SpacetimePoint(float(x), float(y), float(h))
+    return (float(x), float(y), float(h))
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +136,9 @@ def test_plank_membership_center_and_corner():
     assert membership_dilation(p, p.center) == 0.0
     hs, hm, hl = p.half_dims
     e_s, e_m, e_l = lightlike_frame(*p.direction)
-    corner = p.center.to_array() + hs * e_s + hm * e_m + hl * e_l
+    corner = np.asarray(p.center) + hs * e_s + hm * e_m + hl * e_l
     assert membership_dilation(p, corner) == pytest.approx(1.0, abs=1e-12)
-    far = p.center.to_array() + 2 * hl * e_l
+    far = np.asarray(p.center) + 2 * hl * e_l
     assert membership_dilation(p, far) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -156,9 +156,9 @@ def test_membership_monotone_in_dilation(theta, scale, lam):
     p = make_plank(theta=theta)
     e_s, _, e_l = lightlike_frame(*p.direction)
     step = scale * (e_s * p.half_dims[0] + e_l * p.half_dims[2])
-    need = membership_dilation(p, p.center.to_array() + step)
+    need = membership_dilation(p, np.asarray(p.center) + step)
     assert need == pytest.approx(scale, rel=1e-9)
-    farther = membership_dilation(p, p.center.to_array() + lam * step)
+    farther = membership_dilation(p, np.asarray(p.center) + lam * step)
     assert farther == pytest.approx(lam * need, rel=1e-9)
     assert farther >= need
 

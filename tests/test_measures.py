@@ -197,10 +197,13 @@ class TestGenerateConfig:
         assert len(np.unique(bins)) == config.count
 
     def test_wolff_capacity_cap(self):
+        # the band holds 16 delta-intervals: 16 circles fit, 17 are refused
         delta = 2.0 ** -5
-        config = generate_config("wolff_radii", delta, 500, seed=0,
+        config = generate_config("wolff_radii", delta, 16, seed=0,
                                  radius_band=MAXIMAL_RADII)
-        assert config.count == int(0.5 / delta)
+        assert config.count == int(0.5 / delta) == 16
+        with pytest.raises(ValueError, match="n=17 exceeds the 16 delta-intervals"):
+            generate_config("wolff_radii", delta, 17, seed=0, radius_band=MAXIMAL_RADII)
 
     def test_wolff_band_narrower_than_delta(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.geometry import Lightplank, SpacetimePoint, membership_dilation
+from conelab.geometry import Lightplank, membership_dilation
 from conelab.rectangles import (
     C0,
     GREEDY_BLOCK,
@@ -40,7 +40,7 @@ from oracle_suites import (
 
 
 def example_rect(delta=1e-4, tau=1e-2) -> DeltaTauRectangle:
-    return DeltaTauRectangle(SpacetimePoint(0.0, 0.0, 1.0), (1.0, 0.0), delta, tau)
+    return DeltaTauRectangle((0.0, 0.0, 1.0), (1.0, 0.0), delta, tau)
 
 
 class TestRectangleBasics:
@@ -63,22 +63,29 @@ class TestRectangleBasics:
     def test_sample_points_batch_matches_rows(self):
         rng = np.random.default_rng(4)
         rects = [seeded_rectangle(rng, delta=1e-4, tau=0.02) for _ in range(20)]
-        batch = sample_points([r.core.to_array() for r in rects],
+        batch = sample_points([r.core for r in rects],
                               [r.arc_center for r in rects], 1e-4, 0.02)
         assert batch.shape == (20, 80, 2)
         assert np.array_equal(batch, [rect_sample_points(r) for r in rects])
 
     def test_arc_center_normalized(self):
-        rect = DeltaTauRectangle(SpacetimePoint(0, 0, 1), (3.0, 4.0), 1e-4, 1e-2)
+        rect = DeltaTauRectangle((0, 0, 1), (3.0, 4.0), 1e-4, 1e-2)
         assert math.hypot(*rect.arc_center) == pytest.approx(1.0, abs=1e-12)
+        # the core is normalised to a tuple of three Python floats
+        row = DeltaTauRectangle(np.array([0.0, 0.0, 1.0]), (3.0, 4.0), 1e-4, 1e-2)
+        assert row == rect and hash(row) == hash(rect)
+        assert row.core == (0.0, 0.0, 1.0) and all(type(v) is float for v in row.core)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            DeltaTauRectangle(SpacetimePoint(0, 0, 1), (0.0, 0.0), 1e-4, 1e-2)
+            DeltaTauRectangle((0, 0, 1), (0.0, 0.0), 1e-4, 1e-2)
         with pytest.raises(ValueError):
-            DeltaTauRectangle(SpacetimePoint(0, 0, 1), (1.0, 0.0), 2.0, 1e-2)
+            DeltaTauRectangle((0, 0, 1), (1.0, 0.0), 2.0, 1e-2)
         with pytest.raises(ValueError):
-            DeltaTauRectangle(SpacetimePoint(0, 0, 1), (1.0, 0.0), 1e-4, 0.0)
+            DeltaTauRectangle((0, 0, 1), (1.0, 0.0), 1e-4, 0.0)
+        for core in ((0.0, 1.0), (0.0, 0.0, 1.0, 0.0)):
+            with pytest.raises(ValueError, match="three floats"):
+                DeltaTauRectangle(core, (1.0, 0.0), 1e-4, 1e-2)
 
 
 class TestTangencyPlank:
@@ -91,7 +98,7 @@ class TestTangencyPlank:
         for _ in range(50):
             rect = seeded_rectangle(rng)
             plank = tangency_plank(rect, 1.0)
-            assert membership_dilation(plank, rect.core.to_array()) == 0.0
+            assert membership_dilation(plank, rect.core) == 0.0
 
     def test_sub_resolution_arc_raises(self):
         rect = example_rect(delta=1e-4, tau=4e-3)  # tau < sqrt(delta)/2
@@ -108,7 +115,7 @@ class TestDuality:
         rect = example_rect()
         back = dual_rectangle(tangency_plank(rect, 1.0), rect.delta)
         assert back.tau == pytest.approx(rect.tau, rel=1e-10)
-        assert np.allclose(back.core.to_array(), rect.core.to_array(), atol=1e-12)
+        assert np.allclose(back.core, rect.core, atol=1e-12)
         assert np.allclose(back.arc_center, rect.arc_center, atol=1e-12)
 
     def test_dilation_invariant_tau(self):
@@ -148,7 +155,7 @@ class TestComparability:
         rect = example_rect()
         A = 2.0
         shift = 10 * A ** 2 * rect.delta / math.sqrt(2.0)
-        core = SpacetimePoint(-shift, 0.0, rect.core.h - shift)
+        core = (-shift, 0.0, rect.core[2] - shift)
         far = DeltaTauRectangle(core, rect.arc_center, rect.delta, rect.tau)
         assert comparable(rect, far, A) is None
 
@@ -224,7 +231,7 @@ class TestGreedy:
         # buckets that width would keep both
         delta = 2.0 ** -7
         tau, A = math.sqrt(delta), delta ** -0.1
-        core = SpacetimePoint(0.0, 0.0, 0.75)
+        core = (0.0, 0.0, 0.75)
         t1 = -math.pi + 6 * 2 * math.pi / 17 - 1e-6
         r1, r2 = (DeltaTauRectangle(core, (math.cos(t), math.sin(t)), delta, tau)
                   for t in (t1, t1 + 0.37426))

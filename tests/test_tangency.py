@@ -198,6 +198,16 @@ class TestMainGeomCheck:
             assert bucket["value"] <= out["max_value"] + 1e-12
         assert out["log3_normalized"] <= out["max_value"]
 
+    @pytest.mark.parametrize("kind, buckets, max_value", [
+        ("wolff_radii", [(1, 4608, 120)], "0.16572815184059708"),
+        ("random_frostman", [(1, 4608, 117)], "0.16158494804458215"),
+    ])
+    def test_frozen_report(self, kind, buckets, max_value):
+        config = generate_config(kind, 2.0 ** -7, 64, seed=0, radius_band=MAXIMAL_RADII)
+        out = main_geom_check(config)
+        assert [(b["M"], b["candidates"], b["incomparable"]) for b in out["buckets"]] == buckets
+        assert repr(out["max_value"]) == max_value
+
     def test_tau_validation(self):
         # tau = sqrt(delta) leaves [delta, 1] once delta > 1
         config = CircleConfig(np.array([[0.0, 0.0, 3.0]]), delta=2.0)
