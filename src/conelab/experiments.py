@@ -116,7 +116,12 @@ def write_csv(path, header, rows) -> None:
 
 
 def _write_pair(out: Path, stem: str, header, rows, series, lines=(), **labels) -> list:
-    """Write the table <stem>.csv and its figure <stem>.svg; returns both names."""
+    """Write the table <stem>.csv and its figure <stem>.svg; returns both names.
+
+    `out` is made here, at the first file a pipeline writes, so a refusal
+    raised by a point leaves no directory behind.
+    """
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / f"{stem}.csv", header, rows)
     svg_scatter(out / f"{stem}.svg", series, lines, **labels)
     return [f"{stem}.csv", f"{stem}.svg"]
@@ -557,7 +562,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for name in names:
         check_budget(name, cfg)
         out = Path(cfg.out) / name
-        out.mkdir(parents=True, exist_ok=True)
         start = time.perf_counter()
         one = replace(cfg, experiment=name)
         summary = (sigma_decay if name == "sigma" else run_sweep)(one, out)

@@ -6,10 +6,12 @@ multiplicity field m(x) counts the annuli containing x; its L^{3/2} norm
 over the trivial value (delta |X|)^(2/3) is the quantity of Wolff's
 Kakeya-type estimate for circles, which holds it to delta^(-eps).
 
-The field is rastered from the per-row chord spans of all the annuli,
-found in one whole-array pass, on a grid of spacing delta/4 over
-[-1.1, 1.1]^2, which fits every admissible configuration; every
-multiplicity statistic is read from one histogram of the integer field.
+The field is rastered on a grid of spacing delta/4 over [-1.1, 1.1]^2,
+which fits every admissible configuration, in blocks of HIST_ROWS rows:
+each block comes from the per-row chord spans of all the annuli on its
+rows, found in one whole-array pass.  Every multiplicity statistic is read
+from the histogram of the integer field, summed block by block, so the
+L^{3/2} check never holds the whole field.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .measures import CircleConfig
 
 DEFAULT_WINDOW = 1.1
 GRID_FACTOR = 4  # grid spacing = delta / GRID_FACTOR
-HIST_ROWS = 256  # field rows per block of the multiplicity histogram
+HIST_ROWS = 256  # field rows per rastered block
 
 
 @dataclass(frozen=True)
@@ -47,20 +49,22 @@ def default_grid(delta: float) -> RasterGrid:
     return RasterGrid(h=delta / GRID_FACTOR, window=DEFAULT_WINDOW)
 
 
-def _annulus_spans(circles, delta: float, grid: RasterGrid):
-    """Inclusive per-row column spans of the cells of every annulus, in one pass.
+def _annulus_spans(circles, delta: float, grid: RasterGrid, row0: int, row1: int):
+    """Inclusive column spans of the cells of every annulus on grid rows [row0, row1).
 
     Each grid row intersects an annulus in at most two chords; rows where
-    the inner disk does not reach merge into one.  Returns (rows, starts,
-    ends) index arrays over all the circles, so rasterization touches
-    O(annulus area / h^2) cells instead of the whole grid.
+    the inner disk does not reach merge into one.  Every circle's rows are
+    clipped to the range, and all the circles are handled in one
+    whole-array pass.  Returns (rows, starts, ends) index arrays with rows
+    counted from row0, so rasterization touches O(annulus area / h^2)
+    cells instead of the whole grid.
     """
     c = np.reshape(circles, (-1, 3))
     xs = grid.nodes_1d
     h, x0, n = grid.h, float(xs[0]), len(xs)
     hi, lo = c[:, 2] + delta, np.maximum(c[:, 2] - delta, 0.0)
-    r0 = np.maximum(np.ceil((c[:, 1] - hi - x0) / h), 0).astype(np.int64)
-    r1 = np.minimum(np.floor((c[:, 1] + hi - x0) / h), n - 1).astype(np.int64)
+    r0 = np.maximum(np.ceil((c[:, 1] - hi - x0) / h), row0).astype(np.int64)
+    r1 = np.minimum(np.floor((c[:, 1] + hi - x0) / h), row1 - 1).astype(np.int64)
     count = np.maximum(r1 - r0 + 1, 0)
     ic = np.repeat(np.arange(len(c)), count)  # the circle of each (circle, row) entry
     rows = np.arange(len(ic)) + (r0 + count - np.cumsum(count))[ic]
@@ -76,13 +80,13 @@ def _annulus_spans(circles, delta: float, grid: RasterGrid):
     chords = ((merge & (left0 <= right1), left0, right1),
               (~merge & (left0 <= left1), left0, left1),
               (~merge & (right0 <= right1), right0, right1))
-    return (np.concatenate([rows[k] for k, _, _ in chords]),
+    return (np.concatenate([rows[k] for k, _, _ in chords]) - row0,
             np.clip(np.concatenate([s[k] for k, s, _ in chords]), 0, n - 1),
             np.clip(np.concatenate([e[k] for k, _, e in chords]), 0, n - 1))
 
 
-def _raster(spans, n: int) -> np.ndarray:
-    """int16 annulus count from the (rows, starts, ends) spans of the annuli.
+def _raster(spans, n_rows: int, n: int) -> np.ndarray:
+    """int16 annulus count of an n_rows x n block from the (rows, starts, ends) spans.
 
     One scatter adds +1 at each span start and -1 just past each span end;
     ends past the last column only close their row and are dropped.  The
@@ -93,9 +97,25 @@ def _raster(spans, n: int) -> np.ndarray:
     idx = np.concatenate((rows * n + starts, (rows * n + ends + 1)[shut]))
     signed = np.repeat(np.array([1, -1], dtype=np.int16),
                        (len(starts), int(np.count_nonzero(shut))))
-    diff = np.zeros((n, n), dtype=np.int16)
+    diff = np.zeros((n_rows, n), dtype=np.int16)
     np.add.at(diff.reshape(-1), idx, signed)
     return np.cumsum(diff, axis=1, dtype=np.int16, out=diff)
+
+
+def _field_blocks(config: CircleConfig, grid: RasterGrid):
+    """Yield (row0, block): the annulus-count field HIST_ROWS rows at a time, as int16.
+
+    Each block is rastered from the spans of its own rows only, so the
+    memory held at once is one block and its spans, whatever the grid.
+    """
+    c = config.circles
+    reach = np.max(np.abs(c[:, :2]).max(axis=1) + c[:, 2] + config.delta, initial=0.0)
+    if reach > grid.window:
+        raise ValueError(f"annuli reach {reach:.3f} beyond raster window {grid.window}")
+    n = len(grid.nodes_1d)
+    for row0 in range(0, n, HIST_ROWS):
+        row1 = min(row0 + HIST_ROWS, n)
+        yield row0, _raster(_annulus_spans(c, config.delta, grid, row0, row1), row1 - row0, n)
 
 
 def multiplicity_field(config: CircleConfig,
@@ -103,18 +123,23 @@ def multiplicity_field(config: CircleConfig,
     """Exact annulus-count raster m(x), as int16."""
     if grid is None:
         grid = default_grid(config.delta)
-    c = config.circles
-    reach = np.max(np.abs(c[:, :2]).max(axis=1) + c[:, 2] + config.delta, initial=0.0)
-    if reach > grid.window:
-        raise ValueError(f"annuli reach {reach:.3f} beyond raster window {grid.window}")
-    return _raster(_annulus_spans(c, config.delta, grid), len(grid.nodes_1d)), grid
+    n = len(grid.nodes_1d)
+    field = np.empty((n, n), dtype=np.int16)
+    for row0, block in _field_blocks(config, grid):
+        field[row0:row0 + len(block)] = block
+    return field, grid
 
 
-def _histogram(m: np.ndarray) -> np.ndarray:
-    """np.bincount(m.ravel()) of a nonnegative integer field, HIST_ROWS rows at a time."""
-    hist = np.zeros(int(m.max(initial=0)) + 1, dtype=np.int64)
-    for r0 in range(0, len(m), HIST_ROWS):
-        hist += np.bincount(m[r0:r0 + HIST_ROWS].ravel(), minlength=len(hist))
+def _level_counts(config: CircleConfig, grid: RasterGrid) -> np.ndarray:
+    """Cells per multiplicity level: np.bincount of the field, summed block by block.
+
+    The field itself is never held.
+    """
+    hist = np.zeros(0, dtype=np.intp)
+    for _, block in _field_blocks(config, grid):
+        counts = np.bincount(block.ravel(), minlength=len(hist))
+        counts[:len(hist)] += hist
+        hist = counts
     return hist
 
 
@@ -126,8 +151,8 @@ def wolff_example_check(config: CircleConfig) -> dict:
     the dyadic level-set form (sum over levels j of j^(3/2) area(g in
     [j, 2j))), which bracket each other within 2^(3/2).
     """
-    m, grid = multiplicity_field(config)
-    hist = _histogram(m)
+    grid = default_grid(config.delta)
+    hist = _level_counts(config, grid)
     l32_cells = float(np.sum(hist * np.arange(len(hist)) ** 1.5)
                       * grid.cell_area) ** (2.0 / 3.0)
     levels = 2 ** np.arange(max(len(hist) - 1, 1).bit_length())

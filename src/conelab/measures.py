@@ -354,7 +354,7 @@ def generate_config(kind: str, delta: float, n: int, seed: int = 0,
     maximal-function box otherwise.  wolff_radii places one radius in each
     of n distinct delta-intervals of the band and refuses n above their
     count; random_frostman rejection-samples against a dyadic ball tree at
-    base scale delta (capacity 4 r/delta).
+    base scale delta (capacity 4 r/delta) and refuses n it cannot place.
     """
     rng = np.random.default_rng(seed)
     lo, hi = radius_band
@@ -375,7 +375,8 @@ def generate_config(kind: str, delta: float, n: int, seed: int = 0,
         lambda: np.array([rng.uniform(*planar_box), rng.uniform(*planar_box), rng.uniform(lo, hi)]),
         n, delta, span, 2000 * n)
     if len(out) < n:
-        raise RuntimeError(f"placed only {len(out)}/{n} circles at delta={delta}")
+        raise ValueError(f"random_frostman: placed only {len(out)}/{n} circles at "
+                         f"delta={delta} within the Frostman bound")
     return CircleConfig(np.array(out), delta=delta)
 
 

@@ -33,6 +33,7 @@ from .rectangles import DeltaTauRectangle, greedy_maximal_incomparable, sample_p
 
 TANGENT_SLACK = 2.0  # pairs with Delta <= TANGENT_SLACK * delta count as tangent
 GEOM_EPS = 0.1  # main_geom_check compares rectangles at level A = delta^(-GEOM_EPS)
+NU_BLOCK = 512  # candidate rectangles per block of nu_multiplicity
 
 
 @dataclass(frozen=True)
@@ -107,17 +108,22 @@ def nu_multiplicity(config: CircleConfig, cores: np.ndarray, dirs: np.ndarray,
     at the configuration's delta.  Containment is checked on each
     rectangle's sample points; a circle can only qualify if the arc point
     a0 lies in its delta-annulus, so the sampled test runs only on the
-    (rectangle, circle) pairs that pass that test.
+    (rectangle, circle) pairs that pass that test.  Rectangles are taken
+    NU_BLOCK at a time, so memory is bounded by the block, not by n.
     """
     c, delta = config.circles, config.delta
     cores, dirs = np.reshape(cores, (-1, 3)), np.reshape(dirs, (-1, 2))
-    a0 = cores[:, :2] + cores[:, 2:3] * dirs
-    band_a0 = np.abs(np.hypot(a0[:, None, 0] - c[:, 0], a0[:, None, 1] - c[:, 1]) - c[:, 2])
-    rect, circle = np.nonzero(band_a0 <= delta + COORD_TOL)
-    diff = sample_points(cores, dirs, delta, tau)[rect] - c[circle, None, :2]
-    band = np.abs(np.sqrt(np.sum(diff * diff, axis=-1)) - c[circle, 2:3])
-    ok = np.all(band <= delta + 1e-7 * delta + COORD_TOL, axis=1)
-    return np.bincount(rect[ok], minlength=len(cores))
+    counts = np.zeros(len(cores), dtype=np.intp)
+    for b0 in range(0, len(cores), NU_BLOCK):
+        core, unit = cores[b0:b0 + NU_BLOCK], dirs[b0:b0 + NU_BLOCK]
+        a0 = core[:, :2] + core[:, 2:3] * unit
+        band_a0 = np.abs(np.hypot(a0[:, None, 0] - c[:, 0], a0[:, None, 1] - c[:, 1]) - c[:, 2])
+        rect, circle = np.nonzero(band_a0 <= delta + COORD_TOL)
+        diff = sample_points(core, unit, delta, tau)[rect] - c[circle, None, :2]
+        band = np.abs(np.sqrt(np.sum(diff * diff, axis=-1)) - c[circle, 2:3])
+        ok = np.all(band <= delta + 1e-7 * delta + COORD_TOL, axis=1)
+        counts[b0:b0 + len(core)] = np.bincount(rect[ok], minlength=len(core))
+    return counts
 
 
 def main_geom_check(config: CircleConfig) -> dict:

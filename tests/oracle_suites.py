@@ -8,7 +8,8 @@ Unit tests run small counts; the acceptance suite runs >= 10^3 per check.
 
 The reference routes (`plank_count_per_direction`, `frostman_sample_tuple_keys`,
 `raster_per_annulus`) loop over one direction, draw level or annulus at a
-time; the library kernels must reproduce them bit for bit.
+time, and `nu_multiplicity_single_pass` tests every candidate rectangle in
+one pass; the library kernels must reproduce them bit for bit.
 
 The closed forms (`dist_d`, `gap_delta`, `nu_hat`) restate, point by point,
 numbers the library computes in bulk: the pair table's separations and
@@ -27,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from conelab import experiments
 from conelab.fourier import ConeQuadrature, extension_bandwidths, make_quadrature
-from conelab.geometry import lightlike_frame, membership_dilation
+from conelab.geometry import COORD_TOL, lightlike_frame, membership_dilation
 from conelab.measures import CircleConfig, CubeMeasure, rescale_to_Q
 from conelab.rectangles import (
     C0,
@@ -445,6 +446,19 @@ def raster_per_annulus(spans, n: int) -> np.ndarray:
         np.add.at(diff, (rows, starts), 1)
         np.add.at(diff, (rows, ends + 1), -1)
     return np.cumsum(diff, axis=1)[:, :n]
+
+
+def nu_multiplicity_single_pass(config: CircleConfig, cores, dirs, tau: float) -> np.ndarray:
+    """`tangency.nu_multiplicity` with the candidates x circles a0 test in one pass."""
+    c, delta = config.circles, config.delta
+    cores, dirs = np.reshape(cores, (-1, 3)), np.reshape(dirs, (-1, 2))
+    a0 = cores[:, :2] + cores[:, 2:3] * dirs
+    band_a0 = np.abs(np.hypot(a0[:, None, 0] - c[:, 0], a0[:, None, 1] - c[:, 1]) - c[:, 2])
+    rect, circle = np.nonzero(band_a0 <= delta + COORD_TOL)
+    diff = sample_points(cores, dirs, delta, tau)[rect] - c[circle, None, :2]
+    band = np.abs(np.sqrt(np.sum(diff * diff, axis=-1)) - c[circle, 2:3])
+    ok = np.all(band <= delta + 1e-7 * delta + COORD_TOL, axis=1)
+    return np.bincount(rect[ok], minlength=len(cores))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Frostman sampler, plank scan and annulus raster against their per-item routes.
+"""Frostman sampler, plank scan, annulus raster and rectangle multiplicity
+against their per-item and single-pass routes.
 
-The library kernels work on whole arrays; `oracle_suites` keeps the routes
-that loop over one draw level, direction or annulus at a time.  Outputs must
-agree exactly: equal integer arrays, bitwise-equal floats and the same
-scalar types (CSVs print the values as they come).
+The library kernels work on whole arrays, in fixed blocks; `oracle_suites`
+keeps the routes that loop over one draw level, direction or annulus at a
+time, and the single-pass rectangle multiplicity.  Outputs must agree
+exactly: equal integer arrays, bitwise-equal floats and the same scalar
+types (CSVs print the values as they come).
 """
 
 import math
@@ -12,10 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conelab import measures
+from conelab import maximal, measures, tangency
 from conelab.maximal import (
+    HIST_ROWS,
     _annulus_spans,
-    _histogram,
+    _level_counts,
     _raster,
     default_grid,
     multiplicity_field,
@@ -34,9 +37,10 @@ from conelab.measures import (
     generate_config,
     max_plank_mass,
 )
-from conelab.tangency import classify_pairs
+from conelab.tangency import classify_pairs, nu_multiplicity
 from oracle_suites import (
     frostman_sample_tuple_keys,
+    nu_multiplicity_single_pass,
     plank_count_per_direction,
     raster_per_annulus,
 )
@@ -260,6 +264,30 @@ class TestPlankScan:
         assert type(gamma_tau(config, 0.25)) is int
 
 
+def full_spans(circles, delta, grid):
+    """_annulus_spans of one or more circles over every row of the grid."""
+    return _annulus_spans(circles, delta, grid, 0, len(grid.nodes_1d))
+
+
+def geom_candidates(config):
+    """(cores, dirs, tau) of main_geom_check's candidate grid: each circle at each arc node."""
+    tau = math.sqrt(config.delta)
+    n_arc = max(4, math.ceil(2 * math.pi / tau))
+    angles = np.arange(n_arc) * (2 * math.pi / n_arc)
+    units = np.column_stack([np.cos(angles), np.sin(angles)])
+    return np.repeat(config.circles, n_arc, axis=0), np.tile(units, (config.count, 1)), tau
+
+
+def traced_peak(call):
+    """(call(), peak bytes traced by tracemalloc while it ran)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestRaster:
     @pytest.mark.parametrize("kind", ("wolff_radii", "random_frostman"))
     @pytest.mark.parametrize("delta", (2.0 ** -5, 2.0 ** -6, 2.0 ** -7))
@@ -267,32 +295,49 @@ class TestRaster:
         config = generate_config(kind, delta, int(round(0.5 / delta)), 1,
                                  radius_band=MAXIMAL_RADII)
         field, grid = multiplicity_field(config)
-        spans = [_annulus_spans(c, delta, grid) for c in config.circles]
+        spans = [full_spans(c, delta, grid) for c in config.circles]
         ref = raster_per_annulus(spans, len(grid.nodes_1d))
         assert field.dtype == np.int16
         assert np.array_equal(field, ref.astype(np.int16))
 
     def test_raster_is_int16(self):
         delta = 2.0 ** -5
+        circles = ((0.0, 0.0, 0.7), (0.01, 0.0, 0.7))
         grid = default_grid(delta)
-        spans = _annulus_spans(((0.0, 0.0, 0.7), (0.01, 0.0, 0.7)), delta, grid)
-        out = _raster(spans, len(grid.nodes_1d))
-        assert out.dtype == np.int16 and out.flags.c_contiguous
-        assert out.shape == (len(grid.nodes_1d),) * 2 and out.max() == 2
+        n = len(grid.nodes_1d)
+        full = _raster(full_spans(circles, delta, grid), n, n)
+        assert full.dtype == np.int16 and full.flags.c_contiguous
+        assert full.shape == (n, n) and full.max() == 2
+        # a block of rows that the annuli cross, counted from its first row
+        block = _raster(_annulus_spans(circles, delta, grid, 100, 150), 50, n)
+        assert block.dtype == np.int16 and block.flags.c_contiguous
+        assert np.array_equal(block, full[100:150])
+
+    @pytest.mark.parametrize("rows", (1, 7, 1 << 20))
+    def test_block_size_does_not_change_the_field(self, monkeypatch, rows):
+        config = generate_config("wolff_radii", 2.0 ** -6, 32, 2, radius_band=MAXIMAL_RADII)
+        field, _ = multiplicity_field(config)
+        report = wolff_example_check(config)
+        monkeypatch.setattr(maximal, "HIST_ROWS", rows)
+        assert np.array_equal(multiplicity_field(config)[0], field)
+        assert wolff_example_check(config) == report
 
     def test_multiplicity_field_allocates_one_int16_field(self):
         # a few circles on a fine grid: the field dominates every other
         # allocation, so a widened cumsum or an int16 copy of it shows
         config = CircleConfig(np.array([[0.0, 0.0, 0.6], [0.01, 0.0, 0.6],
                                         [0.0, 0.02, 0.9]]), delta=2.0 ** -8)
-        tracemalloc.start()
-        try:
-            field, _ = multiplicity_field(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (field, _), peak = traced_peak(lambda: multiplicity_field(config))
         assert field.dtype == np.int16
         assert peak - field.nbytes < field.nbytes
+
+    def test_wolff_example_check_holds_no_field(self):
+        # the report is read block by block: its peak stays below the int16
+        # field of the same grid, which the whole-field route had to hold
+        config = generate_config("wolff_radii", 2.0 ** -8, 128, 0, radius_band=MAXIMAL_RADII)
+        n = len(default_grid(config.delta).nodes_1d)
+        _, peak = traced_peak(lambda: wolff_example_check(config))
+        assert peak < n * n * np.dtype(np.int16).itemsize
 
     @pytest.mark.parametrize("circles", (
         [[0.0, 0.0, 1.0]],
@@ -300,17 +345,19 @@ class TestRaster:
     ))
     def test_histogram_equals_bincount(self, circles):
         config = CircleConfig(np.array(circles), delta=2.0 ** -7)
-        m, _ = multiplicity_field(config)
-        assert len(m) % 256 != 0  # the last row block is partial
+        m, grid = multiplicity_field(config)
+        assert len(m) % HIST_ROWS != 0  # the last row block is partial
+        # every annulus is taller than a block, so each crosses a block boundary
+        assert np.all(2 * (config.circles[:, 2] - config.delta) > HIST_ROWS * grid.h)
         ref = np.bincount(m.ravel())
-        hist = _histogram(m)
+        hist = _level_counts(config, grid)
         assert hist.dtype == ref.dtype and np.array_equal(hist, ref)
 
     def test_wolff_example_check_matches_per_annulus(self):
         # the report from the reference raster and a plain bincount
         config = generate_config("wolff_radii", 2.0 ** -6, 32, 0, radius_band=MAXIMAL_RADII)
         grid = default_grid(config.delta)
-        spans = [_annulus_spans(c, config.delta, grid) for c in config.circles]
+        spans = [full_spans(c, config.delta, grid) for c in config.circles]
         m = raster_per_annulus(spans, len(grid.nodes_1d)).astype(np.int16)
         hist = np.bincount(m.ravel())
         l32 = float(np.sum(hist * np.arange(len(hist)) ** 1.5) * grid.cell_area) ** (2.0 / 3.0)
@@ -318,3 +365,38 @@ class TestRaster:
         assert out["l32_norm"] == l32
         assert out["ratio"] == l32 / (config.delta * config.count) ** (2.0 / 3.0)
 
+
+class TestNuMultiplicity:
+    @pytest.mark.parametrize("kind", ("wolff_radii", "random_frostman"))
+    @pytest.mark.parametrize("delta", (2.0 ** -5, 2.0 ** -6, 2.0 ** -7, 2.0 ** -8))
+    def test_matches_single_pass(self, kind, delta):
+        for seed in range(3):
+            config = generate_config(kind, delta, int(round(0.5 / delta)), seed,
+                                     radius_band=MAXIMAL_RADII)
+            cores, dirs, tau = geom_candidates(config)
+            counts = nu_multiplicity(config, cores, dirs, tau)
+            ref = nu_multiplicity_single_pass(config, cores, dirs, tau)
+            assert counts.dtype == ref.dtype and np.array_equal(counts, ref)
+
+    @pytest.mark.parametrize("block", (1, 7, 1 << 20))
+    def test_block_size_does_not_change_counts(self, monkeypatch, block):
+        config = generate_config("random_frostman", 2.0 ** -6, 32, 1, radius_band=MAXIMAL_RADII)
+        cores, dirs, tau = geom_candidates(config)
+        want = nu_multiplicity(config, cores, dirs, tau)
+        monkeypatch.setattr(tangency, "NU_BLOCK", block)
+        assert np.array_equal(nu_multiplicity(config, cores, dirs, tau), want)
+
+    def test_no_candidates(self):
+        config = generate_config("wolff_radii", 2.0 ** -5, 16, 0, radius_band=MAXIMAL_RADII)
+        out = nu_multiplicity(config, np.empty((0, 3)), np.empty((0, 2)), 0.25)
+        ref = nu_multiplicity_single_pass(config, np.empty((0, 3)), np.empty((0, 2)), 0.25)
+        assert out.dtype == ref.dtype and out.shape == ref.shape == (0,)
+
+    def test_peak_is_bounded_by_the_block(self):
+        # 12,928 candidates at delta = 2^-8: the single pass holds the whole
+        # candidates x circles band matrix and every surviving pair's points
+        config = generate_config("wolff_radii", 2.0 ** -8, 128, 0, radius_band=MAXIMAL_RADII)
+        cores, dirs, tau = geom_candidates(config)
+        assert len(cores) == 12928
+        _, peak = traced_peak(lambda: nu_multiplicity(config, cores, dirs, tau))
+        assert peak < 16 * 2 ** 20

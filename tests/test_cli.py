@@ -232,6 +232,21 @@ class TestPipelines:
         assert "n=100 exceeds the 16 delta-intervals" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("flags, named", [
+        pytest.param(["--delta", "0.03125", "--kind", "wolff_radii", "--n", "100"],
+                     "n=100 exceeds the 16 delta-intervals", id="wolff-capacity"),
+        # at delta = 1/8 the Frostman sampler places only 11 circles
+        pytest.param(["--delta", "0.125", "--kind", "random_frostman", "--n", "12"],
+                     "placed only 11/12 circles", id="frostman-placement"),
+    ])
+    def test_refusal_inside_a_point_exits_2_and_writes_nothing(self, flags, named, tmp_path,
+                                                               capsys):
+        code = main(["maximal", *flags, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_all_skips_kinds_other_sweeps_own(self):
         shared = ExperimentConfig(experiment="all", kinds=("light_tube", "wolff_radii"))
         for name, own in (("decay", "light_tube"), ("pairs", "wolff_radii")):
@@ -300,7 +315,7 @@ class TestPipelines:
         # node and cube, the two step tables and their product, as sized by
         # the rho split decay_mean calls; for sharpness, the radial-table
         # lookups and the length of the FFT that fills each table; for
-        # maximal, the cells of every annulus span plus the raster grid; for
+        # maximal, the cells of every annulus span plus the raster blocks; for
         # pairs, the pair-table entries plus the lattice keys of every
         # gamma_tau scan, (2 * 2 + 1)^3 per circle and scanned direction
         counted, phis, splits, frames = [], [], [], []
@@ -347,14 +362,14 @@ class TestPipelines:
                            for n_phi, (nb, ng) in zip(phis, splits, strict=True))
             return value
 
-        def counting_spans(circle, delta, grid):
-            rows, starts, ends = spans(circle, delta, grid)
+        def counting_spans(circles, delta, grid, row0, row1):
+            rows, starts, ends = spans(circles, delta, grid, row0, row1)
             counted.append(int(np.sum(ends - starts + 1)))
             return rows, starts, ends
 
-        def counting_raster(annuli, n):
-            counted.append(n * n)
-            return raster(annuli, n)
+        def counting_raster(annuli, n_rows, n):
+            counted.append(n_rows * n)
+            return raster(annuli, n_rows, n)
 
         def counting_classify(config):
             out = classify(config)
