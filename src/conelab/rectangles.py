@@ -7,7 +7,16 @@ A (delta, tau)-rectangle on the circle dual to a point v is the set
 where a0 = v' + v3 * arc_center is the arc midpoint.  Containment is
 boundary inclusive and is always decided on the fixed 64 boundary + 16
 interior sample points produced by :func:`sample_points`, one array call
-for a whole family of rectangles sharing (delta, tau).
+for a whole family of rectangles sharing (delta, tau).  The points come in
+two elementwise steps, polar arrays (:func:`sample_polar`) and then the
+cartesian points of chosen columns (:func:`polar_points`), so a caller can
+test the four corners (CORNER_COLUMNS, the ends of the outer and inner
+arcs) first: a rectangle off its circle's annulus almost always leaves it
+at a corner, and whether all 80 points hold does not depend on the order.
+A circle equal to the core, of height v3 > delta, holds all 80 without a
+test: every sample point lies at a radius in [v3 - delta, v3 + delta]
+about its centre, which leaves only rounding of about 1e-16 against the
+annulus slack of 1e-7 delta + COORD_TOL.
 
 The set of circles delta-tangent to Omega is comparable to a lightplank of
 half-dims (delta, delta/tau, delta/tau^2) anchored at v with planar
@@ -19,7 +28,12 @@ the cores measured in the mean lightlike frame, normalized axis-by-axis by
 the canonical plank half-dims, together with the arc direction angle in
 units of tau.  With decision constant C0 = 6 the acceptance threshold is
 sep <= A^(C0/2); the bracketed thresholds A^(1/C0) (complete side) and
-A^C0 (sound side) are exercised by the test suite.
+A^C0 (sound side) are exercised by the test suite.  Since sep >=
+|angle| / tau, the greedy selection computes separations only for pairs
+of arcs whose dot product exceeds cos(threshold * tau) - 1e-12 (when
+threshold * tau < pi/2; the 1e-12 covers rounding), and compares a
+block of candidates with itself below the diagonal only, the half its keep
+scan reads.
 """
 
 from __future__ import annotations
@@ -89,16 +103,19 @@ def _half_angle(v3, tau: float, r: np.ndarray) -> np.ndarray:
 # angle fractions (of the chord-limited half angle) and radius fractions (of
 # delta) of the 4 x 4 interior sample grid
 _INTERIOR_FRACTIONS = np.array([-0.6, -0.2, 0.2, 0.6])
+# sample columns of the four corners: the ends of the outer and inner arcs
+CORNER_COLUMNS = np.array([0, 23, 24, 47])
 
 
-def sample_points(cores: np.ndarray, dirs: np.ndarray, delta: float, tau: float) -> np.ndarray:
-    """The fixed (n, 80, 2) sample points of n rectangles sharing (delta, tau).
+def sample_polar(cores: np.ndarray, dirs: np.ndarray, delta: float,
+                 tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Radius and angle, each (n, 80), of the sample points of n rectangles.
 
-    cores is (n, 3) and dirs the (n, 2) unit arc directions.  Per rectangle,
-    in polar coordinates about the core and in this order: 24 + 24 points
-    on the outer and inner band boundary arcs, 8 + 8 points on the two end
-    caps following the chord-limited angle, and 16 interior points on a
-    4 x 4 (radius x angle-fraction) grid.
+    cores is (n, 3) and dirs the (n, 2) unit arc directions, all sharing
+    (delta, tau).  Per rectangle, in polar coordinates about the core and in
+    this order: 24 + 24 points on the outer and inner band boundary arcs,
+    8 + 8 points on the two end caps following the chord-limited angle, and
+    16 interior points on a 4 x 4 (radius x angle-fraction) grid.
     """
     cores, dirs = np.reshape(cores, (-1, 3)), np.reshape(dirs, (-1, 2))
     h, v3 = cores[:, 2], cores[:, 2:3]
@@ -113,8 +130,23 @@ def sample_points(cores: np.ndarray, dirs: np.ndarray, delta: float, tau: float)
                           (psi_in[:, :, None] * _INTERIOR_FRACTIONS).reshape(-1, 16)), axis=1)
     # math.atan2, not np.arctan2: the two differ in the last ulp on some directions
     arc = np.array([math.atan2(y, x) for x, y in dirs]).reshape(-1, 1)
-    ang = arc + phi
-    return cores[:, None, :2] + radius[:, :, None] * np.stack((np.cos(ang), np.sin(ang)), axis=-1)
+    return radius, arc + phi
+
+
+def polar_points(cores: np.ndarray, radius: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Planar (n, k, 2) points at (n, k) radii and angles about the n cores' centres.
+
+    Elementwise, so any selection of sample columns gives the same bits as
+    those columns of the full :func:`sample_points` array.
+    """
+    return cores[:, None, :2] + radius[:, :, None] * np.stack((np.cos(angle), np.sin(angle)),
+                                                              axis=-1)
+
+
+def sample_points(cores: np.ndarray, dirs: np.ndarray, delta: float, tau: float) -> np.ndarray:
+    """The fixed (n, 80, 2) sample points of n rectangles; see :func:`sample_polar`."""
+    cores = np.reshape(cores, (-1, 3))
+    return polar_points(cores, *sample_polar(cores, dirs, delta, tau))
 
 
 def rect_sample_points(rect: DeltaTauRectangle) -> np.ndarray:
@@ -176,14 +208,24 @@ def _check_same_scale(r1: DeltaTauRectangle, r2: DeltaTauRectangle):
 
 
 def _separation(cores_a: np.ndarray, us_a: np.ndarray, cores_b: np.ndarray,
-                us_b: np.ndarray, delta: float, tau: float) -> np.ndarray:
-    """(a, b) decision separations of rectangles a against rectangles b; inf for opposed arcs."""
+                us_b: np.ndarray, delta: float, tau: float,
+                thresh: float = math.inf, below_diagonal: bool = False) -> np.ndarray:
+    """(a, b) decision separations of rectangles a against rectangles b.
+
+    Opposed arcs get inf.  So do arcs more than thresh * tau apart: the
+    angle term alone puts their separation above thresh, so a caller that
+    only compares with thresh loses nothing.  The cosine cut keeps a
+    1e-12 margin over the rounding of the dot products.  below_diagonal
+    leaves every entry with b >= a at inf, for a family against itself.
+    """
     # per row of a the matrix-vector product a one-rectangle call makes;
     # us_a @ us_b.T can differ from it in the last ulp
     dots = (us_b @ us_a[:, :, None])[..., 0]
     cross = us_a[:, None, 0] * us_b[:, 1] - us_a[:, None, 1] * us_b[:, 0]
     sep = np.full(dots.shape, np.inf)
-    ia, ib = np.nonzero(dots > 0.0)
+    cut = max(math.cos(thresh * tau) - 1e-12, 0.0) if thresh * tau < math.pi / 2 else 0.0
+    near = dots > cut
+    ia, ib = np.nonzero(np.tril(near, -1) if below_diagonal else near)
     if not len(ia):
         return sep
     ub = us_a[ia] + us_b[ib]
@@ -264,11 +306,11 @@ def greedy_maximal_incomparable(rects: list[DeltaTauRectangle], A: float) -> lis
         block = np.arange(s, min(s + GREEDY_BLOCK, len(rects)))
         # drop the block's candidates comparable to a member kept earlier
         near = _separation(cores[block], us[block], cores[kept_idx], us[kept_idx],
-                           delta, tau) <= thresh
+                           delta, tau, thresh) <= thresh
         block = block[~near.any(axis=1)]
         # then keep survivors in order, each dropping the later ones comparable to it
         comp = _separation(cores[block], us[block], cores[block], us[block],
-                           delta, tau) <= thresh
+                           delta, tau, thresh, below_diagonal=True) <= thresh
         keep = np.ones(len(block), dtype=bool)
         for i in range(len(block)):
             if keep[i]:

@@ -29,11 +29,19 @@ import numpy as np
 
 from .geometry import COORD_TOL
 from .measures import CircleConfig, gamma_tau
-from .rectangles import DeltaTauRectangle, greedy_maximal_incomparable, sample_points
+from .rectangles import (
+    CORNER_COLUMNS,
+    DeltaTauRectangle,
+    greedy_maximal_incomparable,
+    polar_points,
+    sample_polar,
+)
 
 TANGENT_SLACK = 2.0  # pairs with Delta <= TANGENT_SLACK * delta count as tangent
 GEOM_EPS = 0.1  # main_geom_check compares rectangles at level A = delta^(-GEOM_EPS)
 NU_BLOCK = 512  # candidate rectangles per block of nu_multiplicity
+# the sample columns nu_multiplicity tests in turn: the corners, then the rest
+_STAGES = (CORNER_COLUMNS, np.delete(np.arange(80), CORNER_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -107,9 +115,13 @@ def nu_multiplicity(config: CircleConfig, cores: np.ndarray, dirs: np.ndarray,
     The rectangles are given as (n, 3) cores and (n, 2) unit arc directions
     at the configuration's delta.  Containment is checked on each
     rectangle's sample points; a circle can only qualify if the arc point
-    a0 lies in its delta-annulus, so the sampled test runs only on the
-    (rectangle, circle) pairs that pass that test.  Rectangles are taken
-    NU_BLOCK at a time, so memory is bounded by the block, not by n.
+    a0 lies in its delta-annulus, so only the (rectangle, circle) pairs that
+    pass that test go on.  Of those, a circle equal to the core with height
+    above delta counts at once: every sample point lies at radius
+    v3 +- delta about its centre, up to rounding far inside the slack.  The
+    rest test the four corner points first and the other 76 only if all
+    four hold.  Rectangles are taken NU_BLOCK at a time, so memory is
+    bounded by the block, not by n.
     """
     c, delta = config.circles, config.delta
     cores, dirs = np.reshape(cores, (-1, 3)), np.reshape(dirs, (-1, 2))
@@ -119,10 +131,18 @@ def nu_multiplicity(config: CircleConfig, cores: np.ndarray, dirs: np.ndarray,
         a0 = core[:, :2] + core[:, 2:3] * unit
         band_a0 = np.abs(np.hypot(a0[:, None, 0] - c[:, 0], a0[:, None, 1] - c[:, 1]) - c[:, 2])
         rect, circle = np.nonzero(band_a0 <= delta + COORD_TOL)
-        diff = sample_points(core, unit, delta, tau)[rect] - c[circle, None, :2]
-        band = np.abs(np.sqrt(np.sum(diff * diff, axis=-1)) - c[circle, 2:3])
-        ok = np.all(band <= delta + 1e-7 * delta + COORD_TOL, axis=1)
-        counts[b0:b0 + len(core)] = np.bincount(rect[ok], minlength=len(core))
+        own = np.all(c[circle] == core[rect], axis=1) & (core[rect, 2] > delta)
+        counts[b0:b0 + len(core)] = np.bincount(rect[own], minlength=len(core))
+        rect, circle = rect[~own], circle[~own]
+        sampled, at = np.unique(rect, return_inverse=True)
+        radius, angle = sample_polar(core[sampled], unit[sampled], delta, tau)
+        for cols in _STAGES:
+            pts = polar_points(core[rect], radius[at[:, None], cols], angle[at[:, None], cols])
+            diff = pts - c[circle, None, :2]
+            band = np.abs(np.sqrt(np.sum(diff * diff, axis=-1)) - c[circle, 2:3])
+            ok = np.all(band <= delta + 1e-7 * delta + COORD_TOL, axis=1)
+            rect, circle, at = rect[ok], circle[ok], at[ok]
+        counts[b0:b0 + len(core)] += np.bincount(rect, minlength=len(core))
     return counts
 
 
@@ -149,12 +169,13 @@ def main_geom_check(config: CircleConfig) -> dict:
     circles = config.circles
     mult = nu_multiplicity(config, np.repeat(circles, n_arc, axis=0),
                            np.tile(units, (len(circles), 1)), tau)
+    rows = circles.tolist()
     buckets = []
     worst = 0.0
     m = 1
     while m <= max(int(mult.max(initial=0)), 1):
-        members = [DeltaTauRectangle(circles[i // n_arc].tolist(), arcs[i % n_arc], delta, tau)
-                   for i in np.flatnonzero((m <= mult) & (mult < 2 * m))]
+        members = [DeltaTauRectangle(rows[i // n_arc], arcs[i % n_arc], delta, tau)
+                   for i in np.flatnonzero((m <= mult) & (mult < 2 * m)).tolist()]
         if members:
             kept = greedy_maximal_incomparable(members, A)
             value = (m ** 1.5) * len(kept) * tau / max(config.count, 1)

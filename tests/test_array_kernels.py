@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conelab import maximal, measures, tangency
+from conelab.geometry import COORD_TOL
 from conelab.maximal import (
     HIST_ROWS,
     _annulus_spans,
@@ -37,6 +38,7 @@ from conelab.measures import (
     generate_config,
     max_plank_mass,
 )
+from conelab.rectangles import CORNER_COLUMNS, polar_points, sample_polar
 from conelab.tangency import classify_pairs, nu_multiplicity
 from oracle_suites import (
     frostman_sample_tuple_keys,
@@ -368,15 +370,50 @@ class TestRaster:
 
 class TestNuMultiplicity:
     @pytest.mark.parametrize("kind", ("wolff_radii", "random_frostman"))
-    @pytest.mark.parametrize("delta", (2.0 ** -5, 2.0 ** -6, 2.0 ** -7, 2.0 ** -8))
+    @pytest.mark.parametrize("delta", (2.0 ** -5, 2.0 ** -6, 2.0 ** -7, 2.0 ** -8, 2.0 ** -9))
     def test_matches_single_pass(self, kind, delta):
-        for seed in range(3):
+        # the single pass holds every candidate's points at once: seed 0 alone at 2^-9
+        for seed in range(3 if delta > 2.0 ** -9 else 1):
             config = generate_config(kind, delta, int(round(0.5 / delta)), seed,
                                      radius_band=MAXIMAL_RADII)
             cores, dirs, tau = geom_candidates(config)
             counts = nu_multiplicity(config, cores, dirs, tau)
             ref = nu_multiplicity_single_pass(config, cores, dirs, tau)
             assert counts.dtype == ref.dtype and np.array_equal(counts, ref)
+
+    def test_several_annuli_and_the_own_circle_rule(self):
+        # At delta = 2^-6 the containment slack is 1e-7 delta + COORD_TOL =
+        # 2.5625e-9.  c0 is doubled exactly and once more with its radius
+        # 1e-9 larger, so rectangles on it lie in three or four annuli.
+        # `shifted` moves c0's centre 2.62e-9 along +x: the four corners of
+        # c0's +x rectangle see about 0.97 of that, inside the slack, the
+        # inner arc's middle sees all of it, so only the 76 other points
+        # reject it.  Circles of height <= delta are sampled, not counted by
+        # the own-circle rule: heights delta/2 and 0 hold their rectangles,
+        # height -delta/4 passes the a0 test and fails the sampled one.
+        delta = 2.0 ** -6
+        c0 = (0.1, 0.2, 0.5)
+        shifted = (0.1 + 2.62e-9, 0.2, 0.5)
+        low = [(0.6, 0.6, delta / 2), (-0.4, 0.6, 0.0), (0.6, -0.4, -delta / 4)]
+        circles = [c0, c0, (0.1, 0.2, 0.5 + 1e-9), shifted] + low
+        config = CircleConfig(np.array(circles), delta)
+        cores, dirs, tau = geom_candidates(config)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            counts = nu_multiplicity(config, cores, dirs, tau)
+            ref = nu_multiplicity_single_pass(config, cores, dirs, tau)
+        assert counts.dtype == ref.dtype and np.array_equal(counts, ref)
+        n_arc = len(cores) // config.count
+        by_core = {tuple(c): counts[i * n_arc:(i + 1) * n_arc]
+                   for i, c in enumerate(config.circles.tolist())}
+        assert by_core[c0].min() >= 3 and by_core[c0].max() == 4
+        assert [by_core[c].tolist() for c in low] == [[1] * n_arc, [1] * n_arc, [0] * n_arc]
+        # c0's +x rectangle passes the corners of `shifted` and fails the rest
+        radius, angle = sample_polar(np.array([c0]), np.array([[1.0, 0.0]]), delta, tau)
+        diff = polar_points(np.array([c0]), radius, angle)[0] - shifted[:2]
+        band = np.abs(np.hypot(diff[:, 0], diff[:, 1]) - shifted[2])
+        inside = band <= delta + 1e-7 * delta + COORD_TOL
+        assert inside[CORNER_COLUMNS].all() and not inside.all()
+        assert by_core[c0][0] == 3
 
     @pytest.mark.parametrize("block", (1, 7, 1 << 20))
     def test_block_size_does_not_change_counts(self, monkeypatch, block):

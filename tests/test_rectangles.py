@@ -13,6 +13,7 @@ from conelab.rectangles import (
     GREEDY_BLOCK,
     DeltaTauRectangle,
     SubResolutionArcError,
+    _separation,
     comparable,
     comparability_separation,
     dual_rectangle,
@@ -216,14 +217,42 @@ class TestGreedy:
         rng = np.random.default_rng(23)
         base = [seeded_rectangle(rng, delta=1e-4, tau=3e-2) for _ in range(10)]
         rects = [perturbed(rng, r, 6.0) for r in base for _ in range(60)]
-        rects = [rects[i] for i in rng.permutation(len(rects))]
         thresh = 2.0 ** (C0 / 2)
+        # on fresh cores, arcs turned either way by thresh * tau -+ 1e-9 rad:
+        # each side of the angular pre-screen's cut, one comparable, one not
+        for r in (seeded_rectangle(rng, delta=1e-4, tau=3e-2) for _ in range(4)):
+            t0 = math.atan2(r.arc_center[1], r.arc_center[0])
+            edge = [DeltaTauRectangle(r.core, (math.cos(t), math.sin(t)), r.delta, r.tau)
+                    for t in (t0 + sign * (thresh * r.tau + off)
+                              for sign in (-1, 1) for off in (-1e-9, 1e-9))]
+            assert [comparability_separation(r, e) <= thresh for e in edge] == [True, False] * 2
+            rects += [r] + edge
+        rects = [rects[i] for i in rng.permutation(len(rects))]
         ref = []
         for r in rects:
             if all(comparability_separation(r, k) > thresh for k in ref):
                 ref.append(r)
         assert len(rects) > 2 * GREEDY_BLOCK and 40 < len(ref) < len(rects) / 2
         assert greedy_maximal_incomparable(rects, 2.0) == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 2 * math.pi), st.sampled_from([1e-2, 3e-2, 0.1, 0.3]),
+           st.floats(1.0, 4.0),
+           st.lists(st.tuples(st.integers(-1, 1), st.floats(-1e-9, 1e-9), st.floats(-2.0, 2.0)),
+                    min_size=1, max_size=6))
+    def test_prescreen_keeps_the_decision_mask(self, theta, tau, A, family):
+        # arcs k * thresh * tau + eps from theta, cores shifted by up to 2 delta;
+        # thresh * tau runs from 0.01 to past pi / 2, where the cut is off
+        delta, thresh = tau ** 2, A ** (C0 / 2)
+        arcs = [(math.cos(t), math.sin(t))
+                for t in (theta + k * thresh * tau + eps for k, eps, _ in family)]
+        us = np.array([(x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in arcs])
+        cores = np.array([(0.01 + shift * delta, 0.01, 1.0) for *_, shift in family])
+        exact = _separation(cores, us, cores, us, delta, tau) <= thresh
+        cut = _separation(cores, us, cores, us, delta, tau, thresh) <= thresh
+        lower = _separation(cores, us, cores, us, delta, tau, thresh, below_diagonal=True)
+        assert np.array_equal(cut, exact)
+        assert np.array_equal(lower <= thresh, np.tril(exact, -1))
 
     def test_comparable_pair_far_apart_in_angle(self):
         # arc angles 0.374 apart on one core: separation 4.234 <= A^3 = 4.287,

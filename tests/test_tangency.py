@@ -208,6 +208,14 @@ class TestMainGeomCheck:
         assert [(b["M"], b["candidates"], b["incomparable"]) for b in out["buckets"]] == buckets
         assert repr(out["max_value"]) == max_value
 
+    def test_frozen_report_at_the_finest_delta(self):
+        # delta = 2^-9: 256 circles, 36,608 candidates
+        config = generate_config("wolff_radii", 2.0 ** -9, 256, seed=0, radius_band=MAXIMAL_RADII)
+        out = main_geom_check(config)
+        assert [(b["M"], b["candidates"], b["incomparable"]) for b in out["buckets"]] == [
+            (1, 36608, 458)]
+        assert repr(out["max_value"]) == "0.07906613910728486"
+
     def test_tau_validation(self):
         # tau = sqrt(delta) leaves [delta, 1] once delta > 1
         config = CircleConfig(np.array([[0.0, 0.0, 3.0]]), delta=2.0)
