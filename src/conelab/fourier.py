@@ -22,6 +22,8 @@ agrees with the full tensor sum to the interpolation error.  For f = 1 the
 phi integral is exact, E1 being radial:
 E1(r, x3) = sum_rho 2 pi a rho drho J0(2 pi rho r) exp(2 pi i rho x3), one
 matrix product over distinct radii and heights (sigma-check, Gram matrices).
+J0 is a numpy port of Cephes' j0, the algorithm behind scipy.special.j0 and
+bitwise equal to it, so the library needs no scipy.
 
 Cube measures enter through their exact transform: a union of unit cubes
 with centers c has hat(nu)(xi) = prod_j sinc(xi_j) * sum_c exp(-2 pi i c.xi),
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
+import numpy.fft  # noqa: F401  lazy in numpy; load it here, not in a sweep point
 
 from .measures import CubeMeasure, max_plank_mass
 
@@ -46,6 +48,7 @@ PHI_BATCH = 8  # decay_mean sums its terms in groups of this many phi rows
 # decay_mean: complex entries (4 MB) of one phi block's step tables and cube
 # sums; random_frostman takes 96 phi nodes a block at R=64, 8 from R=256 up
 DECAY_BLOCK_BUDGET = 1 << 18
+J0_BLOCK = 1 << 14  # e1_grid evaluates J0 on blocks of rows of this many entries
 SAMPLES_PER_UNIT = 1024  # radial-table samples per unit of u, at least
 # midpoint samples per cube axis of weighted_l2 and the extension operator;
 # |A c|^2 equals weighted_l2 only when both use the same m
@@ -188,10 +191,124 @@ def extension_separable(points, quad: ConeQuadrature, h_phi=None) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Bessel J0: Cephes j0 (S. L. Moshier, 1989), the algorithm and coefficients
+# that scipy.special.j0 evaluates
+
+# |x| <= 5: J0 = (z - DR1) (z - DR2) RP(z) / RQ(z) with z = x^2, where DR1 and
+# DR2 are the squares of J0's first two zeros
+_J0_DR1 = 5.78318596294678452118e0
+_J0_DR2 = 3.04712623436620863991e1
+_J0_RP = (-4.79443220978201773821e9, 1.95617491946556577543e12, -2.49248344360967716204e14,
+          9.70862251047306323952e15)
+# monic: Horner from a leading 1 is exactly Cephes' p1evl (1 * z is exact)
+_J0_RQ = (1.0, 4.99563147152651017219e2, 1.73785401676374683123e5, 4.84409658339962045305e7,
+          1.11855537045356834862e10, 2.11277520115489217587e12, 3.10518229857422583814e14,
+          3.18121955943204943306e16, 1.71086294081043136091e18)
+# |x| > 5: P = PP/PQ and Q = QP/QQ at 25 / x^2
+_J0_PP = (7.96936729297347051624e-4, 8.28352392107440799803e-2, 1.23953371646414299388e0,
+          5.44725003058768775090e0, 8.74716500199817011941e0, 5.30324038235394892183e0,
+          9.99999999999999997821e-1)
+_J0_PQ = (9.24408810558863637013e-4, 8.56288474354474431428e-2, 1.25352743901058953537e0,
+          5.47097740330417105182e0, 8.76190883237069594232e0, 5.30605288235394617618e0,
+          1.00000000000000000218e0)
+_J0_QP = (-1.13663838898469149931e-2, -1.28252718670509318512e0, -1.95539544257735972385e1,
+          -9.32060152123768231369e1, -1.77681167980488050595e2, -1.47077505154951170175e2,
+          -5.14105326766599330220e1, -6.05014350600728481186e0)
+_J0_QQ = (1.0, 6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
+          7.24046774195652478189e3, 5.93072701187316984827e3, 2.06209331660327847417e3,
+          2.42005740240291393179e2)
+_SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2 / pi)
+
+
+def _horner(coef, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """coef[0] x^n + ... + coef[n] into out, in Cephes polevl's order of operations."""
+    np.multiply(x, coef[0], out=out)
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _j0_small(x: np.ndarray, out: np.ndarray) -> None:
+    """J0 for 0 <= x <= 5 into out (which may be x)."""
+    z = np.multiply(x, x, out=np.empty_like(x))
+    tiny = x < 1e-5
+    p = np.subtract(z, _J0_DR1, out=np.empty_like(x))
+    t = np.subtract(z, _J0_DR2, out=np.empty_like(x))
+    p *= t
+    p *= _horner(_J0_RP, z, t)
+    np.divide(p, _horner(_J0_RQ, z, t), out=out)
+    if tiny.any():
+        out[tiny] = 1.0 - z[tiny] / 4.0
+
+
+def _j0_large(x: np.ndarray, out: np.ndarray) -> None:
+    """J0 for x > 5 into out (which may be x): sqrt(2/(pi x)) (P cos xn - (5/x) Q sin xn)."""
+    with np.errstate(over="ignore"):  # x^2 = inf gives 25 / x^2 = 0, as in C
+        u = np.multiply(x, x, out=np.empty_like(x))
+    np.divide(25.0, u, out=u)
+    p = _horner(_J0_PP, u, np.empty_like(u))
+    t = _horner(_J0_PQ, u, np.empty_like(u))
+    p /= t
+    q = _horner(_J0_QP, u, np.empty_like(u))
+    q /= _horner(_J0_QQ, u, t)
+    np.divide(5.0, x, out=u)
+    q *= u
+    np.subtract(x, math.pi / 4, out=u)
+    p *= np.cos(u, out=t)
+    q *= np.sin(u, out=u)
+    p -= q
+    p *= _SQ2OPI
+    np.divide(p, np.sqrt(x, out=u), out=out)
+
+
+def j0(x, out=None) -> np.ndarray:
+    """Bessel J0 elementwise, bitwise equal to scipy.special.j0.
+
+    Each Cephes step is one numpy operation in C's order, so every rounding
+    is the same.  `out` may be x itself.  An array that lies on one side of
+    5 takes its branch whole; a mixed one is split by a mask.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.abs(x, out=np.empty_like(x) if out is None else out)
+    if out.size == 0:
+        return out
+    if out.max() <= 5.0:
+        _j0_small(out, out)
+    elif out.min() > 5.0:
+        _j0_large(out, out)
+    else:
+        small = out <= 5.0  # NaN goes to the large branch, as in C
+        large = ~small
+        vals = out[small]
+        _j0_small(vals, vals)
+        out[small] = vals
+        vals = out[large]
+        _j0_large(vals, vals)
+        out[large] = vals
+    return out
+
+
 def e1_grid(r, z, quad: ConeQuadrature) -> np.ndarray:
-    """E1 at planar radius r_i and height z_j, shape (len(r), len(z)), on quad's rho rule."""
-    bessel = j0(2 * math.pi * np.outer(r, quad.rho)) * (2 * math.pi * quad.amplitude
-                                                         * quad.radial_weight)
+    """E1 at planar radius r_i and height z_j, shape (len(r), len(z)), on quad's rho rule.
+
+    J0(2 pi r_i rho_j) fills one preallocated table a block of rows at a
+    time (J0_BLOCK entries), each scaled in place by 2 pi a w, so J0's
+    temporaries do not grow with len(r).  Sorted r, as np.unique gives,
+    keeps all but a couple of blocks on one side of J0's branch point.
+    """
+    r = np.asarray(r, dtype=float)
+    weight = 2 * math.pi * quad.amplitude * quad.radial_weight
+    bessel = np.empty((len(r), len(quad.rho)))
+    rows = max(1, J0_BLOCK // len(quad.rho))
+    for s in range(0, len(r), rows):
+        block = bessel[s:s + rows]
+        np.multiply.outer(r[s:s + rows], quad.rho, out=block)
+        block *= 2 * math.pi
+        j0(block, out=block)
+        block *= weight
     return bessel @ np.exp(2j * math.pi * np.outer(quad.rho, z))
 
 
@@ -208,6 +325,15 @@ def rho_split(n_rho: int) -> tuple[int, int]:
     """decay_mean's step counts: n_baby = ceil(sqrt(n_rho)), n_baby * n_giant >= n_rho."""
     n_baby = math.isqrt(n_rho - 1) + 1
     return n_baby, -(-n_rho // n_baby)
+
+
+def _sinc(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.sinc(x) into out, bitwise, overwriting x: sin(pi x) / (pi x), eps at exact zeros."""
+    x *= math.pi
+    np.copyto(x, np.finfo(float).eps, where=x == 0)
+    np.sin(x, out=out)
+    out /= x
+    return out
 
 
 def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
@@ -233,6 +359,7 @@ def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
     block = min(PHI_BATCH * max(1, DECAY_BLOCK_BUDGET // (PHI_BATCH * per_phi)), len(quad.phi))
     baby_table = np.empty((n_baby, block, nu.mass), dtype=complex)
     giant_table = np.empty((n_giant, block, nu.mass), dtype=complex)
+    arg_table, form_table, sinc_table = (np.empty((block, len(rho))) for _ in range(3))
     total = 0.0
     for s in range(0, len(quad.phi), block):
         phi = quad.phi[s:s + block]
@@ -248,7 +375,10 @@ def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
         for t in range(1, n_giant):
             np.multiply(giant[t - 1], giant_step, out=giant[t])  # z0 step^(n_baby t)
         s_sum = (giant.transpose(1, 0, 2) @ baby.transpose(1, 2, 0)).reshape(len(phi), -1)
-        form = np.sinc(rho * cos) * np.sinc(rho * sin) * sinc_rho
+        arg = arg_table[:len(phi)]
+        form = _sinc(np.multiply(rho, cos, out=arg), form_table[:len(phi)])
+        form *= _sinc(np.multiply(rho, sin, out=arg), sinc_table[:len(phi)])
+        form *= sinc_rho
         terms = (np.abs(s_sum[:, :len(rho)]) ** 2) * (form ** 2) * w_rho
         for r in range(0, len(phi), PHI_BATCH):
             total += float(np.sum(terms[r:r + PHI_BATCH]))

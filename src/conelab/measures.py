@@ -29,6 +29,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+# numpy loads these lazily (np.unique reads np.ma); load them here, not in a sweep point
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .geometry import lightlike_frame
 

@@ -14,7 +14,9 @@ Oracles:
     quadrature-mean route agreement, which exercises two genuinely
     different algorithms for the same bilinear quantity,
   * frozen regression values computed once at q=2/q=3 and pinned at full
-    double precision.
+    double precision,
+  * scipy.special.j0 for the library's Cephes J0 port, compared bitwise, and
+    the E1 table built on it against the same formula on scipy's J0.
 """
 
 import math
@@ -47,6 +49,7 @@ from conelab.fourier import (
 )
 from conelab import experiments
 from conelab.measures import CubeMeasure, generate
+from conelab.operators import gram_grid
 from oracle_suites import decay_by_classes, extension_direct, nu_hat
 
 
@@ -175,6 +178,74 @@ class TestSigmaCheck:
         assert got.real == pytest.approx(ref, rel=1e-7)
 
 
+# the criterion-8 measures: decay families at R = 32, each at its seeds
+CRITERION_8_MEASURES = [("light_tube", 0), ("vertical_tube", 0), ("knapp_pair", 0)] + [
+    ("random_frostman", seed) for seed in range(5)]
+
+
+def criterion_8_grid(kind, seed):
+    """Distinct Gram radii and heights of a criterion-8 measure, with its quadrature."""
+    nu = generate(kind, 32, seed, **({"n": 32} if kind == "random_frostman" else {}))
+    pts = cube_midpoints(nu, fourier.MIDPOINTS)
+    r, z, _ = gram_grid(pts, fourier.MIDPOINTS)
+    return r, z, make_quadrature(*extension_bandwidths(pts), 2.0)
+
+
+def scipy_e1_grid(r, z, quad):
+    """e1_grid's formula on scipy's J0, evaluated whole."""
+    bessel = j0(2 * math.pi * np.outer(r, quad.rho)) * (2 * math.pi * quad.amplitude
+                                                         * quad.radial_weight)
+    return bessel @ np.exp(2j * math.pi * np.outer(quad.rho, z))
+
+
+class TestBesselJ0:
+    # the port repeats Cephes' roundings step by step, so equality is exact
+    def test_uniform_sample(self):
+        x = np.random.default_rng(0).uniform(0.0, 5000.0, 10 ** 6)
+        assert np.array_equal(fourier.j0(x), j0(x))
+
+    def test_edge_points(self):
+        x = np.array([0.0, -0.0, 1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0),
+                      5.0, np.nextafter(5.0, 0.0), np.nextafter(5.0, 6.0), -1e-6, -3.0,
+                      -5.0, -7.5, 5e-324, 1e-300, 1e300, -1e300, np.nan])
+        assert np.array_equal(fourier.j0(x), j0(x), equal_nan=True)
+        for v in x:  # each alone takes one branch whole; scalars give 0-d arrays
+            assert np.array_equal(fourier.j0(v), j0(v), equal_nan=True)
+
+    def test_in_place_and_strided(self):
+        x = np.random.default_rng(1).uniform(-20.0, 20.0, (300, 40))
+        want = j0(x)
+        view = x[:, ::3]
+        assert np.array_equal(fourier.j0(view), want[:, ::3])
+        got = fourier.j0(x, out=x)
+        assert got is x and np.array_equal(x, want)
+
+    @pytest.mark.parametrize("kind,seed", CRITERION_8_MEASURES)
+    def test_criterion_8_arguments(self, kind, seed):
+        r, _, quad = criterion_8_grid(kind, seed)
+        x = 2 * math.pi * np.outer(r, quad.rho)
+        assert np.array_equal(fourier.j0(x), j0(x))
+
+    @pytest.mark.parametrize("kind,seed", CRITERION_8_MEASURES)
+    def test_e1_grid_matches_scipy_formula(self, kind, seed):
+        r, z, quad = criterion_8_grid(kind, seed)
+        assert np.array_equal(fourier.e1_grid(r, z, quad), scipy_e1_grid(r, z, quad))
+
+    @pytest.mark.parametrize("q", [1.25, 2.0, 3.0])
+    def test_sigma_check_matches_scipy_formula(self, q):
+        pts = np.vstack([diagnostic_points(), list(TestSigmaCheck.SPOTS), np.zeros((1, 3))])
+        quad = make_quadrature(*extension_bandwidths(pts), q)
+        r, ri = np.unique(np.hypot(pts[:, 0], pts[:, 1]), return_inverse=True)
+        z, zi = np.unique(pts[:, 2], return_inverse=True)
+        assert np.array_equal(sigma_check(pts, q), scipy_e1_grid(r, z, quad)[ri, zi])
+
+    def test_block_size_does_not_change_e1(self, monkeypatch):
+        r, z, quad = criterion_8_grid("random_frostman", 0)
+        want = fourier.e1_grid(r, z, quad)
+        monkeypatch.setattr(fourier, "J0_BLOCK", 1)
+        assert np.array_equal(fourier.e1_grid(r, z, quad), want)
+
+
 class TestNuHat:
     def test_value_at_zero_is_mass(self):
         nu = generate("light_tube", 8, 0)
@@ -291,6 +362,14 @@ class TestDecayRoutes:
             direct += float(np.sum(np.abs(nu_hat(nu, xi)) ** 2 * w))
         assert decay_mean(nu) == pytest.approx(direct, rel=1e-12)
 
+    def test_form_factor_sinc_is_numpy_sinc(self):
+        # decay_mean's in-place sinc, at its phi = 0 zeros and beyond
+        rho = make_quadrature(40.0, 8.0).rho
+        phi = np.linspace(0.0, 2 * math.pi, 97)[:, None]
+        for x in (rho * np.cos(phi), rho * np.sin(phi), np.array([0.0, -0.0, 1e-300, -3.5])):
+            got = fourier._sinc(x.copy(), np.empty_like(x))
+            assert np.array_equal(got, np.sinc(x))
+
     @pytest.mark.parametrize("kind,R", [("vertical_tube", 16), ("random_frostman", 32)])
     def test_block_size_does_not_change_mean(self, monkeypatch, kind, R):
         # one PHI_BATCH per block, then three batches per block: at least
@@ -402,6 +481,28 @@ def traced_peak(call) -> int:
 
 
 class TestKernelMemory:
+    def test_e1_grid_takes_j0_in_blocks(self, monkeypatch):
+        # up to its last J0 block, e1_grid holds the real J0 table and a few
+        # J0_BLOCK-sized buffers, however many radii there are (the product
+        # after it casts the table to complex)
+        quad = make_quadrature(64.0, 8.0, 2.0)
+        r = np.linspace(0.0, 60.0, 4000)
+        peaks, j0_port = [], fourier.j0
+
+        def traced(x, out=None):
+            got = j0_port(x, out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return got
+
+        monkeypatch.setattr(fourier, "j0", traced)
+        tracemalloc.start()
+        try:
+            fourier.e1_grid(r, np.zeros(4), quad)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) > 1
+        assert max(peaks) <= 8 * len(r) * len(quad.rho) + 8 * 8 * fourier.J0_BLOCK
+
     def test_decay_mean_keeps_to_its_block_budget(self):
         # the step tables and cube sums of a block fill at most the budget's
         # complex entries; the block's float term arrays add a few (phi, rho) rows

@@ -19,6 +19,34 @@ def test_import_leaves_scipy_spatial_out():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_special_out():
+    # J0 is the library's own port; scipy.special costs more to import than any kernel
+    code = "import sys, conelab, conelab.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    assert out.stdout.strip() == "False"
+
+
+SWEEP_POINTS = """
+import sys
+from conelab import experiments as ex
+before = set(sys.modules)
+ex._decay_point(("light_tube", 16, 0, None, 2.0))
+ex._duality_point(("light_tube", 16, 0, None, 2.0))
+ex._maximal_point(("wolff_radii", 2.0 ** -5, 0, None, None))
+ex._pairs_point(("wolff_radii", 2.0 ** -5, 0, None, None))
+ex._sharpness_point(("sqrt", 16, 4, 2.0))
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_sweep_points_import_nothing():
+    # a module numpy loads lazily on first use would land in a sweep point's wall time
+    out = subprocess.run([sys.executable, "-c", SWEEP_POINTS], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    assert out.stdout.strip() == "[]"
+
+
 def _imported(module: str) -> set:
     """Module and imported names of every import statement in the package file."""
     imported = set()
