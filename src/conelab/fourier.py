@@ -221,9 +221,9 @@ _J0_QQ = (1.0, 6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605
 _SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2 / pi)
 
 
-def _horner(coef, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """coef[0] x^n + ... + coef[n] into out, in Cephes polevl's order of operations."""
-    np.multiply(x, coef[0], out=out)
+def _polevl(coef, x: np.ndarray) -> np.ndarray:
+    """coef[0] x^n + ... + coef[n] in Cephes polevl's order of operations."""
+    out = coef[0] * x
     out += coef[1]
     for c in coef[2:]:
         out *= x
@@ -231,63 +231,41 @@ def _horner(coef, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _j0_small(x: np.ndarray, out: np.ndarray) -> None:
-    """J0 for 0 <= x <= 5 into out (which may be x)."""
-    z = np.multiply(x, x, out=np.empty_like(x))
-    tiny = x < 1e-5
-    p = np.subtract(z, _J0_DR1, out=np.empty_like(x))
-    t = np.subtract(z, _J0_DR2, out=np.empty_like(x))
-    p *= t
-    p *= _horner(_J0_RP, z, t)
-    np.divide(p, _horner(_J0_RQ, z, t), out=out)
-    if tiny.any():
-        out[tiny] = 1.0 - z[tiny] / 4.0
-
-
-def _j0_large(x: np.ndarray, out: np.ndarray) -> None:
-    """J0 for x > 5 into out (which may be x): sqrt(2/(pi x)) (P cos xn - (5/x) Q sin xn)."""
-    with np.errstate(over="ignore"):  # x^2 = inf gives 25 / x^2 = 0, as in C
-        u = np.multiply(x, x, out=np.empty_like(x))
-    np.divide(25.0, u, out=u)
-    p = _horner(_J0_PP, u, np.empty_like(u))
-    t = _horner(_J0_PQ, u, np.empty_like(u))
-    p /= t
-    q = _horner(_J0_QP, u, np.empty_like(u))
-    q /= _horner(_J0_QQ, u, t)
-    np.divide(5.0, x, out=u)
-    q *= u
-    np.subtract(x, math.pi / 4, out=u)
-    p *= np.cos(u, out=t)
-    q *= np.sin(u, out=u)
-    p -= q
-    p *= _SQ2OPI
-    np.divide(p, np.sqrt(x, out=u), out=out)
-
-
-def j0(x, out=None) -> np.ndarray:
+def j0(x) -> np.ndarray:
     """Bessel J0 elementwise, bitwise equal to scipy.special.j0.
 
     Each Cephes step is one numpy operation in C's order, so every rounding
-    is the same.  `out` may be x itself.  An array that lies on one side of
-    5 takes its branch whole; a mixed one is split by a mask.
+    is the same; steps go in place where that keeps J0's temporaries few.
+    |x| <= 5 takes the rational form, the rest the asymptotic form
+    sqrt(2/(pi x)) (P cos xn - (5/x) Q sin xn).
     """
     x = np.asarray(x, dtype=float)
-    out = np.abs(x, out=np.empty_like(x) if out is None else out)
-    if out.size == 0:
-        return out
-    if out.max() <= 5.0:
-        _j0_small(out, out)
-    elif out.min() > 5.0:
-        _j0_large(out, out)
-    else:
-        small = out <= 5.0  # NaN goes to the large branch, as in C
-        large = ~small
-        vals = out[small]
-        _j0_small(vals, vals)
-        out[small] = vals
-        vals = out[large]
-        _j0_large(vals, vals)
-        out[large] = vals
+    out = np.abs(x, out=np.empty_like(x))
+    small = out <= 5.0  # NaN goes to the asymptotic form, as in C
+    x = out[small]
+    z = x * x
+    p = z - _J0_DR1
+    p *= z - _J0_DR2
+    p *= _polevl(_J0_RP, z)
+    p /= _polevl(_J0_RQ, z)
+    tiny = x < 1e-5
+    p[tiny] = 1.0 - z[tiny] / 4.0
+    out[small] = p
+    x = out[~small]
+    with np.errstate(over="ignore"):  # x^2 = inf gives 25 / x^2 = 0, as in C
+        z = 25.0 / (x * x)
+    p = _polevl(_J0_PP, z)
+    p /= _polevl(_J0_PQ, z)
+    q = _polevl(_J0_QP, z)
+    q /= _polevl(_J0_QQ, z)
+    z = x - math.pi / 4
+    p *= np.cos(z)
+    q *= 5.0 / x
+    q *= np.sin(z)
+    p -= q
+    p *= _SQ2OPI
+    p /= np.sqrt(x)
+    out[~small] = p
     return out
 
 
@@ -296,8 +274,7 @@ def e1_grid(r, z, quad: ConeQuadrature) -> np.ndarray:
 
     J0(2 pi r_i rho_j) fills one preallocated table a block of rows at a
     time (J0_BLOCK entries), each scaled in place by 2 pi a w, so J0's
-    temporaries do not grow with len(r).  Sorted r, as np.unique gives,
-    keeps all but a couple of blocks on one side of J0's branch point.
+    temporaries do not grow with len(r).
     """
     r = np.asarray(r, dtype=float)
     weight = 2 * math.pi * quad.amplitude * quad.radial_weight
@@ -307,7 +284,7 @@ def e1_grid(r, z, quad: ConeQuadrature) -> np.ndarray:
         block = bessel[s:s + rows]
         np.multiply.outer(r[s:s + rows], quad.rho, out=block)
         block *= 2 * math.pi
-        j0(block, out=block)
+        block[:] = j0(block)
         block *= weight
     return bessel @ np.exp(2j * math.pi * np.outer(quad.rho, z))
 
@@ -325,15 +302,6 @@ def rho_split(n_rho: int) -> tuple[int, int]:
     """decay_mean's step counts: n_baby = ceil(sqrt(n_rho)), n_baby * n_giant >= n_rho."""
     n_baby = math.isqrt(n_rho - 1) + 1
     return n_baby, -(-n_rho // n_baby)
-
-
-def _sinc(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.sinc(x) into out, bitwise, overwriting x: sin(pi x) / (pi x), eps at exact zeros."""
-    x *= math.pi
-    np.copyto(x, np.finfo(float).eps, where=x == 0)
-    np.sin(x, out=out)
-    out /= x
-    return out
 
 
 def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
@@ -359,7 +327,6 @@ def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
     block = min(PHI_BATCH * max(1, DECAY_BLOCK_BUDGET // (PHI_BATCH * per_phi)), len(quad.phi))
     baby_table = np.empty((n_baby, block, nu.mass), dtype=complex)
     giant_table = np.empty((n_giant, block, nu.mass), dtype=complex)
-    arg_table, form_table, sinc_table = (np.empty((block, len(rho))) for _ in range(3))
     total = 0.0
     for s in range(0, len(quad.phi), block):
         phi = quad.phi[s:s + block]
@@ -375,10 +342,7 @@ def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
         for t in range(1, n_giant):
             np.multiply(giant[t - 1], giant_step, out=giant[t])  # z0 step^(n_baby t)
         s_sum = (giant.transpose(1, 0, 2) @ baby.transpose(1, 2, 0)).reshape(len(phi), -1)
-        arg = arg_table[:len(phi)]
-        form = _sinc(np.multiply(rho, cos, out=arg), form_table[:len(phi)])
-        form *= _sinc(np.multiply(rho, sin, out=arg), sinc_table[:len(phi)])
-        form *= sinc_rho
+        form = np.sinc(rho * cos) * np.sinc(rho * sin) * sinc_rho
         terms = (np.abs(s_sum[:, :len(rho)]) ** 2) * (form ** 2) * w_rho
         for r in range(0, len(phi), PHI_BATCH):
             total += float(np.sum(terms[r:r + PHI_BATCH]))

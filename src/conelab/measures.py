@@ -357,7 +357,8 @@ def generate_config(kind: str, delta: float, n: int, seed: int = 0,
     maximal-function box otherwise.  wolff_radii places one radius in each
     of n distinct delta-intervals of the band and refuses n above their
     count; random_frostman rejection-samples against a dyadic ball tree at
-    base scale delta (capacity 4 r/delta) and refuses n it cannot place.
+    base scale delta (capacity 4 r/delta); it refuses, before drawing, n above
+    the capacity of the smallest tree ball holding the box, and n it cannot place.
     """
     rng = np.random.default_rng(seed)
     lo, hi = radius_band
@@ -373,6 +374,21 @@ def generate_config(kind: str, delta: float, n: int, seed: int = 0,
         return CircleConfig(np.column_stack([centers, radii]), delta=delta)
     if kind != "random_frostman":
         raise ValueError(f"unknown config kind {kind!r}")
+    # every draw lies within r of the level-r node nearest the box centre, a node
+    # of its +-2 ring (tested with the sampler's own in-ball arithmetic), so that
+    # node's capacity 4 r/delta caps n
+    corners = np.array([(x, y, z) for x in planar_box for y in planar_box for z in (lo, hi)])
+    r = delta
+    while True:
+        node = np.round(corners.mean(axis=0) / (0.5 * r)) * (0.5 * r)
+        if np.sqrt(np.add.reduce((node - corners) ** 2, axis=1)).max() <= r:
+            break
+        r *= 2.0
+    capacity = int(4 * r / delta)
+    if n > capacity:
+        raise ValueError(f"random_frostman: n={n} exceeds {capacity} = 4 r/delta, the capacity "
+                         f"of the sampler ball of radius r={r} that holds every draw at "
+                         f"delta={delta}")
     span = max(hi - lo, planar_box[1] - planar_box[0])
     out = _frostman_sample(
         lambda: np.array([rng.uniform(*planar_box), rng.uniform(*planar_box), rng.uniform(lo, hi)]),

@@ -77,13 +77,14 @@ class DiscreteExtensionOperator:
         return mags.sum(axis=(0, 1)) / math.sqrt(self.m ** 3)
 
 
-def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
+def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Top eigenvalue of Hermitian PSD G and its unit Ritz vector, by Lanczos.
 
     Full reorthogonalisation (classical Gram-Schmidt, twice) from a seeded
     complex Gaussian start; stops when the Ritz residual |beta_k s_k| falls
-    to LANCZOS_TOL times the Ritz value, or after LANCZOS_ITERS steps.  The
-    eigenvalue returned is the Rayleigh quotient of the Ritz vector.
+    to LANCZOS_TOL times the Ritz value, or after LANCZOS_ITERS steps.
+    Returns the Rayleigh quotient of the Ritz vector x, x, and G x, which
+    the caller's residual reuses.
     """
     n = len(gram)
     # a structured start such as ones can be orthogonal to the top eigenvector
@@ -107,14 +108,15 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
         basis[k + 1] = w / b
     x = s[:, -1] @ basis[:k + 1]
     x /= np.linalg.norm(x)
-    return float(np.vdot(x, gram @ x).real), x
+    gx = gram @ x
+    return float(np.vdot(x, gx).real), x, gx
 
 
 def operator_from_gram(nu: CubeMeasure, gram: np.ndarray, m: int,
                        seed: int = 0) -> DiscreteExtensionOperator:
     """The operator of the Gram matrix G = A A*, with its norm bracket."""
-    lam, x = _top_eigenpair(gram)
-    residual = float(np.linalg.norm(gram @ x - lam * x))
+    lam, x, gx = _top_eigenpair(gram)
+    residual = float(np.linalg.norm(gx - lam * x))
     return DiscreteExtensionOperator(nu, gram, m, seed, lam, lam + residual,
                                      math.sqrt(lam) * x)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conelab import measures
 from conelab.measures import (
     ALPHA0,
     MAXIMAL_RADII,
@@ -214,6 +215,16 @@ class TestGenerateConfig:
                                  radius_band=MAXIMAL_RADII)
         assert config.count == 24
         assert frostman_constant(config) <= 8.0 + 1e-9
+
+    def test_frostman_capacity_refused_before_drawing(self, monkeypatch):
+        # at delta = 1/8 the box lies in one sampler ball of radius 1/2: at most
+        # 4 (1/2) / delta = 16 circles, and refusing 300 takes no draw
+        def no_draws(*args):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(measures, "_frostman_sample", no_draws)
+        with pytest.raises(ValueError, match="n=300 exceeds 16 = 4 r/delta"):
+            generate_config("random_frostman", 0.125, 300, radius_band=MAXIMAL_RADII)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
