@@ -19,7 +19,7 @@ from .fourier import (
     stationary_phase_diagnostic,
     weighted_l2,
 )
-from .geometry import Lightplank, lightlike_frame
+from .geometry import lightlike_frame
 from .maximal import RasterGrid, multiplicity_field, wolff_example_check
 from .measures import (
     ALPHA0,

@@ -1,4 +1,4 @@
-"""Curved delta,tau-rectangles, their tangency planks, and comparability.
+"""Curved delta,tau-rectangles, their sample points, and comparability.
 
 A (delta, tau)-rectangle on the circle dual to a point v is the set
 
@@ -20,7 +20,8 @@ annulus slack of 1e-7 delta + COORD_TOL.
 
 The set of circles delta-tangent to Omega is comparable to a lightplank of
 half-dims (delta, delta/tau, delta/tau^2) anchored at v with planar
-direction arc_center; :func:`tangency_plank` builds it.
+direction arc_center; criterion 6 checks this tangency-plank dictionary on
+the test side.
 
 Comparability of two rectangles sharing (delta, tau) is decided through
 the plank dictionary: the decision functional is the largest separation of
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COORD_TOL, SQRT2, Lightplank, as_point
+from .geometry import COORD_TOL, SQRT2, as_point
 
 # Comparability decision constant: thresholds A^(1/C0) and A^C0 bracket the
 # relation, the decision itself sits at the geometric midpoint A^(C0/2).
@@ -75,23 +76,6 @@ class DeltaTauRectangle:
             raise ValueError(f"need 0 < delta < core height, got delta={self.delta}, h={self.core[2]}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-
-    @property
-    def a0(self) -> np.ndarray:
-        """Arc midpoint v' + v3 * arc_center."""
-        return np.asarray(self.core[:2]) + self.core[2] * np.asarray(self.arc_center)
-
-
-def rect_contains(rect: DeltaTauRectangle, points) -> bool | np.ndarray:
-    """Boundary-inclusive membership of planar point(s) in the rectangle."""
-    p = np.asarray(points, dtype=float)
-    squeeze = p.ndim == 1
-    p = np.atleast_2d(p)
-    rel = p - rect.core[:2]
-    band = np.abs(np.hypot(rel[:, 0], rel[:, 1]) - rect.core[2]) <= rect.delta + COORD_TOL
-    reach = np.hypot(*(p - rect.a0).T) <= rect.tau + COORD_TOL
-    out = band & reach
-    return bool(out[0]) if squeeze else out
 
 
 def _half_angle(v3, tau: float, r: np.ndarray) -> np.ndarray:
@@ -147,46 +131,6 @@ def sample_points(cores: np.ndarray, dirs: np.ndarray, delta: float, tau: float)
     """The fixed (n, 80, 2) sample points of n rectangles; see :func:`sample_polar`."""
     cores = np.reshape(cores, (-1, 3))
     return polar_points(cores, *sample_polar(cores, dirs, delta, tau))
-
-
-def rect_sample_points(rect: DeltaTauRectangle) -> np.ndarray:
-    """The (80, 2) sample points of one rectangle; see :func:`sample_points`."""
-    return sample_points(rect.core, rect.arc_center, rect.delta, rect.tau)[0]
-
-
-class SubResolutionArcError(ValueError):
-    """Arc length below the sqrt(delta) plank resolution."""
-
-
-def tangency_plank(rect: DeltaTauRectangle, lam: float = 1.0) -> Lightplank:
-    """Lightplank comparable to the lam*delta-tangent circle family of rect.
-
-    Half-dims are (lam*delta, lam*delta/tau, lam*delta/tau^2) with planar
-    direction arc_center, anchored at the core.  Raises
-    SubResolutionArcError when tau < sqrt(delta)/2, where the single-plank
-    description fails.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    d, t = rect.delta, rect.tau
-    if t < 0.5 * math.sqrt(d):
-        raise SubResolutionArcError(f"tau={t} below sqrt(delta)/2={0.5 * math.sqrt(d)}")
-    return Lightplank(rect.core, rect.arc_center, (lam * d, lam * d / t, lam * d / t ** 2))
-
-
-def dual_rectangle(plank: Lightplank, delta: float) -> DeltaTauRectangle:
-    """Rectangle dual to a canonical plank.
-
-    The core is the plank center; the arc direction points from the core's
-    planar part toward a0, the intersection of the long-axis lightray with
-    the plane {x3 = 0}, which equals center' + center_h * direction.
-    tau is recovered from the half-dim ratios, which dilation leaves alone.
-    """
-    hs, hm, hl = plank.half_dims
-    tau1, tau2 = hs / hm, hm / hl
-    if abs(tau1 - tau2) > 1e-6 * tau1:
-        raise ValueError(f"plank is not canonically shaped: ratios {tau1} vs {tau2}")
-    return DeltaTauRectangle(plank.center, plank.direction, delta, tau1)
 
 
 @dataclass(frozen=True)
@@ -317,47 +261,3 @@ def greedy_maximal_incomparable(rects: list[DeltaTauRectangle], A: float) -> lis
                 keep[i + 1:] &= ~comp[i + 1:, i]
         kept_idx = np.concatenate((kept_idx, block[keep]))
     return [rects[i] for i in kept_idx]
-
-
-def intersect_angle(v, w) -> float:
-    """Intersection angle of two transversally intersecting circles.
-
-    With center distance b and radii r, s the angle at either crossing is
-    arccos((r^2 + s^2 - b^2) / (2 r s)); requires |r - s| < b < r + s.
-    """
-    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
-    b = float(np.hypot(*(v[:2] - w[:2])))
-    r, s = float(v[2]), float(w[2])
-    if not (abs(r - s) < b < r + s):
-        raise ValueError(f"circles do not intersect transversally: b={b}, r={r}, s={s}")
-    c = (r * r + s * s - b * b) / (2.0 * r * s)
-    return math.acos(max(-1.0, min(1.0, c)))
-
-
-def _disk_lens_area(b: float, R1: float, R2: float) -> float:
-    """Area of the intersection of two disks with center distance b."""
-    if b >= R1 + R2:
-        return 0.0
-    if b <= abs(R1 - R2):
-        return math.pi * min(R1, R2) ** 2
-    a1 = math.acos((b * b + R1 * R1 - R2 * R2) / (2 * b * R1))
-    a2 = math.acos((b * b + R2 * R2 - R1 * R1) / (2 * b * R2))
-    tri = 0.5 * math.sqrt(max((-b + R1 + R2) * (b + R1 - R2)
-                              * (b - R1 + R2) * (b + R1 + R2), 0.0))
-    return R1 * R1 * a1 + R2 * R2 * a2 - tri
-
-
-def exact_annuli_area(v, w, delta: float) -> float:
-    """Closed-form area of the intersection of two delta-annuli.
-
-    The width-2delta annulus is the outer disk minus the inner disk, so
-    the intersection area is an alternating sum of four disk-lens areas.
-    """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    b = float(np.hypot(v[0] - w[0], v[1] - w[1]))
-    r, s = float(v[2]), float(w[2])
-    return (_disk_lens_area(b, r + delta, s + delta)
-            - _disk_lens_area(b, r + delta, s - delta)
-            - _disk_lens_area(b, r - delta, s + delta)
-            + _disk_lens_area(b, r - delta, s - delta))

@@ -15,6 +15,10 @@ The closed forms (`dist_d`, `gap_delta`, `nu_hat`) restate, point by point,
 numbers the library computes in bulk: the pair table's separations and
 defects, and the cube-measure transform inside `decay_mean`.
 
+The criterion-6 lemma code, which no pipeline computes with, lives here
+too: lightplanks, tangency planks and their dual rectangles, rectangle
+membership, intersection angles and exact annulus-overlap areas.
+
 The second routes to library quantities: the full tensor sum
 `extension_direct` (for the separable extension and sigma_check), the pair
 sum `decay_by_classes` (for `decay_mean`), and `frostman_constant`, the
@@ -22,26 +26,22 @@ ball-count check behind the generators' Frostman bound.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from conelab import experiments
 from conelab.fourier import ConeQuadrature, extension_bandwidths, make_quadrature
-from conelab.geometry import COORD_TOL, lightlike_frame, membership_dilation
+from conelab.geometry import COORD_TOL, as_point, lightlike_frame
 from conelab.measures import CircleConfig, CubeMeasure, rescale_to_Q
 from conelab.rectangles import (
     C0,
     DeltaTauRectangle,
     comparable,
     comparability_separation,
-    exact_annuli_area,
     greedy_maximal_incomparable,
-    intersect_angle,
-    rect_contains,
-    rect_sample_points,
     sample_points,
-    tangency_plank,
 )
 from conelab.tangency import classify_pairs
 
@@ -67,6 +67,141 @@ def nu_hat(nu, xi) -> np.ndarray:
     x = np.asarray(xi, dtype=float).reshape(-1, 3)
     form = np.sinc(x[:, 0]) * np.sinc(x[:, 1]) * np.sinc(x[:, 2])
     return form * np.exp(-2j * math.pi * (x @ nu.centers.T)).sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the criterion-6 lemmas: lightplanks, plank duality, intersection angles
+# and annulus-overlap areas
+
+
+@dataclass(frozen=True)
+class Lightplank:
+    """Axis-aligned box in the lightlike frame of a planar unit direction.
+
+    half_dims = (h_s, h_m, h_l) are half edge lengths along (e_s, e_m, e_l);
+    canonical planks have ratios (1 : A : A^2).
+    """
+
+    center: tuple[float, float, float]
+    direction: tuple[float, float]
+    half_dims: tuple[float, float, float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", as_point(self.center))
+        n = math.hypot(*self.direction)
+        if abs(n - 1.0) > 1e-6:
+            raise ValueError(f"direction must be a unit vector, got norm {n}")
+        hs, hm, hl = self.half_dims
+        if not (0 < hs <= hm * (1 + 1e-12) and hm <= hl * (1 + 1e-12)):
+            raise ValueError(f"half_dims must be positive and ordered, got {self.half_dims}")
+
+    def local_coords(self, x) -> np.ndarray:
+        """Coordinates of x - center in the (e_s, e_m, e_l) frame, shape (..., 3)."""
+        return (np.asarray(x, dtype=float) - self.center) @ lightlike_frame(*self.direction).T
+
+    def corners(self) -> np.ndarray:
+        """The 8 corner points, shape (8, 3)."""
+        signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+        return np.asarray(self.center) + (signs * self.half_dims) @ lightlike_frame(*self.direction)
+
+
+def membership_dilation(plank: Lightplank, x):
+    """Smallest dilation factor at which x belongs to the plank."""
+    out = np.max(np.abs(plank.local_coords(x)) / np.asarray(plank.half_dims), axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def arc_midpoint(rect: DeltaTauRectangle) -> np.ndarray:
+    """a0 = v' + v3 * arc_center, the midpoint of the rectangle's arc."""
+    return np.asarray(rect.core[:2]) + rect.core[2] * np.asarray(rect.arc_center)
+
+
+def rect_contains(rect: DeltaTauRectangle, points) -> bool | np.ndarray:
+    """Boundary-inclusive membership of planar point(s) in the rectangle."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    rel = p - rect.core[:2]
+    band = np.abs(np.hypot(rel[:, 0], rel[:, 1]) - rect.core[2]) <= rect.delta + COORD_TOL
+    reach = np.hypot(*(p - arc_midpoint(rect)).T) <= rect.tau + COORD_TOL
+    out = band & reach
+    return bool(out[0]) if np.ndim(points) == 1 else out
+
+
+class SubResolutionArcError(ValueError):
+    """Arc length below the sqrt(delta) plank resolution."""
+
+
+def tangency_plank(rect: DeltaTauRectangle, lam: float = 1.0) -> Lightplank:
+    """Lightplank comparable to the lam*delta-tangent circle family of rect.
+
+    Half-dims are (lam*delta, lam*delta/tau, lam*delta/tau^2) with planar
+    direction arc_center, anchored at the core.  Raises
+    SubResolutionArcError when tau < sqrt(delta)/2, where the single-plank
+    description fails.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    d, t = rect.delta, rect.tau
+    if t < 0.5 * math.sqrt(d):
+        raise SubResolutionArcError(f"tau={t} below sqrt(delta)/2={0.5 * math.sqrt(d)}")
+    return Lightplank(rect.core, rect.arc_center, (lam * d, lam * d / t, lam * d / t ** 2))
+
+
+def dual_rectangle(plank: Lightplank, delta: float) -> DeltaTauRectangle:
+    """Rectangle dual to a canonical plank.
+
+    The core is the plank center; the arc direction points from the core's
+    planar part toward a0, the intersection of the long-axis lightray with
+    the plane {x3 = 0}, which equals center' + center_h * direction.
+    tau is recovered from the half-dim ratios, which dilation leaves alone.
+    """
+    hs, hm, hl = plank.half_dims
+    tau1, tau2 = hs / hm, hm / hl
+    if abs(tau1 - tau2) > 1e-6 * tau1:
+        raise ValueError(f"plank is not canonically shaped: ratios {tau1} vs {tau2}")
+    return DeltaTauRectangle(plank.center, plank.direction, delta, tau1)
+
+
+def intersect_angle(v, w) -> float:
+    """Intersection angle of two transversally intersecting circles.
+
+    With center distance b and radii r, s the angle at either crossing is
+    arccos((r^2 + s^2 - b^2) / (2 r s)); requires |r - s| < b < r + s.
+    """
+    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
+    b = float(np.hypot(*(v[:2] - w[:2])))
+    r, s = float(v[2]), float(w[2])
+    if not (abs(r - s) < b < r + s):
+        raise ValueError(f"circles do not intersect transversally: b={b}, r={r}, s={s}")
+    c = (r * r + s * s - b * b) / (2.0 * r * s)
+    return math.acos(max(-1.0, min(1.0, c)))
+
+
+def _disk_lens_area(b: float, R1: float, R2: float) -> float:
+    """Area of the intersection of two disks with center distance b."""
+    if b >= R1 + R2:
+        return 0.0
+    if b <= abs(R1 - R2):
+        return math.pi * min(R1, R2) ** 2
+    a1 = math.acos((b * b + R1 * R1 - R2 * R2) / (2 * b * R1))
+    a2 = math.acos((b * b + R2 * R2 - R1 * R1) / (2 * b * R2))
+    tri = 0.5 * math.sqrt(max((-b + R1 + R2) * (b + R1 - R2)
+                              * (b - R1 + R2) * (b + R1 + R2), 0.0))
+    return R1 * R1 * a1 + R2 * R2 * a2 - tri
+
+
+def exact_annuli_area(v, w, delta: float) -> float:
+    """Closed-form area of the intersection of two delta-annuli.
+
+    The width-2delta annulus is the outer disk minus the inner disk, so
+    the intersection area is an alternating sum of four disk-lens areas.
+    """
+    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
+    b = float(np.hypot(v[0] - w[0], v[1] - w[1]))
+    r, s = float(v[2]), float(w[2])
+    return (_disk_lens_area(b, r + delta, s + delta)
+            - _disk_lens_area(b, r + delta, s - delta)
+            - _disk_lens_area(b, r - delta, s + delta)
+            + _disk_lens_area(b, r - delta, s - delta))
 
 
 def seeded_rectangle(rng, delta=None, tau=None) -> DeltaTauRectangle:
@@ -99,8 +234,6 @@ def perturbed(rng, rect: DeltaTauRectangle, frac: float) -> DeltaTauRectangle:
 
 def duality_roundtrip_suite(n: int, seed: int = 0) -> dict:
     """dual_rectangle(tangency_plank(rect)) recovers core and arc direction."""
-    from conelab.rectangles import dual_rectangle
-
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
@@ -117,12 +250,6 @@ def duality_roundtrip_suite(n: int, seed: int = 0) -> dict:
     return {"instances": n, "violations": violations, "max_angle_err_over_tol": worst}
 
 
-def _circle_contains_rect(circle, rect, thickness) -> bool:
-    pts = rect_sample_points(rect)
-    band = np.abs(np.hypot(pts[:, 0] - circle[0], pts[:, 1] - circle[1]) - circle[2])
-    return bool(np.all(band <= thickness + 1e-12))
-
-
 def engulfing_suite(n: int, seed: int = 0, A: float = 2.0) -> dict:
     """Envelope of rect on a second tangent circle stays A1*A*B^2*delta-tangent
     to the first, with measured A1 <= 8."""
@@ -134,21 +261,23 @@ def engulfing_suite(n: int, seed: int = 0, A: float = 2.0) -> dict:
         rect = seeded_rectangle(rng)
         v = np.asarray(rect.core)
         d, t = rect.delta, rect.tau
+        pts = sample_points(v, rect.arc_center, d, t)[0]
         for _ in range(64):
+            # a second circle w whose A delta band holds every sample point of rect
             w = np.asarray(perturbed(rng, rect, 0.4 * A).core)
-            if _circle_contains_rect(w, rect, A * d):
+            band = np.abs(np.hypot(pts[:, 0] - w[0], pts[:, 1] - w[1]) - w[2])
+            if np.all(band <= A * d + 1e-12):
                 break
         else:
             continue
         done += 1
-        u_w = rect.a0 - w[:2]
+        u_w = arc_midpoint(rect) - w[:2]
         nw = math.hypot(u_w[0], u_w[1])
         a0_w = w[:2] + w[2] * u_w / nw
-        pts = rect_sample_points(rect)
         reach = float(np.max(np.hypot(pts[:, 0] - a0_w[0], pts[:, 1] - a0_w[1])))
         B = max(reach / t, 1.0) * (1 + 1e-9)
         envelope = DeltaTauRectangle(w, (u_w[0] / nw, u_w[1] / nw), A * d, B * t)
-        env_pts = rect_sample_points(envelope)
+        env_pts = sample_points(w, envelope.arc_center, A * d, B * t)[0]
         band_v = np.abs(np.hypot(env_pts[:, 0] - v[0], env_pts[:, 1] - v[1]) - v[2])
         a1 = float(np.max(band_v)) / (A * B ** 2 * d)
         max_a1 = max(max_a1, a1)
@@ -198,9 +327,9 @@ def dictionary_suite(n: int, seed: int = 0, A: float = 2.0) -> dict:
         if wit is None:
             violations += 1
             continue
-        pts1, pts2 = rect_sample_points(r1), rect_sample_points(near)
-        if not (bool(np.all(rect_contains(wit.envelope, pts1)))
-                and bool(np.all(rect_contains(wit.envelope, pts2)))):
+        pts = sample_points([r1.core, near.core], [r1.arc_center, near.arc_center],
+                            r1.delta, r1.tau)
+        if not bool(np.all(rect_contains(wit.envelope, pts.reshape(-1, 2)))):
             violations += 1
             continue
         env_plank = tangency_plank(wit.envelope, 1.0)
@@ -289,8 +418,7 @@ def annuli_intersection_area(v, w, delta: float, samples: int = 10 ** 6,
     samples over the bounding square of the first annulus; returns
     (area, standard_error).
     """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
+    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
     half = v[2] + delta
     box_area = (2.0 * half) ** 2
     rng = np.random.default_rng(seed)

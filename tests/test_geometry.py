@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.geometry import Lightplank, lightlike_frame, membership_dilation
-from oracle_suites import dist_d, gap_delta
+from conelab.geometry import lightlike_frame
+from oracle_suites import Lightplank, dist_d, gap_delta, membership_dilation
 
 SQRT2 = math.sqrt(2.0)
 

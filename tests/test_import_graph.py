@@ -73,44 +73,58 @@ def test_geometry_imports_nothing_from_the_package():
     assert "lightlike_frame" in _imported("measures.py")
 
 
-def _read_names() -> set:
-    """Every name loaded, bare or as an attribute, anywhere in the package."""
+def _read_names(attributes_only: bool = False) -> set:
+    """Every name loaded as an attribute, or also bare, anywhere in the package."""
     read = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not attributes_only:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     return read
 
 
+def _top_level():
+    """Every module-level statement in the package."""
+    for path in PACKAGE.glob("*.py"):
+        yield from ast.parse(path.read_text()).body
+
+
 def test_every_module_constant_is_read():
     # an upper-case module-level name that nothing in the package reads is dead
     assigned = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
-            for target in targets:
-                assigned.update(name.id for name in ast.walk(target)
-                                if isinstance(name, ast.Name) and name.id.isupper())
+    for node in _top_level():
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            assigned.update(name.id for name in ast.walk(target)
+                            if isinstance(name, ast.Name) and name.id.isupper())
     assert sorted(assigned - _read_names()) == []
 
 
-# defined in the package but loaded only from outside it: perfbench's checks
-# read comparable, and the criterion-6 lemma code, read by its tests alone,
-# is to move beside criterion 6 (ROADMAP item 15)
-UNREAD_DEFINITIONS = {"comparable", "membership_dilation", "tangency_plank", "dual_rectangle",
-                      "rect_contains", "rect_sample_points", "intersect_angle",
-                      "exact_annuli_area"}
+# defined in the package but loaded only from outside it: perfbench/checks.py:246
+# calls comparable on the greedy's kept members
+UNREAD_DEFINITIONS = {"comparable"}
 
 
 def test_every_function_and_class_is_used():
     # a module-level def or class that the package neither loads nor exports is dead
-    defined = set()
-    for path in PACKAGE.glob("*.py"):
-        defined.update(node.name for node in ast.parse(path.read_text()).body
-                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    defined = {node.name for node in _top_level()
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     unread = defined - _read_names() - _imported("__init__.py")
     assert sorted(unread) == sorted(UNREAD_DEFINITIONS)
+
+
+# methods and properties loaded only from outside the package: perfbench reads
+# matrix (checks.py:161, spans.py:84) and node_count (spans.py:71)
+UNREAD_METHODS = {"matrix", "node_count"}
+
+
+def test_every_method_and_property_is_used():
+    # a method or property, dunders aside, that the package never loads as an attribute
+    # is dead; a local variable of the same name does not count as a read
+    defined = {node.name for cls in _top_level() if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
+    assert sorted(defined - _read_names(attributes_only=True)) == sorted(UNREAD_METHODS)

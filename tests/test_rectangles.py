@@ -7,35 +7,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.geometry import Lightplank, membership_dilation
 from conelab.rectangles import (
     C0,
     GREEDY_BLOCK,
     DeltaTauRectangle,
-    SubResolutionArcError,
     _separation,
     comparable,
     comparability_separation,
-    dual_rectangle,
-    exact_annuli_area,
     greedy_maximal_incomparable,
-    intersect_angle,
-    rect_contains,
-    rect_sample_points,
     sample_points,
-    tangency_plank,
 )
 
 from oracle_suites import (
+    Lightplank,
+    SubResolutionArcError,
     angle_suite,
     annuli_area_suite,
     annuli_intersection_area,
+    arc_midpoint,
     dictionary_suite,
+    dual_rectangle,
     duality_roundtrip_suite,
     engulfing_suite,
+    exact_annuli_area,
+    intersect_angle,
+    membership_dilation,
     packing_suite,
     perturbed,
+    rect_contains,
     seeded_rectangle,
+    tangency_plank,
     transitivity_suite,
 )
 
@@ -47,7 +48,7 @@ def example_rect(delta=1e-4, tau=1e-2) -> DeltaTauRectangle:
 class TestRectangleBasics:
     def test_membership_examples(self):
         rect = example_rect()
-        assert rect_contains(rect, rect.a0)
+        assert rect_contains(rect, arc_midpoint(rect))
         assert not rect_contains(rect, np.array([0.0, 0.0]))
         c, s = math.cos(2 * rect.tau), math.sin(2 * rect.tau)
         rotated = np.array([c, s])  # on the circle but outside the arc reach
@@ -57,7 +58,7 @@ class TestRectangleBasics:
         rng = np.random.default_rng(3)
         for _ in range(20):
             rect = seeded_rectangle(rng)
-            pts = rect_sample_points(rect)
+            pts = sample_points(rect.core, rect.arc_center, rect.delta, rect.tau)[0]
             assert pts.shape == (80, 2)
             assert bool(np.all(rect_contains(rect, pts)))
 
@@ -67,7 +68,8 @@ class TestRectangleBasics:
         batch = sample_points([r.core for r in rects],
                               [r.arc_center for r in rects], 1e-4, 0.02)
         assert batch.shape == (20, 80, 2)
-        assert np.array_equal(batch, [rect_sample_points(r) for r in rects])
+        assert np.array_equal(batch, [sample_points(r.core, r.arc_center, 1e-4, 0.02)[0]
+                                      for r in rects])
 
     def test_arc_center_normalized(self):
         rect = DeltaTauRectangle((0, 0, 1), (3.0, 4.0), 1e-4, 1e-2)
@@ -166,7 +168,8 @@ class TestComparability:
         rot = DeltaTauRectangle(rect.core, (c, s), rect.delta, rect.tau)
         wit = comparable(rect, rot, 2.0)
         assert wit is not None
-        pts = np.vstack([rect_sample_points(rect), rect_sample_points(rot)])
+        pts = sample_points([rect.core, rot.core], [rect.arc_center, rot.arc_center],
+                            rect.delta, rect.tau).reshape(-1, 2)
         assert bool(np.all(rect_contains(wit.envelope, pts)))
         assert wit.effective_level >= 1.0
 
@@ -184,7 +187,8 @@ class TestComparability:
         r2 = perturbed(rng, r1, 1.0)
         wit = comparable(r1, r2, 4.0)
         if wit is not None:
-            pts = np.vstack([rect_sample_points(r1), rect_sample_points(r2)])
+            pts = sample_points([r1.core, r2.core], [r1.arc_center, r2.arc_center],
+                                r1.delta, r1.tau).reshape(-1, 2)
             assert bool(np.all(rect_contains(wit.envelope, pts)))
 
 
