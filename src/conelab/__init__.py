@@ -43,7 +43,7 @@ from .operators import (
     l1_constant,
     transference_check,
 )
-from .rectangles import DeltaTauRectangle, greedy_maximal_incomparable
+from .rectangles import DeltaTauRectangle, RectangleFamily, greedy_maximal_incomparable
 from .tangency import classify_pairs, main_geom_check, pair_count
 
 __version__ = "0.1.0"

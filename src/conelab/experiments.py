@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
+import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -48,6 +50,8 @@ PIPELINE_NAMES = ("decay", "maximal", "pairs", "sharpness", "sigma", "duality")
 MAX_KERNEL_EVALS = 2 * 10 ** 9  # a pipeline refuses estimates above half of this
 MAX_GRAM_ROWS = 4096  # duality: G is one n x n complex array, 268 MB at this n
 SIGMA_Q = 8.0  # sigma's quadrature oversampling where the configuration leaves q open
+# the environment sweep workers start with: one BLAS thread per process
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 class BudgetExceededError(ValueError):
@@ -154,15 +158,26 @@ def write_manifest(path, cfg: ExperimentConfig, wall: dict, files: list) -> None
 
 
 def _run_tasks(fn, tasks, workers: int):
-    """fn over tasks, in at most min(workers, len(tasks)) processes.
+    """fn over tasks, in at most min(workers, len(tasks)) spawned processes.
 
-    The pool is capped at the task count: under fork the executor starts
-    all of its workers at the first submit.
+    The workers start with one BLAS and OpenMP thread each, so a pool does
+    not run each worker's own BLAS threads on the same cores; the parent's
+    environment is restored.  The pool is capped at the task count.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+    saved = {k: os.environ.get(k) for k in WORKER_ENV}
+    os.environ.update(WORKER_ENV)
+    try:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, tasks))
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
 
 
 def _fit_rows(groups, x) -> list:

@@ -18,6 +18,10 @@ test: every sample point lies at a radius in [v3 - delta, v3 + delta]
 about its centre, which leaves only rounding of about 1e-16 against the
 annulus slack of 1e-7 delta + COORD_TOL.
 
+A :class:`RectangleFamily` holds rectangles sharing (delta, tau) as arrays,
+checked but never rewritten; the greedy selection reads them and builds a
+:class:`DeltaTauRectangle` only for each member it keeps.
+
 The set of circles delta-tangent to Omega is comparable to a lightplank of
 half-dims (delta, delta/tau, delta/tau^2) anchored at v with planar
 direction arc_center; criterion 6 checks this tangency-plank dictionary on
@@ -76,6 +80,27 @@ class DeltaTauRectangle:
             raise ValueError(f"need 0 < delta < core height, got delta={self.delta}, h={self.core[2]}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+
+
+@dataclass(frozen=True, eq=False)
+class RectangleFamily:
+    """n rectangles sharing (delta, tau), as (n, 3) cores and (n, 2) unit arc directions."""
+
+    cores: np.ndarray
+    dirs: np.ndarray
+    delta: float
+    tau: float
+
+    def __post_init__(self):
+        if np.shape(self.cores) != (len(self.dirs), 3) or np.shape(self.dirs)[1:] != (2,):
+            raise ValueError("need (n, 3) cores and (n, 2) arc directions")
+        if not np.all(np.abs(np.hypot(*self.dirs.T) - 1.0) <= 1e-12):
+            raise ValueError("arc directions must be unit vectors")
+        if not (0 < self.delta < np.min(self.cores[:, 2], initial=math.inf) and self.tau > 0):
+            raise ValueError("need 0 < delta < every core height and tau > 0")
+
+    def __len__(self) -> int:
+        return len(self.cores)
 
 
 def _half_angle(v3, tau: float, r: np.ndarray) -> np.ndarray:
@@ -226,7 +251,7 @@ def comparable(r1: DeltaTauRectangle, r2: DeltaTauRectangle, A: float) -> Compar
     return ComparabilityWitness(env, (r1, r2), level)
 
 
-def greedy_maximal_incomparable(rects: list[DeltaTauRectangle], A: float) -> list[DeltaTauRectangle]:
+def greedy_maximal_incomparable(family: RectangleFamily, A: float) -> list[DeltaTauRectangle]:
     """Greedy pairwise-incomparable subfamily, kept in input order.
 
     A rectangle is kept iff it is not comparable (at level A) to any
@@ -235,19 +260,13 @@ def greedy_maximal_incomparable(rects: list[DeltaTauRectangle], A: float) -> lis
     inputs resolve to the earlier one; callers wanting order independence
     should pre-sort by (core, arc angle).
     """
-    if not rects:
-        return []
     if A < 1.0:
         raise ValueError("A must be >= 1")
-    delta, tau = rects[0].delta, rects[0].tau
-    for r in rects:
-        _check_same_scale(rects[0], r)
+    cores, us, delta, tau = family.cores, family.dirs, family.delta, family.tau
     thresh = A ** (C0 / 2)
-    cores = np.array([r.core for r in rects])
-    us = np.array([r.arc_center for r in rects])
     kept_idx = np.zeros(0, dtype=int)
-    for s in range(0, len(rects), GREEDY_BLOCK):
-        block = np.arange(s, min(s + GREEDY_BLOCK, len(rects)))
+    for s in range(0, len(family), GREEDY_BLOCK):
+        block = np.arange(s, min(s + GREEDY_BLOCK, len(family)))
         # drop the block's candidates comparable to a member kept earlier
         near = _separation(cores[block], us[block], cores[kept_idx], us[kept_idx],
                            delta, tau, thresh) <= thresh
@@ -260,4 +279,4 @@ def greedy_maximal_incomparable(rects: list[DeltaTauRectangle], A: float) -> lis
             if keep[i]:
                 keep[i + 1:] &= ~comp[i + 1:, i]
         kept_idx = np.concatenate((kept_idx, block[keep]))
-    return [rects[i] for i in kept_idx]
+    return [DeltaTauRectangle(cores[i], us[i].tolist(), delta, tau) for i in kept_idx]

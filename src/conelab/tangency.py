@@ -31,7 +31,7 @@ from .geometry import COORD_TOL
 from .measures import CircleConfig, gamma_tau
 from .rectangles import (
     CORNER_COLUMNS,
-    DeltaTauRectangle,
+    RectangleFamily,
     greedy_maximal_incomparable,
     polar_points,
     sample_polar,
@@ -164,22 +164,21 @@ def main_geom_check(config: CircleConfig) -> dict:
     # directions are normalised as DeltaTauRectangle normalises them
     n_arc = max(4, int(math.ceil(2 * math.pi / tau)))
     angles = np.arange(n_arc) * (2 * math.pi / n_arc)
-    arcs = list(zip(np.cos(angles).tolist(), np.sin(angles).tolist()))
+    arcs = zip(np.cos(angles).tolist(), np.sin(angles).tolist())
     units = np.array([(x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in arcs])
     circles = config.circles
-    mult = nu_multiplicity(config, np.repeat(circles, n_arc, axis=0),
-                           np.tile(units, (len(circles), 1)), tau)
-    rows = circles.tolist()
+    cores, dirs = np.repeat(circles, n_arc, axis=0), np.tile(units, (len(circles), 1))
+    mult = nu_multiplicity(config, cores, dirs, tau)
     buckets = []
     worst = 0.0
     m = 1
     while m <= max(int(mult.max(initial=0)), 1):
-        members = [DeltaTauRectangle(rows[i // n_arc], arcs[i % n_arc], delta, tau)
-                   for i in np.flatnonzero((m <= mult) & (mult < 2 * m)).tolist()]
-        if members:
-            kept = greedy_maximal_incomparable(members, A)
+        sel = (m <= mult) & (mult < 2 * m)
+        family = RectangleFamily(cores[sel], dirs[sel], delta, tau)
+        if len(family):
+            kept = greedy_maximal_incomparable(family, A)
             value = (m ** 1.5) * len(kept) * tau / max(config.count, 1)
-            buckets.append({"M": m, "candidates": len(members),
+            buckets.append({"M": m, "candidates": len(family),
                             "incomparable": len(kept), "value": value})
             worst = max(worst, value)
         m *= 2

@@ -38,6 +38,7 @@ from conelab.measures import CircleConfig, CubeMeasure, rescale_to_Q
 from conelab.rectangles import (
     C0,
     DeltaTauRectangle,
+    RectangleFamily,
     comparable,
     comparability_separation,
     greedy_maximal_incomparable,
@@ -379,8 +380,7 @@ def packing_suite(seeds, A: float = 2.0, A0: float = 4.0) -> dict:
         dirs = np.array([(x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in arcs])
         pts = sample_points(cores, dirs, delta, tau)
         inside = np.all(rect_contains(envelope, pts.reshape(-1, 2)).reshape(len(cores), -1), axis=1)
-        cands = [DeltaTauRectangle(cores[i].tolist(), arcs[i], delta, tau)
-                 for i in np.flatnonzero(inside)]
+        cands = RectangleFamily(cores[inside], dirs[inside], delta, tau)
         counts.append(len(greedy_maximal_incomparable(cands, A)))
     return {"instances": len(counts), "violations": sum(c > 4096 for c in counts),
             "max_count": max(counts), "counts": counts}

@@ -1,5 +1,6 @@
 """Tests for the command line interface: parsing, precedence, outputs, budget."""
 
+import os
 import subprocess
 import sys
 
@@ -257,7 +258,7 @@ class TestPipelines:
         started = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 started.append(max_workers)
 
             def __enter__(self):
@@ -274,6 +275,14 @@ class TestPipelines:
         assert experiments._run_tasks(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
         assert experiments._run_tasks(abs, [-1], workers=64) == [1]
         assert started == [3, 2]
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        seen = experiments._run_tasks(os.getenv, ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"],
+                                      workers=2)
+        assert seen == ["1", "1"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "OMP_NUM_THREADS" not in os.environ
 
     def test_invalid_r_exits_2(self, tmp_path, capsys):
         code = main(["decay", "--R", "17", "--out", str(tmp_path)])

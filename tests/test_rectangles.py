@@ -11,6 +11,7 @@ from conelab.rectangles import (
     C0,
     GREEDY_BLOCK,
     DeltaTauRectangle,
+    RectangleFamily,
     _separation,
     comparable,
     comparability_separation,
@@ -43,6 +44,18 @@ from oracle_suites import (
 
 def example_rect(delta=1e-4, tau=1e-2) -> DeltaTauRectangle:
     return DeltaTauRectangle((0.0, 0.0, 1.0), (1.0, 0.0), delta, tau)
+
+
+def family_of(rects) -> RectangleFamily:
+    """Same-scale rectangles as the arrays the greedy reads."""
+    return RectangleFamily(np.array([r.core for r in rects]),
+                           np.array([r.arc_center for r in rects]), rects[0].delta, rects[0].tau)
+
+
+def members(family: RectangleFamily) -> list:
+    """Each rectangle of the family built from its rows, as the greedy builds what it keeps."""
+    return [DeltaTauRectangle(core, u, family.delta, family.tau)
+            for core, u in zip(family.cores, family.dirs.tolist())]
 
 
 class TestRectangleBasics:
@@ -192,27 +205,59 @@ class TestComparability:
             assert bool(np.all(rect_contains(wit.envelope, pts)))
 
 
+class TestRectangleFamily:
+    def test_malformed_families_raise(self):
+        cores, dirs = np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 0.5]]), np.array([[1.0, 0.0], [0.6, 0.8]])
+        tilted = dirs.copy()
+        tilted[1] *= 1 + 2e-12
+        low = cores.copy()
+        low[1, 2] = 1e-4
+        for bad in ((cores[:1], dirs, 1e-4, 1e-2), (cores[:, :2], dirs, 1e-4, 1e-2),
+                    (cores, np.ones((2, 3)), 1e-4, 1e-2), (cores, dirs[0], 1e-4, 1e-2),
+                    (cores, tilted, 1e-4, 1e-2), (cores, dirs, 0.0, 1e-2),
+                    (low, dirs, 1e-4, 1e-2), (cores, dirs, 1e-4, 0.0)):
+            with pytest.raises(ValueError):
+                RectangleFamily(*bad)
+
+    def test_arrays_kept_bit_for_bit(self):
+        # unit directions that normalising once more would change in the last bit
+        rng = np.random.default_rng(29)
+        angles = rng.uniform(0, 2 * math.pi, 200)
+        dirs = np.stack((np.cos(angles), np.sin(angles)), axis=1)
+        moved = [(x / math.hypot(x, y), y / math.hypot(x, y)) != (x, y) for x, y in dirs.tolist()]
+        assert any(moved)
+        cores = np.column_stack((rng.uniform(-1, 1, (200, 2)), rng.uniform(0.5, 2, 200)))
+        before = cores.tobytes(), dirs.tobytes()
+        family = RectangleFamily(cores, dirs, 1e-4, 1e-2)
+        assert family.cores is cores and family.dirs is dirs and len(family) == 200
+        assert (family.cores.tobytes(), family.dirs.tobytes()) == before
+        assert len(RectangleFamily(np.zeros((0, 3)), np.zeros((0, 2)), 1e-4, 1e-2)) == 0
+
+
 class TestGreedy:
     def test_idempotent(self):
         rng = np.random.default_rng(17)
         rects = [seeded_rectangle(rng, delta=1e-4, tau=1e-2) for _ in range(40)]
-        kept = greedy_maximal_incomparable(rects, 2.0)
-        assert greedy_maximal_incomparable(kept, 2.0) == kept
+        again = family_of(greedy_maximal_incomparable(family_of(rects), 2.0))
+        assert greedy_maximal_incomparable(again, 2.0) == members(again)
 
     def test_copies_collapse(self):
-        rect = example_rect()
-        kept = greedy_maximal_incomparable([rect] * 10, 2.0)
-        assert kept == [rect]
+        family = family_of([example_rect()] * 10)
+        assert greedy_maximal_incomparable(family, 2.0) == members(family)[:1]
+
+    def test_empty_family(self):
+        family = RectangleFamily(np.zeros((0, 3)), np.zeros((0, 2)), 1e-4, 1e-2)
+        assert greedy_maximal_incomparable(family, 2.0) == []
 
     def test_kept_pairwise_incomparable_inputs_covered(self):
         rng = np.random.default_rng(19)
         base = [seeded_rectangle(rng, delta=1e-4, tau=1e-2) for _ in range(8)]
-        rects = base + [perturbed(rng, r, 0.3) for r in base for _ in range(3)]
-        kept = greedy_maximal_incomparable(rects, 2.0)
+        family = family_of(base + [perturbed(rng, r, 0.3) for r in base for _ in range(3)])
+        kept = greedy_maximal_incomparable(family, 2.0)
         for i, r1 in enumerate(kept):
             for r2 in kept[i + 1:]:
                 assert comparable(r1, r2, 2.0) is None
-        for r in rects:
+        for r in members(family):
             assert any(comparable(r, k, 2.0) is not None for k in kept)
 
     def test_blocks_match_one_candidate_at_a_time(self):
@@ -231,13 +276,13 @@ class TestGreedy:
                               for sign in (-1, 1) for off in (-1e-9, 1e-9))]
             assert [comparability_separation(r, e) <= thresh for e in edge] == [True, False] * 2
             rects += [r] + edge
-        rects = [rects[i] for i in rng.permutation(len(rects))]
+        family = family_of([rects[i] for i in rng.permutation(len(rects))])
         ref = []
-        for r in rects:
+        for r in members(family):
             if all(comparability_separation(r, k) > thresh for k in ref):
                 ref.append(r)
-        assert len(rects) > 2 * GREEDY_BLOCK and 40 < len(ref) < len(rects) / 2
-        assert greedy_maximal_incomparable(rects, 2.0) == ref
+        assert len(family) > 2 * GREEDY_BLOCK and 40 < len(ref) < len(family) / 2
+        assert greedy_maximal_incomparable(family, 2.0) == ref
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, 2 * math.pi), st.sampled_from([1e-2, 3e-2, 0.1, 0.3]),
@@ -269,7 +314,8 @@ class TestGreedy:
         r1, r2 = (DeltaTauRectangle(core, (math.cos(t), math.sin(t)), delta, tau)
                   for t in (t1, t1 + 0.37426))
         assert comparable(r1, r2, A) is not None
-        assert greedy_maximal_incomparable([r1, r2], A) == [r1]
+        family = family_of([r1, r2])
+        assert greedy_maximal_incomparable(family, A) == members(family)[:1]
 
 
 class TestIntersectAngle:

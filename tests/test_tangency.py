@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from conelab import rectangles, tangency
 from conelab.experiments import CONFIG_KINDS, DECAY_KINDS, _swept_config, _swept_measure
 from conelab.geometry import COORD_TOL
 from conelab.measures import MAXIMAL_RADII, CircleConfig, generate_config, rescale_to_Q
@@ -215,6 +216,22 @@ class TestMainGeomCheck:
         assert [(b["M"], b["candidates"], b["incomparable"]) for b in out["buckets"]] == [
             (1, 36608, 458)]
         assert repr(out["max_value"]) == "0.07906613910728486"
+
+    def test_builds_a_rectangle_only_for_each_kept_member(self, monkeypatch):
+        built = []
+
+        class Counted(rectangles.DeltaTauRectangle):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        monkeypatch.setattr(rectangles, "DeltaTauRectangle", Counted)
+        monkeypatch.setattr(tangency, "DeltaTauRectangle", Counted, raising=False)
+        # four copies of one circle, two of another and a single one: M = 4, 2, 1
+        circles = np.array([(0.0, 0.0, 0.5)] * 4 + [(0.3, 0.1, 0.6)] * 2 + [(0.1, -0.2, 0.7)])
+        out = main_geom_check(CircleConfig(circles, delta=2.0 ** -6))
+        assert [b["M"] for b in out["buckets"]] == [1, 2, 4]
+        assert len(built) == sum(b["incomparable"] for b in out["buckets"]) > 0
 
     def test_tau_validation(self):
         # tau = sqrt(delta) leaves [delta, 1] once delta > 1
