@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import csv
 import math
-import multiprocessing
 import os
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -157,15 +155,24 @@ def write_manifest(path, cfg: ExperimentConfig, wall: dict, files: list) -> None
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# concurrent.futures' pool class, bound by the first parallel _run_tasks call
+ProcessPoolExecutor = None
+
+
 def _run_tasks(fn, tasks, workers: int):
     """fn over tasks, in at most min(workers, len(tasks)) spawned processes.
 
     The workers start with one BLAS and OpenMP thread each, so a pool does
     not run each worker's own BLAS threads on the same cores; the parent's
-    environment is restored.  The pool is capped at the task count.
+    environment is restored.  The pool is capped at the task count.  The
+    pool modules are imported here, so a serial run never loads them.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    global ProcessPoolExecutor
+    import multiprocessing
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     saved = {k: os.environ.get(k) for k in WORKER_ENV}
     os.environ.update(WORKER_ENV)
     try:
@@ -269,9 +276,11 @@ def _pairs_point(task):
 
 
 def _pairs_cost(task, force):
-    # the pair table plus each band's gamma_tau scan: n (2 * 2 + 1)^3 keys per
-    # direction at spacing tau_D / 2, for D = delta 2^k from 8 delta up to the
-    # widest separation in the maximal-function box
+    # the pair table plus each band's gamma_tau scan at spacing tau_D / 2, for
+    # D = delta 2^k from 8 delta up to the widest separation in the
+    # maximal-function box: n (2 * 2 + 1)^3 keys per direction bound the scan,
+    # which builds 4^3 per circle and direction and 5^3 only for a circle on
+    # three lattice planes
     _, delta, _, n, _ = task
     n = _circle_count(n, delta)
     planar = MAXIMAL_PLANAR[1] - MAXIMAL_PLANAR[0]

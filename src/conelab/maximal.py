@@ -86,24 +86,25 @@ def _annulus_spans(circles, delta: float, grid: RasterGrid, row0: int, row1: int
 
 
 def _raster(spans, n_rows: int, n: int) -> np.ndarray:
-    """int16 annulus count of an n_rows x n block from the (rows, starts, ends) spans.
+    """int32 annulus count of an n_rows x n block from the (rows, starts, ends) spans.
 
     One scatter adds +1 at each span start and -1 just past each span end;
     ends past the last column only close their row and are dropped.  The
-    row prefix sum runs in place.
+    row prefix sum runs in place, in int32, where numpy's cumsum has a fast
+    loop: int16 took about 7x as long on a 256-row block (2-core x86 box).
     """
     rows, starts, ends = spans
     shut = ends + 1 < n
     idx = np.concatenate((rows * n + starts, (rows * n + ends + 1)[shut]))
-    signed = np.repeat(np.array([1, -1], dtype=np.int16),
+    signed = np.repeat(np.array([1, -1], dtype=np.int32),
                        (len(starts), int(np.count_nonzero(shut))))
-    diff = np.zeros((n_rows, n), dtype=np.int16)
+    diff = np.zeros((n_rows, n), dtype=np.int32)
     np.add.at(diff.reshape(-1), idx, signed)
-    return np.cumsum(diff, axis=1, dtype=np.int16, out=diff)
+    return np.cumsum(diff, axis=1, dtype=np.int32, out=diff)
 
 
 def _field_blocks(config: CircleConfig, grid: RasterGrid):
-    """Yield (row0, block): the annulus-count field HIST_ROWS rows at a time, as int16.
+    """Yield (row0, block): the annulus-count field HIST_ROWS rows at a time, as int32.
 
     Each block is rastered from the spans of its own rows only, so the
     memory held at once is one block and its spans, whatever the grid.

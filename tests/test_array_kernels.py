@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conelab import maximal, measures, tangency
-from conelab.geometry import COORD_TOL
+from conelab.geometry import COORD_TOL, lightlike_frame
 from conelab.maximal import (
     HIST_ROWS,
     _annulus_spans,
@@ -196,6 +196,29 @@ class TestFrostmanSampler:
         assert len(_frostman_sample(lambda: near, 8, 1.0, 16.0, 4)) == 1
 
 
+def plane_points():
+    """Two rows of five points whose plank counts need the scan's -widen layer.
+
+    The half dims (2^-5, 2^-3, 2^-1) are powers of two, so at theta = 0, the
+    scan's first direction, the points (x, j / 8, z) project onto the middle
+    lattice value j exactly; the row at x = z = 0 lies on lattice planes of
+    all three axes.  Each row lists its last point first: that point reaches
+    the plank centred on j = 2 only through the layer, and in point order
+    the plank sums it first.  Returns (points, half dims, direction spacing).
+    """
+    j = np.array([4, 0, 1, 2, 3]) / 8.0
+    rows = [np.column_stack([np.full(5, x), j, np.full(5, z)]) for x, z in ((0.0, 0.0), (0.3, 0.2))]
+    return np.vstack(rows), (2.0 ** -5, 2.0 ** -3, 2.0 ** -1), 1 / 8
+
+
+def off_the_planes(points):
+    """The points 1e-9 below their middle lattice planes: the -widen layer drops out."""
+    q = points @ lightlike_frame(1.0, 0.0).T / (2.0 ** -5, 2.0 ** -3, 2.0 ** -1)
+    assert np.array_equal(q[:, 1], np.floor(q[:, 1]))
+    assert np.count_nonzero((q == np.floor(q)).all(axis=1)) == 5
+    return points - (0.0, 1e-9, 0.0)
+
+
 class TestPlankScan:
     @pytest.mark.parametrize("kind", KINDS)
     def test_max_plank_mass_matches_per_direction(self, monkeypatch, kind):
@@ -255,6 +278,36 @@ class TestPlankScan:
         same_at_every_block_size(
             monkeypatch, lambda: [[gamma_tau(c, tau) for tau in pairs_taus(c)] for c in configs])
 
+    @pytest.mark.parametrize("widens", ((1, 2), (2,)))
+    def test_layer_below_the_base_matches_per_direction(self, monkeypatch, widens):
+        points, half, spacing = plane_points()
+        got = measures._max_lattice_plank_count(points, half, spacing, widens)
+        ref = [plank_count_per_direction(points, half, spacing, w) for w in widens]
+        assert same_values(got, ref)
+        # the layer was reached: without it every count is lower
+        off = measures._max_lattice_plank_count(off_the_planes(points), half, spacing, widens)
+        assert all(g > o for g, o in zip(got, off))
+        # the same circles through gamma_tau, whose plank half dims they sit on
+        config = CircleConfig(points, delta=2.0 ** -5)
+        assert gamma_tau(config, 0.25) == got[-1]
+        assert with_plank_oracle(monkeypatch, lambda: gamma_tau(config, 0.25)) == got[-1]
+
+    @pytest.mark.parametrize("widens", ((1, 2), (2,)))
+    def test_weighted_layer_matches_per_direction(self, widens):
+        points, half, spacing = plane_points()
+        # 2^53 + 1 rounds back to 2^53: with each row's first point that heavy,
+        # a plank's sum depends on the order of its terms
+        heavy = np.where(np.arange(len(points)) % 5 == 0, 2.0 ** 53, 1.0)
+        stack = np.vstack([np.ones(len(points)), heavy,
+                           np.random.default_rng(0).random(len(points))])
+        got = measures._max_lattice_plank_count(points, half, spacing, widens, stack)
+        ref = np.array([[plank_count_per_direction(points, half, spacing, w, row)
+                         for row in stack] for w in widens])
+        assert same_values(got, ref)
+        off = measures._max_lattice_plank_count(off_the_planes(points), half, spacing,
+                                                widens, stack)
+        assert (got[:, 0] > off[:, 0]).all()
+
     def test_return_types(self):
         nu = generate("knapp_pair", 16, 0)
         lower, upper = max_plank_mass(nu)
@@ -302,18 +355,31 @@ class TestRaster:
         assert field.dtype == np.int16
         assert np.array_equal(field, ref.astype(np.int16))
 
-    def test_raster_is_int16(self):
+    def test_raster_blocks_are_int32_and_the_field_int16(self):
         delta = 2.0 ** -5
         circles = ((0.0, 0.0, 0.7), (0.01, 0.0, 0.7))
         grid = default_grid(delta)
         n = len(grid.nodes_1d)
         full = _raster(full_spans(circles, delta, grid), n, n)
-        assert full.dtype == np.int16 and full.flags.c_contiguous
+        assert full.dtype == np.int32 and full.flags.c_contiguous
         assert full.shape == (n, n) and full.max() == 2
         # a block of rows that the annuli cross, counted from its first row
         block = _raster(_annulus_spans(circles, delta, grid, 100, 150), 50, n)
-        assert block.dtype == np.int16 and block.flags.c_contiguous
+        assert block.dtype == np.int32 and block.flags.c_contiguous
         assert np.array_equal(block, full[100:150])
+        field, _ = multiplicity_field(CircleConfig(np.array(circles), delta))
+        assert field.dtype == np.int16 and np.array_equal(field, full)
+
+    def test_level_counts_above_255(self):
+        # 300 annuli about one center: multiplicities past any 8-bit count
+        shifts = np.linspace(0.0, 0.01, 300)
+        config = CircleConfig(np.column_stack([shifts, shifts[::-1], np.full(300, 0.7)]),
+                              delta=2.0 ** -5)
+        grid = default_grid(config.delta)
+        spans = [full_spans(c, config.delta, grid) for c in config.circles]
+        ref = np.bincount(raster_per_annulus(spans, len(grid.nodes_1d)).ravel())
+        hist = _level_counts(config, grid)
+        assert len(hist) > 256 and np.array_equal(hist, ref)
 
     @pytest.mark.parametrize("rows", (1, 7, 1 << 20))
     def test_block_size_does_not_change_the_field(self, monkeypatch, rows):

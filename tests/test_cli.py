@@ -325,8 +325,10 @@ class TestPipelines:
         # the rho split decay_mean calls; for sharpness, the radial-table
         # lookups and the length of the FFT that fills each table; for
         # maximal, the cells of every annulus span plus the raster blocks; for
-        # pairs, the pair-table entries plus the lattice keys of every
-        # gamma_tau scan, (2 * 2 + 1)^3 per circle and scanned direction
+        # pairs, the pair-table entries plus (2 * 2 + 1)^3 lattice keys per
+        # circle and scanned direction of every gamma_tau scan, the upper
+        # bound the scan stays under (4^3 keys, 5^3 for a circle on three
+        # lattice planes)
         counted, phis, splits, frames = [], [], [], []
         e1_grid, build = fourier.e1_grid, operators.build_extension_operator
         make_quadrature, rho_split = fourier.make_quadrature, fourier.rho_split
