@@ -155,10 +155,6 @@ def write_manifest(path, cfg: ExperimentConfig, wall: dict, files: list) -> None
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# concurrent.futures' pool class, bound by the first parallel _run_tasks call
-ProcessPoolExecutor = None
-
-
 def _run_tasks(fn, tasks, workers: int):
     """fn over tasks, in at most min(workers, len(tasks)) spawned processes.
 
@@ -169,10 +165,8 @@ def _run_tasks(fn, tasks, workers: int):
     """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    global ProcessPoolExecutor
     import multiprocessing
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
     saved = {k: os.environ.get(k) for k in WORKER_ENV}
     os.environ.update(WORKER_ENV)
     try:
@@ -278,16 +272,14 @@ def _pairs_point(task):
 def _pairs_cost(task, force):
     # the pair table plus each band's gamma_tau scan at spacing tau_D / 2, for
     # D = delta 2^k from 8 delta up to the widest separation in the
-    # maximal-function box: n (2 * 2 + 1)^3 keys per direction bound the scan,
-    # which builds 4^3 per circle and direction and 5^3 only for a circle on
-    # three lattice planes
+    # maximal-function box: the scan builds (2 * 2)^3 keys per circle and direction
     _, delta, _, n, _ = task
     n = _circle_count(n, delta)
     planar = MAXIMAL_PLANAR[1] - MAXIMAL_PLANAR[0]
     d_max = MAXIMAL_RADII[1] - MAXIMAL_RADII[0] + math.sqrt(2) * planar
     dirs = sum(math.ceil(2 * math.pi / (0.5 * math.sqrt(delta / (delta * 2.0 ** k))))
                for k in range(3, int(math.log2(d_max / delta)) + 1))
-    return n * n + n * 5 ** 3 * dirs
+    return n * n + n * 4 ** 3 * dirs
 
 
 def _sharpness_point(task):

@@ -15,10 +15,14 @@ lightlike.
 
 Plank mass P(nu) is the largest nu-measure of a 1 x sqrt(R) x R lightplank
 (full dimensions).  It is bracketed by scanning a finite plank family:
-directions spaced sqrt(1/R)/2, positions on the half-dimension lattice in
-plank coordinates; the lower value scans unit planks, the upper scans the
-same family with all dimensions doubled, so true P(nu) lies in
-[lower, upper] and upper <= 27 P(nu) by splitting a doubled plank into
+directions spaced sqrt(1/R)/2, centers c on the half-dimension lattice in
+plank coordinates, each plank the half-open cell c - h <= x < c + h per axis
+for half dims h.  The lower value scans unit planks, each inside the closed
+plank of its center, so lower <= P(nu).  The upper scans the doubled family:
+in plank units a unit plank centered at x spans [x - 1, x + 1] on an axis,
+inside the open (c - 2, c + 2) of the lattice point c nearest x with a
+margin of at least 1/2, so the bound uses no boundary point.  So P(nu) lies
+in [lower, upper], and upper <= 27 P(nu) by splitting a doubled plank into
 shifted unit planks.
 """
 
@@ -57,12 +61,12 @@ GENERATOR_PARAMS = {
 
 # plank-scan block size: a block holds as many directions as keep
 # (key entries + dense box cells) x weight rows within this budget, where a
-# direction has points x (2 widen)^3 entries (plus the layer keys of the rare
-# points on a lattice plane) and its box is bounded from the point cloud's
-# diameter.  Light tubes at R <= 128 (51-143 directions) take one block, or
-# 1-3 with the 4 rows of a transference scan; spread measures at R >= 256
-# take one direction per block, since a direction's box grows as R^1.5 (four
-# directions a block would hold 30 MB at R=512).
+# direction has points x (2 widen)^3 entries and its box is bounded from the
+# point cloud's diameter.  Light tubes at R <= 128 (51-143 directions) take
+# one block, or 1-3 with the 4 rows of a transference scan; random_frostman
+# takes one direction per block at R >= 256 (R >= 128 with 4 rows), since a
+# direction's box grows as R^1.5 (four directions a block would hold up to
+# 23 MB of keys and counts at R=512).
 PLANK_SCAN_BUDGET = 1 << 19
 _KEY_BITS = 19  # bits per lattice coordinate in a packed Frostman-sampler key
 _KEY_BIAS = 1 << (_KEY_BITS - 1)
@@ -121,40 +125,37 @@ def _max_lattice_plank_count(points: np.ndarray, half_dims, dir_spacing: float,
 
     For each widen in `widens`, widen = 1 scans planks of the given half
     dims and widen = 2 the doubled family on the same center lattice.  In
-    plank units a point q lies in the plank of center c when |q - c| <=
-    widen + 1e-12 on every axis.  With base = floor(q), the offsets
-    c - base = 1 - widen ... widen always pass, so each point and direction
-    gets those (2 widen)^3 keys with no distance test; the offset -widen
-    passes only within 1e-12 above a lattice plane, and the few points
-    there add the keys of that layer.  A direction's keys are dense offsets
-    in its bounding box, stacked per block.  Blocks hold as many directions
-    as PLANK_SCAN_BUDGET allows (module comment).
+    plank units a point q lies in the plank of integer center c when
+    c - widen <= q < c + widen on every axis (a half-open cell), so in
+    exactly the (2 widen)^3 planks with c - floor(q) in 1 - widen ... widen:
+    those are its keys, with no distance test.  A direction's keys are dense
+    offsets in its bounding box, stacked per block of as many directions as
+    PLANK_SCAN_BUDGET allows (module comment).
 
     Returns one int count per widen when weights is None.  With a (k, n)
     weight stack it returns a (len(widens), k) array of weighted maxima
-    from one bincount over keys offset per row.  Keys run point-major, each
-    point's layer keys inserted after its own, so each plank sums its
-    weights in point order.
+    from one bincount over keys offset per row.  Keys run point-major, so
+    each plank sums its weights in point order.
     """
     nrow = 1 if weights is None else len(weights)
     n = len(points)
+    best = [0] * len(widens) if weights is None else np.zeros((len(widens), nrow))
     if n == 0:
-        return [0] * len(widens) if weights is None else np.zeros((len(widens), nrow))
+        return best
     half = np.asarray(half_dims, dtype=float)
     wide = max(widens)
     ndir = max(1, int(math.ceil(2 * math.pi / dir_spacing)))
     theta = np.arange(ndir) * dir_spacing
     frames = lightlike_frame(np.cos(theta), np.sin(theta))
-    # a direction's box spans at most diam / half + 2 * wide + 2 cells per axis
+    # a direction's box spans at most diam / half + 2 * wide + 1 cells per axis
     diam = float(np.linalg.norm(np.ptp(points, axis=0)))
-    box = float(np.prod(np.floor(diam / half) + 2 * wide + 2))
+    box = float(np.prod(np.floor(diam / half) + 2 * wide + 1))
     block = max(1, int(PLANK_SCAN_BUDGET // ((n * (2 * wide) ** 3 + box) * nrow)))
-    best = [0] * len(widens) if weights is None else np.zeros((len(widens), nrow))
     for b0 in range(0, ndir, block):
         frame = frames[b0:b0 + block]
         q = (np.matmul(points, frame.transpose(0, 2, 1)) / half).transpose(0, 2, 1)
         base = np.floor(q).astype(np.int64)                        # (b, 3, n)
-        lo = base.min(axis=2) - wide
+        lo = base.min(axis=2) + 1 - wide
         size = base.max(axis=2) + wide + 1 - lo                     # (b, 3)
         cells = size.prod(axis=1)
         total = int(cells.sum())
@@ -163,28 +164,14 @@ def _max_lattice_plank_count(points: np.ndarray, half_dims, dir_spacing: float,
         start = np.cumsum(cells) - cells - (lo * stride).sum(axis=1)
         at = (base * stride[:, :, None]).sum(axis=1) + start[:, None]   # (b, n), key of base
         for i, widen in enumerate(widens):
-            step = np.arange(-widen, widen + 1)[:, None] * stride[:, None]  # (b, 2 widen + 1, 3)
+            step = np.arange(1 - widen, widen + 1)[:, None] * stride[:, None]  # (b, 2w, 3)
             shift = step[:, :, None, None, 0] + step[:, None, :, None, 1] + step[:, None, None, :, 2]
             m3 = (2 * widen) ** 3
-            keys = (at[:, :, None] + shift[:, 1:, 1:, 1:].reshape(-1, 1, m3)).ravel()
-            # the -widen layer: the (direction, point) pairs that reach it, and on which axes
-            near = q - (base - widen) <= widen + 1e-12
-            d, p = np.nonzero(near.any(axis=1))
-            reach = np.ones((len(d), 3, 2 * widen + 1), dtype=bool)
-            reach[:, :, 0] = near[d, :, p]
-            reach = reach[:, 0, :, None, None] & reach[:, 1, None, :, None] & reach[:, 2, None, None]
-            reach[:, 1:, 1:, 1:] = False                            # keys already built
-            layer = (at[d, p, None, None, None] + shift[d])[reach]
+            keys = (at[:, :, None] + shift.reshape(-1, 1, m3)).ravel()
             if weights is None:
-                counts = np.bincount(keys, minlength=total)
-                np.add.at(counts, layer, 1)
-                best[i] = max(best[i], int(counts.max()))
+                best[i] = max(best[i], int(np.bincount(keys, minlength=total).max()))
                 continue
             point = np.broadcast_to(np.arange(n)[:, None], (len(frame), n, m3)).ravel()
-            if len(d):
-                per = np.count_nonzero(reach.reshape(len(d), -1), axis=1)
-                after = np.repeat((d * n + p + 1) * m3, per)
-                keys, point = np.insert(keys, after, layer), np.insert(point, after, np.repeat(p, per))
             row_keys = (keys + total * np.arange(nrow)[:, None]).ravel()
             sums = np.bincount(row_keys, weights=weights[:, point].ravel(), minlength=nrow * total)
             best[i] = np.maximum(best[i], sums.reshape(nrow, total).max(axis=1))

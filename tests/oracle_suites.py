@@ -494,7 +494,11 @@ def annuli_area_suite(n: int, seed: int = 0, mc_every: int = 32,
 
 def plank_count_per_direction(points, half_dims, dir_spacing: float, widen: int,
                               weights=None):
-    """`measures._max_lattice_plank_count`, one direction and one np.unique at a time."""
+    """`measures._max_lattice_plank_count`, one direction and one np.unique at a time.
+
+    Each point tests the half-open rule c - widen <= q < c + widen on every
+    axis against the candidate centres floor(q) - widen ... floor(q) + widen.
+    """
     if len(points) == 0:
         return 0
     half = np.asarray(half_dims, dtype=float)
@@ -509,7 +513,7 @@ def plank_count_per_direction(points, half_dims, dir_spacing: float, widen: int,
         q = coords / half
         base = np.floor(q).astype(np.int64)
         cand = base[:, :, None] + offsets[None, None, :]           # (n, 3, noff)
-        valid = np.abs(q[:, :, None] - cand) <= widen + 1e-12
+        valid = (cand - widen <= q[:, :, None]) & (q[:, :, None] < cand + widen)
         cand = cand + bias
         keys = ((cand[:, 0, :, None, None] * enc + cand[:, 1, None, :, None]) * enc
                 + cand[:, 2, None, None, :])

@@ -197,26 +197,70 @@ class TestFrostmanSampler:
 
 
 def plane_points():
-    """Two rows of five points whose plank counts need the scan's -widen layer.
+    """Two rows of five points on lattice planes.
 
     The half dims (2^-5, 2^-3, 2^-1) are powers of two, so at theta = 0, the
     scan's first direction, the points (x, j / 8, z) project onto the middle
     lattice value j exactly; the row at x = z = 0 lies on lattice planes of
-    all three axes.  Each row lists its last point first: that point reaches
-    the plank centred on j = 2 only through the layer, and in point order
-    the plank sums it first.  Returns (points, half dims, direction spacing).
+    all three axes.  Each row lists its last point first, so a heavy weight
+    there makes the sum of the widen-2 plank centred on j = 3 depend on the
+    order of its terms.  Returns (points, half dims, direction spacing).
     """
     j = np.array([4, 0, 1, 2, 3]) / 8.0
     rows = [np.column_stack([np.full(5, x), j, np.full(5, z)]) for x, z in ((0.0, 0.0), (0.3, 0.2))]
     return np.vstack(rows), (2.0 ** -5, 2.0 ** -3, 2.0 ** -1), 1 / 8
 
 
-def off_the_planes(points):
-    """The points 1e-9 below their middle lattice planes: the -widen layer drops out."""
-    q = points @ lightlike_frame(1.0, 0.0).T / (2.0 ** -5, 2.0 ** -3, 2.0 ** -1)
-    assert np.array_equal(q[:, 1], np.floor(q[:, 1]))
-    assert np.count_nonzero((q == np.floor(q)).all(axis=1)) == 5
-    return points - (0.0, 1e-9, 0.0)
+def heavy_stack(n: int) -> np.ndarray:
+    """Rows of ones, 2^53 on every fifth point, and uniform [0, 1) weights.
+
+    2^53 + 1 rounds back to 2^53: with each plane_points row's first point
+    that heavy, a plank's sum depends on the order of its terms.
+    """
+    heavy = np.where(np.arange(n) % 5 == 0, 2.0 ** 53, 1.0)
+    return np.vstack([np.ones(n), heavy, np.random.default_rng(0).random(n)])
+
+
+def rule_cases():
+    """(points, half dims, direction spacing) for the half-open rule check, by id.
+
+    plane_points on their lattice planes and moved 1e-13 above and below
+    them (8e-13 in plank units at theta = 0), and one pair on the middle
+    axis, in plank coordinates (0, -1e-13, 0) or (0, 1e-13, 0) and (0, 2, 0),
+    scanned at theta = 0 alone with unit half dims, where its coordinates
+    are exact.  Each pair counts 1: (0, 2, 0) lies on the upper face of the
+    widen-1 plank centred on (0, 1, 0), which the half-open cell leaves out.
+    """
+    points, half, spacing = plane_points()
+    pair = [np.array([[0.0, y, 0.0], [0.0, 2.0, 0.0]]) for y in (-1e-13, 1e-13)]
+    return {"on": (points, half, spacing),
+            "above": (points + (0.0, 1e-13, 0.0), half, spacing),
+            "below": (points - (0.0, 1e-13, 0.0), half, spacing),
+            "pair_below": (pair[0], (1.0, 1.0, 1.0), 7.0),
+            "pair_above": (pair[1], (1.0, 1.0, 1.0), 7.0)}
+
+
+def plank_rule_brute_force(points, half_dims, dir_spacing, widen, weights=None):
+    """The scan's value from the half-open rule alone, applied to every centre.
+
+    Every integer centre c of each direction's window, with no floor of a
+    point, holds the points with c - widen <= q < c + widen on every axis;
+    a plank's weights are added in point order.
+    """
+    half = np.asarray(half_dims, dtype=float)
+    w = np.ones(len(points)) if weights is None else np.asarray(weights, dtype=float)
+    best = 0.0
+    for i in range(max(1, math.ceil(2 * math.pi / dir_spacing))):
+        theta = i * dir_spacing
+        q = points @ lightlike_frame(math.cos(theta), math.sin(theta)).T / half
+        lo = np.rint(q.min(axis=0)).astype(np.int64) - widen - 1
+        hi = np.rint(q.max(axis=0)).astype(np.int64) + widen + 1
+        axes = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(lo, hi)], indexing="ij")
+        centres = np.stack(axes, axis=-1).reshape(-1, 1, 3)
+        inside = ((centres - widen <= q) & (q < centres + widen)).all(axis=2)   # (centres, n)
+        sums = np.cumsum(np.where(inside, w, 0.0), axis=1)[:, -1]   # sequential, point order
+        best = max(best, float(sums.max()))
+    return int(best) if weights is None else best
 
 
 class TestPlankScan:
@@ -278,35 +322,30 @@ class TestPlankScan:
         same_at_every_block_size(
             monkeypatch, lambda: [[gamma_tau(c, tau) for tau in pairs_taus(c)] for c in configs])
 
-    @pytest.mark.parametrize("widens", ((1, 2), (2,)))
-    def test_layer_below_the_base_matches_per_direction(self, monkeypatch, widens):
+    def test_plane_points_through_gamma_tau(self, monkeypatch):
+        # the plane_points circles sit on gamma_tau's plank half dims at tau = 1/4
         points, half, spacing = plane_points()
-        got = measures._max_lattice_plank_count(points, half, spacing, widens)
-        ref = [plank_count_per_direction(points, half, spacing, w) for w in widens]
-        assert same_values(got, ref)
-        # the layer was reached: without it every count is lower
-        off = measures._max_lattice_plank_count(off_the_planes(points), half, spacing, widens)
-        assert all(g > o for g, o in zip(got, off))
-        # the same circles through gamma_tau, whose plank half dims they sit on
+        count = measures._max_lattice_plank_count(points, half, spacing, (2,))[0]
         config = CircleConfig(points, delta=2.0 ** -5)
-        assert gamma_tau(config, 0.25) == got[-1]
-        assert with_plank_oracle(monkeypatch, lambda: gamma_tau(config, 0.25)) == got[-1]
+        assert gamma_tau(config, 0.25) == count
+        assert with_plank_oracle(monkeypatch, lambda: gamma_tau(config, 0.25)) == count
 
+    @pytest.mark.parametrize("weighted", (False, True))
     @pytest.mark.parametrize("widens", ((1, 2), (2,)))
-    def test_weighted_layer_matches_per_direction(self, widens):
-        points, half, spacing = plane_points()
-        # 2^53 + 1 rounds back to 2^53: with each row's first point that heavy,
-        # a plank's sum depends on the order of its terms
-        heavy = np.where(np.arange(len(points)) % 5 == 0, 2.0 ** 53, 1.0)
-        stack = np.vstack([np.ones(len(points)), heavy,
-                           np.random.default_rng(0).random(len(points))])
+    @pytest.mark.parametrize("case", tuple(rule_cases()))
+    def test_half_open_rule_matches_oracles(self, case, widens, weighted):
+        # the per-direction oracle takes its candidates from floor(q), the
+        # brute force tests every centre of the window with no floor
+        points, half, spacing = rule_cases()[case]
+        stack = heavy_stack(len(points)) if weighted else None
         got = measures._max_lattice_plank_count(points, half, spacing, widens, stack)
-        ref = np.array([[plank_count_per_direction(points, half, spacing, w, row)
-                         for row in stack] for w in widens])
-        assert same_values(got, ref)
-        off = measures._max_lattice_plank_count(off_the_planes(points), half, spacing,
-                                                widens, stack)
-        assert (got[:, 0] > off[:, 0]).all()
+        for oracle in (plank_count_per_direction, plank_rule_brute_force):
+            if stack is None:
+                ref = [oracle(points, half, spacing, w) for w in widens]
+            else:
+                ref = np.array([[oracle(points, half, spacing, w, row) for row in stack]
+                                for w in widens])
+            assert same_values(got, ref), oracle.__name__
 
     def test_return_types(self):
         nu = generate("knapp_pair", 16, 0)

@@ -1,5 +1,6 @@
 """Tests for the command line interface: parsing, precedence, outputs, budget."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -270,7 +271,7 @@ class TestPipelines:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         assert experiments._run_tasks(abs, [-1, -2, -3], workers=64) == [1, 2, 3]
         assert experiments._run_tasks(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
         assert experiments._run_tasks(abs, [-1], workers=64) == [1]
@@ -325,10 +326,8 @@ class TestPipelines:
         # the rho split decay_mean calls; for sharpness, the radial-table
         # lookups and the length of the FFT that fills each table; for
         # maximal, the cells of every annulus span plus the raster blocks; for
-        # pairs, the pair-table entries plus (2 * 2 + 1)^3 lattice keys per
-        # circle and scanned direction of every gamma_tau scan, the upper
-        # bound the scan stays under (4^3 keys, 5^3 for a circle on three
-        # lattice planes)
+        # pairs, the pair-table entries plus the (2 * 2)^3 lattice keys the
+        # scan builds per circle and scanned direction of every gamma_tau scan
         counted, phis, splits, frames = [], [], [], []
         e1_grid, build = fourier.e1_grid, operators.build_extension_operator
         make_quadrature, rho_split = fourier.make_quadrature, fourier.rho_split
@@ -394,7 +393,7 @@ class TestPipelines:
         def counting_gamma_tau(config, tau):
             frames.clear()
             value = gamma_tau(config, tau)
-            counted.append(config.count * 5 ** 3 * sum(frames))
+            counted.append(config.count * 4 ** 3 * sum(frames))
             return value
 
         monkeypatch.setattr(fourier, "e1_grid", counting_e1_grid)
