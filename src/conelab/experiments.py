@@ -249,14 +249,12 @@ def _maximal_point(task):
 
 
 def _maximal_cost(task, force):
-    # the span cells of each annulus, at most the grid cells that meet the
-    # annulus widened by one step h at the top of the radius band, plus one
-    # pass over the raster grid
+    # the span events of the level counts: an annulus at the top r of the
+    # radius band meets at most 2 (r + delta) / h + 1 grid rows, in at most
+    # 2 spans a row, and each span gives 2 events
     _, delta, _, n, _ = task
-    grid, r = default_grid(delta), MAXIMAL_RADII[1]
-    w = delta + grid.h
-    span = math.pi * ((r + w) ** 2 - max(r - w, 0.0) ** 2) / grid.cell_area
-    return _circle_count(n, delta) * span + len(grid.nodes_1d) ** 2
+    rows = 2 * (MAXIMAL_RADII[1] + delta) / default_grid(delta).h + 1
+    return _circle_count(n, delta) * rows * 2 * 2
 
 
 def _pairs_point(task):

@@ -6,12 +6,15 @@ multiplicity field m(x) counts the annuli containing x; its L^{3/2} norm
 over the trivial value (delta |X|)^(2/3) is the quantity of Wolff's
 Kakeya-type estimate for circles, which holds it to delta^(-eps).
 
-The field is rastered on a grid of spacing delta/4 over [-1.1, 1.1]^2,
-which fits every admissible configuration, in blocks of HIST_ROWS rows:
-each block comes from the per-row chord spans of all the annuli on its
-rows, found in one whole-array pass.  Every multiplicity statistic is read
-from the histogram of the integer field, summed block by block, so the
-L^{3/2} check never holds the whole field.
+The field lives on a grid of spacing delta/4 over [-1.1, 1.1]^2, which
+fits every admissible configuration, and is taken in blocks of HIST_ROWS
+rows: each block starts from the per-row chord spans of all the annuli on
+its rows, found in one whole-array pass.  Every multiplicity statistic is
+read from the histogram of the integer field, and each block's histogram
+comes straight from its spans: the +1 and -1 events at their ends, sorted
+once, give the count of every run of cells between them.  So the L^{3/2}
+check sorts two events per span and touches neither the block's cells nor
+the whole field; only `multiplicity_field` rasters the cells.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .measures import CircleConfig
 
 DEFAULT_WINDOW = 1.1
 GRID_FACTOR = 4  # grid spacing = delta / GRID_FACTOR
-HIST_ROWS = 256  # field rows per rastered block
+HIST_ROWS = 256  # grid rows per block of spans
 
 
 @dataclass(frozen=True)
@@ -103,11 +106,12 @@ def _raster(spans, n_rows: int, n: int) -> np.ndarray:
     return np.cumsum(diff, axis=1, dtype=np.int32, out=diff)
 
 
-def _field_blocks(config: CircleConfig, grid: RasterGrid):
-    """Yield (row0, block): the annulus-count field HIST_ROWS rows at a time, as int32.
+def _row_blocks(config: CircleConfig, grid: RasterGrid):
+    """Yield (row0, row1) for the blocks of HIST_ROWS grid rows, after checking the reach.
 
-    Each block is rastered from the spans of its own rows only, so the
-    memory held at once is one block and its spans, whatever the grid.
+    Callers hand each block's spans straight to the block's kernel, so the
+    memory held at once is one block's spans and what is built from them,
+    whatever the grid.
     """
     c = config.circles
     reach = np.max(np.abs(c[:, :2]).max(axis=1) + c[:, 2] + config.delta, initial=0.0)
@@ -115,8 +119,7 @@ def _field_blocks(config: CircleConfig, grid: RasterGrid):
         raise ValueError(f"annuli reach {reach:.3f} beyond raster window {grid.window}")
     n = len(grid.nodes_1d)
     for row0 in range(0, n, HIST_ROWS):
-        row1 = min(row0 + HIST_ROWS, n)
-        yield row0, _raster(_annulus_spans(c, config.delta, grid, row0, row1), row1 - row0, n)
+        yield row0, min(row0 + HIST_ROWS, n)
 
 
 def multiplicity_field(config: CircleConfig,
@@ -126,19 +129,48 @@ def multiplicity_field(config: CircleConfig,
         grid = default_grid(config.delta)
     n = len(grid.nodes_1d)
     field = np.empty((n, n), dtype=np.int16)
-    for row0, block in _field_blocks(config, grid):
-        field[row0:row0 + len(block)] = block
+    for row0, row1 in _row_blocks(config, grid):
+        field[row0:row1] = _raster(_annulus_spans(config.circles, config.delta, grid, row0, row1),
+                                   row1 - row0, n)
     return field, grid
 
 
-def _level_counts(config: CircleConfig, grid: RasterGrid) -> np.ndarray:
-    """Cells per multiplicity level: np.bincount of the field, summed block by block.
+def _span_levels(spans, n_rows: int, n: int, minlength: int) -> np.ndarray:
+    """Cells per annulus count of an n_rows x n block, from its (rows, starts, ends) spans.
 
-    The field itself is never held.
+    Each span adds +1 at its start cell and -1 just past its end, in the
+    block's row-major cell order, so an end at the last column lands on
+    the next row's first cell.  The events are packed as int32 keys
+    cell 2 + is_start, so at one cell the -1 sorts first and no count is
+    passed that no cell holds, and sorted once.  The cumulative sum of
+    their signs is the count after each event, and the gap to the next key
+    is that count's run of cells; every row ends at count 0, so no nonzero
+    run crosses a row.  Count 0 takes the block's cells not counted above
+    it; the counts run to at least `minlength` >= 1 entries, like bincount's.
     """
-    hist = np.zeros(0, dtype=np.intp)
-    for _, block in _field_blocks(config, grid):
-        counts = np.bincount(block.ravel(), minlength=len(hist))
+    key_type = np.int32 if 2 * n_rows * n < 2 ** 31 else np.int64
+    rows, starts, ends = (a.astype(key_type) for a in spans)
+    at = rows * n
+    keys = np.concatenate(((at + starts) * 2 + 1, (at + ends + 1) * 2))
+    keys.sort()
+    level = np.cumsum((keys & 1) * 2 - 1, dtype=key_type)
+    counts = np.bincount(level[:-1], weights=np.diff(keys >> 1), minlength=minlength)
+    counts = counts.astype(np.intp)
+    counts[0] = n_rows * n - counts[1:].sum()
+    return counts
+
+
+def _level_counts(config: CircleConfig, grid: RasterGrid) -> np.ndarray:
+    """Cells per multiplicity level, equal to np.bincount of the field.
+
+    Summed over the row blocks of `_span_levels`, each read from the
+    block's span events, so neither the field nor a block is ever held.
+    """
+    n = len(grid.nodes_1d)
+    hist = np.zeros(1, dtype=np.intp)
+    for row0, row1 in _row_blocks(config, grid):
+        counts = _span_levels(_annulus_spans(config.circles, config.delta, grid, row0, row1),
+                              row1 - row0, n, len(hist))
         counts[:len(hist)] += hist
         hist = counts
     return hist

@@ -70,6 +70,12 @@ GENERATOR_PARAMS = {
 PLANK_SCAN_BUDGET = 1 << 19
 _KEY_BITS = 19  # bits per lattice coordinate in a packed Frostman-sampler key
 _KEY_BIAS = 1 << (_KEY_BITS - 1)
+_KEY_FIELDS = np.array([1 << 2 * _KEY_BITS, 1 << _KEY_BITS, 1])  # weight of i, j, k in a key
+# Frostman-sampler batch: at most this many (draw, level, ring node) entries,
+# 64 KB a float array.  At 1 << 15 the sampler was no faster (2-core box)
+# and the perfbench fourier workload, which runs it before its decay and
+# sharpness sweeps, peaked 0.2 MB higher.
+SAMPLER_BATCH_ENTRIES = 1 << 13
 
 
 @dataclass
@@ -252,9 +258,10 @@ def _pack_keys(level: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     Injective for 0 <= level < 64 and -2**18 <= i, j, k < 2**18.  The sampler
     refuses nodes outside that box instead of letting keys collide; its
     levels stay below 64 because it keeps only capacities 4 * 2**level <= n - 1.
+    The key is linear in the coordinates, so a node's key is its ring
+    centre's key plus the ring offset's `@ _KEY_FIELDS`.
     """
-    c = nodes + _KEY_BIAS
-    return ((level << _KEY_BITS | c[..., 0]) << _KEY_BITS | c[..., 1]) << _KEY_BITS | c[..., 2]
+    return (level << 3 * _KEY_BITS) + (nodes + _KEY_BIAS) @ _KEY_FIELDS
 
 
 def _frostman_sample(draw, n: int, base: float, span: float, max_attempts: int) -> list:
@@ -267,39 +274,114 @@ def _frostman_sample(draw, n: int, base: float, span: float, max_attempts: int) 
     <= 8 at base scale `base`.  Stops after n points or `max_attempts`
     draws, whichever comes first.
 
-    Each draw computes the ring nodes of all levels as one (levels, 125)
-    array and looks its in-ball nodes up under packed int64 keys.  Levels
-    whose capacity exceeds n - 1 are skipped: no count there can reach it.
+    The draws are decided in batches, with the outcome of deciding them
+    one at a time.  The ring nodes of a batch's new draws are computed
+    once, as one (3, draws, levels, 125) array, and their in-ball nodes
+    kept as packed int64 keys; the accepted points' counts are held as
+    sorted key and count arrays.  A draw that repeats a placed point or an
+    earlier draw of the batch, or meets a full node, is refused whatever
+    the batch does.  Every other draw is judged on the accepted counts plus
+    the entries of the other such draws before it: an upper bound, so a
+    draw it accepts is accepted, and exact up to the first draw it refuses,
+    which is refused.  The draws from the second such refusal on are
+    decided again.  The batch doubles after a pass that decides it whole,
+    up to SAMPLER_BATCH_ENTRIES node entries, and halves after one cut
+    short.  It never holds more draws than points still wanted, so `draw()`
+    is called as often as one at a time (a draw outside the key range
+    raises once its batch is drawn).  Levels whose capacity exceeds n - 1
+    are skipped: no count there can reach it.
     """
     levels = base * 2.0 ** np.arange(int(math.ceil(math.log2(span / base * 2))) + 2)
     levels = levels[4 * (levels / base) <= n - 1]
-    steps = 0.5 * levels
+    steps = 0.5 * levels[:, None]
     ring = np.array([[i, j, k] for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)])
-    level_ids = np.arange(len(levels))
-    headroom = -(4 << level_ids)[:, None]  # count - capacity of a fresh node
-    counters: dict[int, int] = {}  # key -> count - capacity; a draw is refused at 0
-    get = counters.get
+    # keys are linear in the node: a node's key is its ring centre's `@ _KEY_FIELDS`
+    # plus the key of its level and ring offset
+    ring_keys = _pack_keys(np.arange(len(levels))[:, None], ring)
+    ring_axes = ring.T[:, None, None, :].astype(float)  # (3, 1, 1, 125)
+    max_batch = max(1, SAMPLER_BATCH_ENTRIES // (len(ring) * max(1, len(levels))))
+    # the accepted points' node counts by sorted key; the sentinel keeps
+    # every searchsorted position in range
+    held = np.array([np.iinfo(np.int64).max])
+    count = np.zeros(1, dtype=np.int64)
     out = []
     seen = set()
+    drawn, points = [], []  # drawn, not yet decided, in draw order, and as tuples
+    keys = np.zeros(0, dtype=np.int64)  # in-ball node keys of `drawn`, draw-major
+    owner = np.zeros(0, dtype=np.intp)  # index in `drawn` of each key's draw
+    cap = np.zeros(0, dtype=np.int64)  # capacity of each key's node
     attempts = 0
-    while len(out) < n and attempts < max_attempts:
-        attempts += 1
-        p = draw()
-        if tuple(p) in seen:
-            continue
-        nodes = np.round(p / steps[:, None]).astype(np.int64)[:, None, :] + ring
-        if len(nodes) and (nodes[0].min() < -_KEY_BIAS or nodes[0].max() >= _KEY_BIAS):
-            raise ValueError(f"point {p} lies outside the sampler's key range at base {base}")
-        x = nodes * steps[:, None, None] - p
-        inside = np.sqrt(np.add.reduce(x * x, axis=2)) <= levels[:, None]
-        keys = _pack_keys(level_ids[:, None], nodes)[inside].tolist()
-        held = [get(key, cap) for key, cap in
-                zip(keys, np.broadcast_to(headroom, inside.shape)[inside].tolist())]
-        if max(held, default=-1) >= 0:
-            continue
-        counters.update(zip(keys, [h + 1 for h in held]))
-        seen.add(tuple(p))
-        out.append(p)
+    batch = 1
+    while len(out) < n and (drawn or attempts < max_attempts):
+        more = min(batch, n - len(out), len(drawn) + max_attempts - attempts) - len(drawn)
+        if more > 0:
+            attempts += more
+            fresh = [draw() for _ in range(more)]
+            p = np.array(fresh, dtype=float).T[:, :, None, None]  # (3, draws, 1, 1)
+            # axis first: each coordinate's (draws, levels, 125) block is contiguous
+            centre = np.rint(p / steps)  # np.round at 0 decimals
+            nodes = centre[..., 0].astype(np.int64)  # the ring centres
+            level0 = nodes[:, :, :1]
+            if len(levels) and (np.minimum.reduce(level0, axis=None) < 2 - _KEY_BIAS
+                                or np.maximum.reduce(level0, axis=None) >= _KEY_BIAS - 2):
+                far = ((level0 < 2 - _KEY_BIAS) | (level0 >= _KEY_BIAS - 2)).any(axis=(0, 2))
+                raise ValueError(f"point {fresh[int(np.argmax(far))]} lies outside the "
+                                 f"sampler's key range at base {base}")
+            # float(centre) + float(offset) is the whole node exactly
+            x = (centre + ring_axes) * steps - p
+            x *= x
+            inside = np.sqrt(x[0] + x[1] + x[2]) <= levels[:, None]
+            d, level, _ = np.nonzero(inside)
+            centre_keys = (_KEY_FIELDS @ nodes.reshape(3, -1)).reshape(more, len(levels), 1)
+            fresh_keys = (centre_keys + ring_keys)[inside]
+            if drawn:
+                keys = np.concatenate((keys, fresh_keys))
+                owner = np.concatenate((owner, d + len(drawn)))
+                cap = np.concatenate((cap, 4 << level))
+            else:
+                keys, owner, cap = fresh_keys, d, 4 << level
+            drawn += fresh
+            points += map(tuple, p[..., 0, 0].T.tolist())
+        m = len(drawn)
+        at = np.searchsorted(held, keys)
+        now = np.where(held[at] == keys, count[at], 0)
+        refused = np.zeros(m, dtype=bool)
+        refused[owner[now >= cap]] = True
+        batch_seen = set()
+        for i, q in enumerate(points):
+            refused[i] |= q in seen or q in batch_seen
+            batch_seen.add(q)
+        stop = m
+        if m > 1:
+            # the earlier entries of each key among the draws not yet refused;
+            # a stable sort keeps equal keys in draw order
+            live = np.flatnonzero(~refused[owner])
+            order = np.argsort(keys[live], kind="stable")
+            sorted_keys = keys[live[order]]
+            run = np.arange(len(live))
+            first = np.ones(len(live), dtype=bool)
+            first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+            now[live[order]] += run - np.maximum.accumulate(np.where(first, run, 0))
+            # the first draw over a capacity is refused; the bound of any
+            # later one may count it
+            over = np.unique(owner[live[now[live] >= cap[live]]])
+            refused[over[:1]] = True
+            if len(over) > 1:
+                stop = int(over[1])
+        cut = np.searchsorted(owner, stop)  # the entries of the decided draws
+        kept = np.flatnonzero(~refused[:stop])
+        if len(kept):
+            new, add = np.unique(keys[:cut][~refused[owner[:cut]]], return_counts=True)
+            at = np.searchsorted(held, new)
+            known = held[at] == new
+            count[at[known]] += add[known]
+            held = np.insert(held, at[~known], new[~known])
+            count = np.insert(count, at[~known], add[~known])
+            out += [drawn[i] for i in kept]
+            seen.update(points[i] for i in kept)
+        batch = min(2 * batch, max_batch) if stop == m else max(1, batch // 2)
+        drawn, points = drawn[stop:], points[stop:]
+        keys, owner, cap = keys[cut:], owner[cut:] - stop, cap[cut:]
     return out
 
 

@@ -9,6 +9,7 @@ types (CSVs print the values as they come).
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -51,6 +52,27 @@ KINDS = ("light_tube", "vertical_tube", "knapp_pair", "wolff_radii", "random_fro
 DELTAS = tuple(2.0 ** -k for k in range(5, 10))
 
 
+# Span layouts for the event-route histogram.  At delta = 2^-4 (h = 2^-6) a
+# disk (radius 0) whose centre is off the nodes gives each row two abutting
+# spans, and the second disk starts one column after the first ends, so a -1
+# and a +1 share a cell at the top count 1; a start sorted before the end
+# there would pass count 2, which no cell holds.  Two annuli 7 h apart share
+# end and start cells.  A disk of radius 1.1 spans columns 0 to n - 1 and
+# covers its middle row whole.  At delta = 0.55 the first disk's span on row
+# 8 ends in column n - 1 and the second's on row 9 starts in column 0: the
+# same cell in row-major order.
+_H4 = 2.0 ** -6
+EVENT_CASES = {
+    "abutting": CircleConfig(np.array([[-0.2, 0.0, 0.0], [-0.2 + 8 * _H4 + _H4 / 2, 0.0, 0.0]]),
+                             2.0 ** -4),
+    "shared cell": CircleConfig(np.array([[0.0, 0.0, 0.5], [7 * _H4, 0.0, 0.5]]), 2.0 ** -4),
+    "window edge": CircleConfig(np.array([[0.0, 0.0, 0.0]]), 1.1),
+    "row break": CircleConfig(np.array([[0.55, 0.0, 0.0], [-0.55, 0.1375, 0.0]]), 0.55),
+    "empty block": CircleConfig(np.array([[0.0, 0.0, 0.3]]), 2.0 ** -5),
+    "no circles": CircleConfig(np.empty((0, 3)), 2.0 ** -5),
+}
+
+
 def pairs_taus(config) -> list:
     """The tau values the pairs sweep asks gamma_tau for."""
     taus = [math.sqrt(config.delta / D) for D in classify_pairs(config).dyadic_D()
@@ -71,6 +93,33 @@ def with_oracle(monkeypatch, name, oracle, call):
         return call()
     finally:
         monkeypatch.undo()
+
+
+def on_line(*xs) -> list:
+    """Sampler draws (x, 0, 0), as float arrays."""
+    return [np.array([x, 0.0, 0.0]) for x in xs]
+
+
+def placed(point, out) -> bool:
+    return any(np.array_equal(point, p) for p in out)
+
+
+def both_samplers(draws, n, base=1.0, span=16.0, max_attempts=None):
+    """(points, draw() calls) of `_frostman_sample` on a fixed draw list, checked
+    bitwise against the one-draw-at-a-time oracle, calls included."""
+    results = []
+    for sampler in (_frostman_sample, frostman_sample_tuple_keys):
+        calls = []
+
+        def draw():
+            calls.append(None)
+            return draws[len(calls) - 1]
+        out = sampler(draw, n, base, span, len(draws) if max_attempts is None else max_attempts)
+        results.append((out, len(calls)))
+    (out, calls), (ref, ref_calls) = results
+    assert calls == ref_calls
+    assert np.array_equal(bits(np.reshape(out, (-1, 3))), bits(np.reshape(ref, (-1, 3))))
+    return out, calls
 
 
 def with_plank_oracle(monkeypatch, call):
@@ -172,6 +221,69 @@ class TestFrostmanSampler:
             outs.append(np.array(sampler(draw, n, 1.0, 8 * r, 50 * n)))
         assert len(outs[1]) == n - 1
         assert np.array_equal(bits(outs[0]), bits(outs[1]))
+
+    # Batched decisions.  At n = 10 and base 1 the sampler keeps levels 0
+    # (radius 1, capacity 4) and 1 (radius 2, capacity 8); with no pass cut
+    # short its batches hold draws 0, 1-2, 3-6, then as many as points are
+    # still wanted.  F fills the level-0 nodes about x = 0, G brings those
+    # about x = 2 to 3; B (x = 0.75) meets both groups and C (x = 2.4) only G.
+    F = on_line(-0.5, -0.4, -0.3, -0.2)
+    G = on_line(2.0, 2.1, 2.2)
+    B, C = on_line(0.75, 2.4)
+    FAR_OFF = on_line(20.0, 40.0, 60.0)
+
+    def test_refusal_in_mid_batch_is_not_counted(self):
+        # the fourth batch is (F3, B, C): F3 fills x = 0, so B is refused, and
+        # C, which would be the fifth at x = 2 had B counted, is accepted
+        F, G, B, C, far = self.F, self.G, self.B, self.C, self.FAR_OFF
+        draws = F[:3] + G + far[:1] + [F[3], B, C] + far[1:2]
+        out, calls = both_samplers(draws, 10)
+        assert calls == len(draws)
+        assert placed(C, out) and not placed(B, out)
+        # without F3, B is placed and C refused
+        out, _ = both_samplers(F[:3] + G + [B, C], 10)
+        assert placed(B, out) and not placed(C, out)
+
+    def test_repeats_inside_a_batch(self):
+        # third batch: a point twice, then a point placed in the second batch;
+        # fourth batch: B after F3 fills x = 0, then B again
+        F, G, B, C, far = self.F, self.G, self.B, self.C, self.FAR_OFF
+        draws = F[:3] + [G[0], G[0], G[1], F[1]] + [G[2], far[0], F[3], B, B, C]
+        out, calls = both_samplers(draws, 10)
+        assert calls == len(draws) and len(out) == 9
+
+    @pytest.mark.parametrize("max_attempts, n_placed", ((5, 5), (10, 9)))
+    def test_max_attempts_in_mid_batch(self, max_attempts, n_placed):
+        # 5 cuts the third batch to two draws; 10 ends the drawing while C
+        # still waits to be decided again
+        F, G, B, C, far = self.F, self.G, self.B, self.C, self.FAR_OFF
+        draws = F[:3] + G + far[:1] + [F[3], B, C] + far[1:2]
+        out, calls = both_samplers(draws, 10, max_attempts=max_attempts)
+        assert calls == max_attempts and len(out) == n_placed
+        assert placed(C, out) == (max_attempts == 10)
+
+    def test_key_range_refusal_inside_a_batch(self):
+        # the third batch holds two points past the key range; the first is named
+        far = np.array([2.0 ** 17, 0.5, 0.5])
+        draws = self.F[:3] + self.G[:1] + [far, self.G[1], far + 8.0]
+        with pytest.raises(ValueError, match=re.escape(f"point {far} lies outside")):
+            _frostman_sample(iter(draws).__next__, 10, 1.0, 16.0, len(draws))
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_no_capped_level(self, delta):
+        # at n = 4 no capacity 4 * 2**level is at most n - 1: only repeats refuse
+        rng = np.random.default_rng(3)
+        box = np.array([Q_PLANAR[1], Q_PLANAR[1], Q_RADII[1]])
+        draws = [rng.uniform(0.0, 1.0, 3) * box for _ in range(3)]
+        draws = [draws[0], draws[0], draws[1], draws[0], draws[2], draws[1]] + draws
+        span = max(Q_RADII[1] - Q_RADII[0], Q_PLANAR[1] - Q_PLANAR[0])
+        out, calls = both_samplers(draws, 4, delta, span, max_attempts=len(draws))
+        assert calls == len(draws) and len(out) == 3
+        rng = np.random.default_rng(4)
+        draws = [np.array([rng.uniform(*Q_PLANAR), rng.uniform(*Q_PLANAR), rng.uniform(*Q_RADII)])
+                 for _ in range(6)]
+        out, calls = both_samplers(draws, 4, delta, span, max_attempts=len(draws))
+        assert calls == 4 and len(out) == 4
 
     def test_packed_keys_injective_at_the_field_limits(self):
         # 6 level bits and 19 coordinate bits: one bit less anywhere aliases
@@ -459,6 +571,41 @@ class TestRaster:
         ref = np.bincount(m.ravel())
         hist = _level_counts(config, grid)
         assert hist.dtype == ref.dtype and np.array_equal(hist, ref)
+
+    @pytest.mark.parametrize("rows", (1, 7, 1 << 20))
+    @pytest.mark.parametrize("case", sorted(EVENT_CASES))
+    def test_span_events_equal_dense_bincount(self, monkeypatch, case, rows):
+        config = EVENT_CASES[case]
+        monkeypatch.setattr(maximal, "HIST_ROWS", rows)
+        field, grid = multiplicity_field(config)
+        ref = np.bincount(field.ravel())
+        hist = _level_counts(config, grid)
+        assert hist.dtype == ref.dtype and len(hist) == len(ref)
+        assert np.array_equal(hist, ref)
+
+    def test_event_cases_reach_their_edges(self):
+        # each EVENT_CASES entry holds the event layout it is named for
+        spans = {}
+        for case, config in EVENT_CASES.items():
+            grid = default_grid(config.delta)
+            n = len(grid.nodes_1d)
+            spans[case] = (n, _annulus_spans(config.circles, config.delta, grid, 0, n))
+        n, (rows, starts, ends) = spans["abutting"]
+        row_ends = set(zip(rows.tolist(), (ends + 1).tolist()))
+        assert row_ends & set(zip(rows.tolist(), starts.tolist()))
+        assert multiplicity_field(EVENT_CASES["abutting"])[0].max() == 1
+        n, (rows, starts, ends) = spans["shared cell"]
+        assert set(zip(rows.tolist(), ends.tolist())) & set(zip(rows.tolist(), starts.tolist()))
+        n, (rows, starts, ends) = spans["window edge"]
+        assert starts.min() == 0 and ends.max() == n - 1
+        field = multiplicity_field(EVENT_CASES["window edge"])[0]
+        assert (field > 0).all(axis=1).any()  # a one-row block covered everywhere
+        n, (rows, starts, ends) = spans["row break"]
+        assert set((rows[ends == n - 1] + 1).tolist()) & set(rows[starts == 0].tolist())
+        assert multiplicity_field(EVENT_CASES["row break"])[0].max() == 1
+        n, (rows, _, _) = spans["empty block"]
+        assert rows.min() >= 7 and rows.max() < n - 7  # the first and last 7-row blocks hold none
+        assert len(spans["no circles"][1][0]) == 0
 
     def test_wolff_example_check_matches_per_annulus(self):
         # the report from the reference raster and a plain bincount

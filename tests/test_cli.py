@@ -325,15 +325,15 @@ class TestPipelines:
         # node and cube, the two step tables and their product, as sized by
         # the rho split decay_mean calls; for sharpness, the radial-table
         # lookups and the length of the FFT that fills each table; for
-        # maximal, the cells of every annulus span plus the raster blocks; for
-        # pairs, the pair-table entries plus the (2 * 2)^3 lattice keys the
-        # scan builds per circle and scanned direction of every gamma_tau scan
+        # maximal, the two events of every annulus span; for pairs, the
+        # pair-table entries plus the (2 * 2)^3 lattice keys the scan builds
+        # per circle and scanned direction of every gamma_tau scan
         counted, phis, splits, frames = [], [], [], []
         e1_grid, build = fourier.e1_grid, operators.build_extension_operator
         make_quadrature, rho_split = fourier.make_quadrature, fourier.rho_split
         decay_mean = fourier.decay_mean
         lookup, table = fourier.RadialTable.__call__, fourier.radial_transform_table
-        spans, raster = maximal._annulus_spans, maximal._raster
+        spans = maximal._annulus_spans
         classify, gamma_tau, frame = (tangency.classify_pairs, tangency.gamma_tau,
                                       measures.lightlike_frame)
 
@@ -374,12 +374,8 @@ class TestPipelines:
 
         def counting_spans(circles, delta, grid, row0, row1):
             rows, starts, ends = spans(circles, delta, grid, row0, row1)
-            counted.append(int(np.sum(ends - starts + 1)))
+            counted.append(2 * len(starts))
             return rows, starts, ends
-
-        def counting_raster(annuli, n_rows, n):
-            counted.append(n_rows * n)
-            return raster(annuli, n_rows, n)
 
         def counting_classify(config):
             out = classify(config)
@@ -405,7 +401,6 @@ class TestPipelines:
         monkeypatch.setattr(fourier.RadialTable, "__call__", counting_lookup)
         monkeypatch.setattr(fourier, "radial_transform_table", counting_table)
         monkeypatch.setattr(maximal, "_annulus_spans", counting_spans)
-        monkeypatch.setattr(maximal, "_raster", counting_raster)
         monkeypatch.setattr(experiments, "classify_pairs", counting_classify)
         monkeypatch.setattr(tangency, "gamma_tau", counting_gamma_tau)
         monkeypatch.setattr(measures, "lightlike_frame", counting_frame)

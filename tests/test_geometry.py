@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conelab.geometry import lightlike_frame
@@ -150,9 +150,13 @@ def test_plank_corners_are_boundary_members():
 
 
 @given(angle, st.floats(0.1, 3.0), st.floats(1.0, 4.0))
+@example(0.0, 1.0, 1.0000000000000002)
 @settings(max_examples=50)
 def test_membership_monotone_in_dilation(theta, scale, lam):
-    # a point pushed out from the center by lam needs lam times the dilation
+    # a point pushed out from the center by lam needs lam times the dilation.
+    # For lam within rounding of 1, center + lam * step and center + step
+    # differ by rounding alone (at lam = 1 + 2^-52, farther is 1.0 and need
+    # 1.0000000000000002), so the strict order is asserted only above that.
     p = make_plank(theta=theta)
     e_s, _, e_l = lightlike_frame(*p.direction)
     step = scale * (e_s * p.half_dims[0] + e_l * p.half_dims[2])
@@ -160,7 +164,8 @@ def test_membership_monotone_in_dilation(theta, scale, lam):
     assert need == pytest.approx(scale, rel=1e-9)
     farther = membership_dilation(p, np.asarray(p.center) + lam * step)
     assert farther == pytest.approx(lam * need, rel=1e-9)
-    assert farther >= need
+    if lam >= 1 + 1e-9:
+        assert farther >= need
 
 
 def test_dilated_plank_scales_dims():
