@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from .fitting import fit_exponent
 from .fourier import (MIDPOINTS, cube_midpoints, decay_ratio, diagnostic_points,
@@ -147,7 +146,6 @@ def write_manifest(path, cfg: ExperimentConfig, wall: dict, files: list) -> None
     lines = [f"{k}={v}" for k, v in config_items(cfg)]
     lines.append(f"python={platform.python_version()}")
     lines.append(f"numpy={np.__version__}")
-    lines.append(f"scipy={scipy.__version__}")
     for name, seconds in wall.items():
         lines.append(f"wall_seconds_{name}={seconds:.3f}")
     for name in files:

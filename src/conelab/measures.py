@@ -72,9 +72,8 @@ _KEY_BITS = 19  # bits per lattice coordinate in a packed Frostman-sampler key
 _KEY_BIAS = 1 << (_KEY_BITS - 1)
 _KEY_FIELDS = np.array([1 << 2 * _KEY_BITS, 1 << _KEY_BITS, 1])  # weight of i, j, k in a key
 # Frostman-sampler batch: at most this many (draw, level, ring node) entries,
-# 64 KB a float array.  At 1 << 15 the sampler was no faster (2-core box)
-# and the perfbench fourier workload, which runs it before its decay and
-# sharpness sweeps, peaked 0.2 MB higher.
+# 64 KB a float array.  A memory cap only: the draws made and their outcome
+# do not depend on it.
 SAMPLER_BATCH_ENTRIES = 1 << 13
 
 
@@ -272,24 +271,17 @@ def _frostman_sample(draw, n: int, base: float, span: float, max_attempts: int) 
     containing it at each dyadic level r >= base; any true ball B(x, r)
     sits inside some tree ball of radius 2r, giving a Frostman constant
     <= 8 at base scale `base`.  Stops after n points or `max_attempts`
-    draws, whichever comes first.
+    draws, whichever comes first.  Levels whose capacity exceeds n - 1 are
+    skipped: no count there can reach it.
 
-    The draws are decided in batches, with the outcome of deciding them
-    one at a time.  The ring nodes of a batch's new draws are computed
-    once, as one (3, draws, levels, 125) array, and their in-ball nodes
-    kept as packed int64 keys; the accepted points' counts are held as
-    sorted key and count arrays.  A draw that repeats a placed point or an
-    earlier draw of the batch, or meets a full node, is refused whatever
-    the batch does.  Every other draw is judged on the accepted counts plus
-    the entries of the other such draws before it: an upper bound, so a
-    draw it accepts is accepted, and exact up to the first draw it refuses,
-    which is refused.  The draws from the second such refusal on are
-    decided again.  The batch doubles after a pass that decides it whole,
-    up to SAMPLER_BATCH_ENTRIES node entries, and halves after one cut
-    short.  It never holds more draws than points still wanted, so `draw()`
-    is called as often as one at a time (a draw outside the key range
-    raises once its batch is drawn).  Levels whose capacity exceeds n - 1
-    are skipped: no count there can reach it.
+    The draws are made in batches of at most SAMPLER_BATCH_ENTRIES node
+    entries, never more draws than points still wanted or attempts left, so
+    `draw()` is called as often as one draw at a time.  A batch's ring nodes
+    are computed as one (3, draws, levels, 125) array and its in-ball nodes
+    kept as packed int64 keys (a draw outside the key range raises once its
+    batch is drawn).  The draws are then decided in order: a draw is refused
+    if its point is placed or one of its keys is full, and otherwise its
+    keys' counts go up and those that reach capacity become full.
     """
     levels = base * 2.0 ** np.arange(int(math.ceil(math.log2(span / base * 2))) + 2)
     levels = levels[4 * (levels / base) <= n - 1]
@@ -300,88 +292,45 @@ def _frostman_sample(draw, n: int, base: float, span: float, max_attempts: int) 
     ring_keys = _pack_keys(np.arange(len(levels))[:, None], ring)
     ring_axes = ring.T[:, None, None, :].astype(float)  # (3, 1, 1, 125)
     max_batch = max(1, SAMPLER_BATCH_ENTRIES // (len(ring) * max(1, len(levels))))
-    # the accepted points' node counts by sorted key; the sentinel keeps
-    # every searchsorted position in range
-    held = np.array([np.iinfo(np.int64).max])
-    count = np.zeros(1, dtype=np.int64)
+    count = {}  # accepted points per node key
+    full = set()  # the keys at capacity 4 << level
     out = []
     seen = set()
-    drawn, points = [], []  # drawn, not yet decided, in draw order, and as tuples
-    keys = np.zeros(0, dtype=np.int64)  # in-ball node keys of `drawn`, draw-major
-    owner = np.zeros(0, dtype=np.intp)  # index in `drawn` of each key's draw
-    cap = np.zeros(0, dtype=np.int64)  # capacity of each key's node
     attempts = 0
-    batch = 1
-    while len(out) < n and (drawn or attempts < max_attempts):
-        more = min(batch, n - len(out), len(drawn) + max_attempts - attempts) - len(drawn)
-        if more > 0:
-            attempts += more
-            fresh = [draw() for _ in range(more)]
-            p = np.array(fresh, dtype=float).T[:, :, None, None]  # (3, draws, 1, 1)
-            # axis first: each coordinate's (draws, levels, 125) block is contiguous
-            centre = np.rint(p / steps)  # np.round at 0 decimals
-            nodes = centre[..., 0].astype(np.int64)  # the ring centres
-            level0 = nodes[:, :, :1]
-            if len(levels) and (np.minimum.reduce(level0, axis=None) < 2 - _KEY_BIAS
-                                or np.maximum.reduce(level0, axis=None) >= _KEY_BIAS - 2):
-                far = ((level0 < 2 - _KEY_BIAS) | (level0 >= _KEY_BIAS - 2)).any(axis=(0, 2))
-                raise ValueError(f"point {fresh[int(np.argmax(far))]} lies outside the "
-                                 f"sampler's key range at base {base}")
-            # float(centre) + float(offset) is the whole node exactly
-            x = (centre + ring_axes) * steps - p
-            x *= x
-            inside = np.sqrt(x[0] + x[1] + x[2]) <= levels[:, None]
-            d, level, _ = np.nonzero(inside)
-            centre_keys = (_KEY_FIELDS @ nodes.reshape(3, -1)).reshape(more, len(levels), 1)
-            fresh_keys = (centre_keys + ring_keys)[inside]
-            if drawn:
-                keys = np.concatenate((keys, fresh_keys))
-                owner = np.concatenate((owner, d + len(drawn)))
-                cap = np.concatenate((cap, 4 << level))
-            else:
-                keys, owner, cap = fresh_keys, d, 4 << level
-            drawn += fresh
-            points += map(tuple, p[..., 0, 0].T.tolist())
-        m = len(drawn)
-        at = np.searchsorted(held, keys)
-        now = np.where(held[at] == keys, count[at], 0)
-        refused = np.zeros(m, dtype=bool)
-        refused[owner[now >= cap]] = True
-        batch_seen = set()
-        for i, q in enumerate(points):
-            refused[i] |= q in seen or q in batch_seen
-            batch_seen.add(q)
-        stop = m
-        if m > 1:
-            # the earlier entries of each key among the draws not yet refused;
-            # a stable sort keeps equal keys in draw order
-            live = np.flatnonzero(~refused[owner])
-            order = np.argsort(keys[live], kind="stable")
-            sorted_keys = keys[live[order]]
-            run = np.arange(len(live))
-            first = np.ones(len(live), dtype=bool)
-            first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-            now[live[order]] += run - np.maximum.accumulate(np.where(first, run, 0))
-            # the first draw over a capacity is refused; the bound of any
-            # later one may count it
-            over = np.unique(owner[live[now[live] >= cap[live]]])
-            refused[over[:1]] = True
-            if len(over) > 1:
-                stop = int(over[1])
-        cut = np.searchsorted(owner, stop)  # the entries of the decided draws
-        kept = np.flatnonzero(~refused[:stop])
-        if len(kept):
-            new, add = np.unique(keys[:cut][~refused[owner[:cut]]], return_counts=True)
-            at = np.searchsorted(held, new)
-            known = held[at] == new
-            count[at[known]] += add[known]
-            held = np.insert(held, at[~known], new[~known])
-            count = np.insert(count, at[~known], add[~known])
-            out += [drawn[i] for i in kept]
-            seen.update(points[i] for i in kept)
-        batch = min(2 * batch, max_batch) if stop == m else max(1, batch // 2)
-        drawn, points = drawn[stop:], points[stop:]
-        keys, owner, cap = keys[cut:], owner[cut:] - stop, cap[cut:]
+    while len(out) < n and attempts < max_attempts:
+        more = min(max_batch, n - len(out), max_attempts - attempts)
+        attempts += more
+        fresh = [draw() for _ in range(more)]
+        p = np.array(fresh, dtype=float).T[:, :, None, None]  # (3, draws, 1, 1)
+        # axis first: each coordinate's (draws, levels, 125) block is contiguous
+        centre = np.rint(p / steps)  # np.round at 0 decimals
+        nodes = centre[..., 0].astype(np.int64)  # the ring centres
+        level0 = nodes[:, :, :1]
+        if len(levels) and (np.minimum.reduce(level0, axis=None) < 2 - _KEY_BIAS
+                            or np.maximum.reduce(level0, axis=None) >= _KEY_BIAS - 2):
+            far = ((level0 < 2 - _KEY_BIAS) | (level0 >= _KEY_BIAS - 2)).any(axis=(0, 2))
+            raise ValueError(f"point {fresh[int(np.argmax(far))]} lies outside the "
+                             f"sampler's key range at base {base}")
+        # float(centre) + float(offset) is the whole node exactly
+        x = (centre + ring_axes) * steps - p
+        x *= x
+        inside = np.sqrt(x[0] + x[1] + x[2]) <= levels[:, None]
+        centre_keys = (_KEY_FIELDS @ nodes.reshape(3, -1)).reshape(more, len(levels), 1)
+        keys = (centre_keys + ring_keys)[inside]
+        caps = (4 << (keys >> 3 * _KEY_BITS)).tolist()  # 4 << level
+        keys = keys.tolist()
+        ends = inside.sum(axis=(1, 2)).cumsum().tolist()
+        for point, q, start, end in zip(fresh, map(tuple, p[..., 0, 0].T.tolist()),
+                                        [0] + ends, ends):
+            mine = keys[start:end]
+            if q in seen or not full.isdisjoint(mine):
+                continue
+            for k, cap in zip(mine, caps[start:end]):
+                count[k] = c = count.get(k, 0) + 1
+                if c >= cap:
+                    full.add(k)
+            out.append(point)
+            seen.add(q)
     return out
 
 

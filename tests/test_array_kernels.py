@@ -189,6 +189,44 @@ class TestFrostmanSampler:
                                                       radius_band=band))
             assert np.array_equal(bits(config.circles), bits(ref.circles))
 
+    @pytest.mark.parametrize("entries", (1, 3 << 10))
+    def test_batch_size_does_not_change_draws(self, monkeypatch, entries):
+        # one draw a batch, and 4-12 draws a batch at these sizes: the default
+        # run and the oracle, bitwise
+        def runs():
+            return ([generate("random_frostman", R, 0).cubes for R in (16, 32, 64, 128)]
+                    + [generate_config("random_frostman", delta, int(round(0.5 / delta)), 0,
+                                       radius_band=MAXIMAL_RADII).circles
+                       for delta in DELTAS[:4]])
+        want = runs()
+        ref = with_oracle(monkeypatch, "_frostman_sample", frostman_sample_tuple_keys, runs)
+        monkeypatch.setattr(measures, "SAMPLER_BATCH_ENTRIES", entries)
+        for got, w, r in zip(runs(), want, ref):
+            assert np.array_equal(bits(got), bits(w)) and np.array_equal(bits(got), bits(r))
+
+    def test_fuzz_against_tuple_keys(self):
+        # small cases of random size, scale, span and attempt cap, drawn from a
+        # short point list so that placed and refused points come back
+        rng = np.random.default_rng(11)
+        full = again_placed = again_refused = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 24))
+            base = float(rng.choice((0.5, 1.0, 2.0)))
+            span = base * 2.0 ** int(rng.integers(0, 4))
+            pool = rng.uniform(0.0, span, (int(rng.integers(1, 3 * n + 2)), 3))
+            draws = list(pool[rng.integers(0, len(pool), int(rng.integers(1, 4 * n + 2)))])
+            out, calls = both_samplers(draws, n, base, span, int(rng.integers(1, len(draws) + 1)))
+            got = set(map(tuple, out))
+            earlier = set()
+            for q in map(tuple, draws[:calls]):
+                if q in earlier:
+                    again_placed += q in got
+                    again_refused += q not in got
+                else:
+                    full += q not in got
+                earlier.add(q)
+        assert min(full, again_placed, again_refused) > 0
+
     @pytest.mark.parametrize("delta", DELTAS)
     def test_rejecting_draws_match_tuple_keys(self, delta):
         # the Q band at n = 1/(2 delta) refuses most draws: every level caps
@@ -223,9 +261,10 @@ class TestFrostmanSampler:
         assert np.array_equal(bits(outs[0]), bits(outs[1]))
 
     # Batched decisions.  At n = 10 and base 1 the sampler keeps levels 0
-    # (radius 1, capacity 4) and 1 (radius 2, capacity 8); with no pass cut
-    # short its batches hold draws 0, 1-2, 3-6, then as many as points are
-    # still wanted.  F fills the level-0 nodes about x = 0, G brings those
+    # (radius 1, capacity 4) and 1 (radius 2, capacity 8), so a batch holds up
+    # to 32 draws (SAMPLER_BATCH_ENTRIES over 2 x 125 ring nodes), and never
+    # more than points still wanted or attempts left: the first batch is the
+    # first ten draws.  F fills the level-0 nodes about x = 0, G brings those
     # about x = 2 to 3; B (x = 0.75) meets both groups and C (x = 2.4) only G.
     F = on_line(-0.5, -0.4, -0.3, -0.2)
     G = on_line(2.0, 2.1, 2.2)
@@ -233,7 +272,7 @@ class TestFrostmanSampler:
     FAR_OFF = on_line(20.0, 40.0, 60.0)
 
     def test_refusal_in_mid_batch_is_not_counted(self):
-        # the fourth batch is (F3, B, C): F3 fills x = 0, so B is refused, and
+        # the first batch ends (F3, B, C): F3 fills x = 0, so B is refused, and
         # C, which would be the fifth at x = 2 had B counted, is accepted
         F, G, B, C, far = self.F, self.G, self.B, self.C, self.FAR_OFF
         draws = F[:3] + G + far[:1] + [F[3], B, C] + far[1:2]
@@ -245,8 +284,8 @@ class TestFrostmanSampler:
         assert placed(B, out) and not placed(C, out)
 
     def test_repeats_inside_a_batch(self):
-        # third batch: a point twice, then a point placed in the second batch;
-        # fourth batch: B after F3 fills x = 0, then B again
+        # first batch: G0 twice, then F1 placed earlier in it, then F3 fills
+        # x = 0; second batch: B refused there, then B again; third batch: C
         F, G, B, C, far = self.F, self.G, self.B, self.C, self.FAR_OFF
         draws = F[:3] + [G[0], G[0], G[1], F[1]] + [G[2], far[0], F[3], B, B, C]
         out, calls = both_samplers(draws, 10)
@@ -254,8 +293,8 @@ class TestFrostmanSampler:
 
     @pytest.mark.parametrize("max_attempts, n_placed", ((5, 5), (10, 9)))
     def test_max_attempts_in_mid_batch(self, max_attempts, n_placed):
-        # 5 cuts the third batch to two draws; 10 ends the drawing while C
-        # still waits to be decided again
+        # 5 cuts the first batch to five draws; 10 ends the drawing with the
+        # first batch, after B is refused and C accepted in it
         F, G, B, C, far = self.F, self.G, self.B, self.C, self.FAR_OFF
         draws = F[:3] + G + far[:1] + [F[3], B, C] + far[1:2]
         out, calls = both_samplers(draws, 10, max_attempts=max_attempts)
@@ -263,7 +302,7 @@ class TestFrostmanSampler:
         assert placed(C, out) == (max_attempts == 10)
 
     def test_key_range_refusal_inside_a_batch(self):
-        # the third batch holds two points past the key range; the first is named
+        # the one batch holds two points past the key range; the first is named
         far = np.array([2.0 ** 17, 0.5, 0.5])
         draws = self.F[:3] + self.G[:1] + [far, self.G[1], far + 8.0]
         with pytest.raises(ValueError, match=re.escape(f"point {far} lies outside")):

@@ -165,7 +165,7 @@ class TestPipelines:
         assert lines["seeds"] == "0"
         assert lines["n"] == "16"
         assert lines["force"] == "false"
-        assert "python" in lines and "numpy" in lines and "scipy" in lines
+        assert "python" in lines and "numpy" in lines and "scipy" not in lines
         assert "wall_seconds_pairs" in lines
         assert text.count("file=") == 2
 

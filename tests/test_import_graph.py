@@ -20,11 +20,13 @@ def test_import_leaves_scipy_spatial_out():
 
 
 def test_import_leaves_scipy_special_out():
-    # J0 is the library's own port; scipy.special costs more to import than any kernel
-    code = "import sys, conelab, conelab.cli; print('scipy.special' in sys.modules)"
+    # J0 is the library's own port; scipy.special costs more to import than any kernel,
+    # and the manifest names no scipy version, so no scipy module loads at all
+    code = ("import sys, conelab, conelab.cli; print('scipy.special' in sys.modules, "
+            "any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=PACKAGE.parent)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 SWEEP_POINTS = """
