@@ -88,10 +88,6 @@ class ExperimentConfig:
         for d in self.delta:
             if not 0 < d < 1:
                 raise ValueError(f"delta={d}: must lie in (0, 1)")
-        if self.R and self.delta:
-            if len(self.R) != len(self.delta) or any(
-                    abs(d * r - 1.0) > 1e-12 for r, d in zip(self.R, self.delta)):
-                raise ValueError("when both are given, delta must equal 1/R pairwise")
 
 
 # ---------------------------------------------------------------------------

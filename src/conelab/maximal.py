@@ -9,12 +9,12 @@ Kakeya-type estimate for circles, which holds it to delta^(-eps).
 The field lives on a grid of spacing delta/4 over [-1.1, 1.1]^2, which
 fits every admissible configuration, and is taken in blocks of HIST_ROWS
 rows: each block starts from the per-row chord spans of all the annuli on
-its rows, found in one whole-array pass.  Every multiplicity statistic is
-read from the histogram of the integer field, and each block's histogram
-comes straight from its spans: the +1 and -1 events at their ends, sorted
-once, give the count of every run of cells between them.  So the L^{3/2}
-check sorts two events per span and touches neither the block's cells nor
-the whole field; only `multiplicity_field` rasters the cells.
+its rows, found in one whole-array pass.  One kernel, `_span_events`,
+reads every multiplicity quantity from those spans: the +1 and -1 events
+at their ends, sorted once, give the count of every run of cells between
+them.  The L^{3/2} check weighs each count by its run, so it touches
+neither the block's cells nor the whole field; `multiplicity_field`
+repeats each count over its run to fill the field.
 """
 
 from __future__ import annotations
@@ -88,30 +88,32 @@ def _annulus_spans(circles, delta: float, grid: RasterGrid, row0: int, row1: int
             np.clip(np.concatenate([e[k] for k, _, e in chords]), 0, n - 1))
 
 
-def _raster(spans, n_rows: int, n: int) -> np.ndarray:
-    """int32 annulus count of an n_rows x n block from the (rows, starts, ends) spans.
+def _span_events(spans, n_rows: int, n: int):
+    """(cells, level): the sorted event cells of an n_rows x n block and the count after each.
 
-    One scatter adds +1 at each span start and -1 just past each span end;
-    ends past the last column only close their row and are dropped.  The
-    row prefix sum runs in place, in int32, where numpy's cumsum has a fast
-    loop: int16 took about 7x as long on a 256-row block (2-core x86 box).
+    Each (rows, starts, ends) span adds +1 at its start cell and -1 just
+    past its end, in the block's row-major cell order, so an end at the
+    last column lands on the next row's first cell.  The events are packed
+    as int32 keys cell 2 + is_start, so at one cell the -1 sorts first and
+    no count is passed that no cell holds, and sorted once.  The cumulative
+    sum of their signs is the count after each event, held up to the next
+    event cell; every row ends at count 0, so no nonzero run crosses a row,
+    and the cells before the first event and after the last count 0.
     """
-    rows, starts, ends = spans
-    shut = ends + 1 < n
-    idx = np.concatenate((rows * n + starts, (rows * n + ends + 1)[shut]))
-    signed = np.repeat(np.array([1, -1], dtype=np.int32),
-                       (len(starts), int(np.count_nonzero(shut))))
-    diff = np.zeros((n_rows, n), dtype=np.int32)
-    np.add.at(diff.reshape(-1), idx, signed)
-    return np.cumsum(diff, axis=1, dtype=np.int32, out=diff)
+    key_type = np.int32 if 2 * n_rows * n < 2 ** 31 else np.int64
+    rows, starts, ends = (a.astype(key_type) for a in spans)
+    at = rows * n
+    keys = np.concatenate(((at + starts) * 2 + 1, (at + ends + 1) * 2))
+    keys.sort()
+    return keys >> 1, np.cumsum((keys & 1) * 2 - 1, dtype=key_type)
 
 
-def _row_blocks(config: CircleConfig, grid: RasterGrid):
-    """Yield (row0, row1) for the blocks of HIST_ROWS grid rows, after checking the reach.
+def _block_events(config: CircleConfig, grid: RasterGrid):
+    """Yield (row0, row1, cells, level) of `_span_events` per block of HIST_ROWS grid rows.
 
-    Callers hand each block's spans straight to the block's kernel, so the
-    memory held at once is one block's spans and what is built from them,
-    whatever the grid.
+    The reach is checked first.  Each block's spans go straight to the
+    kernel and are dropped once it returns, so the memory held at once is
+    one block's spans and events, whatever the grid.
     """
     c = config.circles
     reach = np.max(np.abs(c[:, :2]).max(axis=1) + c[:, 2] + config.delta, initial=0.0)
@@ -119,58 +121,38 @@ def _row_blocks(config: CircleConfig, grid: RasterGrid):
         raise ValueError(f"annuli reach {reach:.3f} beyond raster window {grid.window}")
     n = len(grid.nodes_1d)
     for row0 in range(0, n, HIST_ROWS):
-        yield row0, min(row0 + HIST_ROWS, n)
+        row1 = min(row0 + HIST_ROWS, n)
+        yield (row0, row1, *_span_events(_annulus_spans(c, config.delta, grid, row0, row1),
+                                         row1 - row0, n))
 
 
 def multiplicity_field(config: CircleConfig,
                        grid: RasterGrid | None = None) -> tuple[np.ndarray, RasterGrid]:
-    """Exact annulus-count raster m(x), as int16."""
+    """Exact annulus-count raster m(x), as int16, each block's counts repeated over their runs."""
     if grid is None:
         grid = default_grid(config.delta)
     n = len(grid.nodes_1d)
-    field = np.empty((n, n), dtype=np.int16)
-    for row0, row1 in _row_blocks(config, grid):
-        field[row0:row1] = _raster(_annulus_spans(config.circles, config.delta, grid, row0, row1),
-                                   row1 - row0, n)
+    field = np.zeros((n, n), dtype=np.int16)
+    for row0, row1, cells, level in _block_events(config, grid):
+        if len(cells):
+            runs = np.repeat(level[:-1], np.diff(cells))
+            field[row0:row1].reshape(-1)[cells[0]:cells[-1]] = runs
     return field, grid
-
-
-def _span_levels(spans, n_rows: int, n: int, minlength: int) -> np.ndarray:
-    """Cells per annulus count of an n_rows x n block, from its (rows, starts, ends) spans.
-
-    Each span adds +1 at its start cell and -1 just past its end, in the
-    block's row-major cell order, so an end at the last column lands on
-    the next row's first cell.  The events are packed as int32 keys
-    cell 2 + is_start, so at one cell the -1 sorts first and no count is
-    passed that no cell holds, and sorted once.  The cumulative sum of
-    their signs is the count after each event, and the gap to the next key
-    is that count's run of cells; every row ends at count 0, so no nonzero
-    run crosses a row.  Count 0 takes the block's cells not counted above
-    it; the counts run to at least `minlength` >= 1 entries, like bincount's.
-    """
-    key_type = np.int32 if 2 * n_rows * n < 2 ** 31 else np.int64
-    rows, starts, ends = (a.astype(key_type) for a in spans)
-    at = rows * n
-    keys = np.concatenate(((at + starts) * 2 + 1, (at + ends + 1) * 2))
-    keys.sort()
-    level = np.cumsum((keys & 1) * 2 - 1, dtype=key_type)
-    counts = np.bincount(level[:-1], weights=np.diff(keys >> 1), minlength=minlength)
-    counts = counts.astype(np.intp)
-    counts[0] = n_rows * n - counts[1:].sum()
-    return counts
 
 
 def _level_counts(config: CircleConfig, grid: RasterGrid) -> np.ndarray:
     """Cells per multiplicity level, equal to np.bincount of the field.
 
-    Summed over the row blocks of `_span_levels`, each read from the
-    block's span events, so neither the field nor a block is ever held.
+    Summed over the row blocks, each count of `_span_events` weighted by
+    its run of cells, so neither the field nor a block is ever held.  Count
+    0 takes the block's cells not counted above it.
     """
     n = len(grid.nodes_1d)
     hist = np.zeros(1, dtype=np.intp)
-    for row0, row1 in _row_blocks(config, grid):
-        counts = _span_levels(_annulus_spans(config.circles, config.delta, grid, row0, row1),
-                              row1 - row0, n, len(hist))
+    for row0, row1, cells, level in _block_events(config, grid):
+        counts = np.bincount(level[:-1], weights=np.diff(cells), minlength=len(hist))
+        counts = counts.astype(np.intp)
+        counts[0] = (row1 - row0) * n - counts[1:].sum()
         counts[:len(hist)] += hist
         hist = counts
     return hist

@@ -137,9 +137,7 @@ def sample_polar(cores: np.ndarray, dirs: np.ndarray, delta: float,
     phi = np.concatenate((np.linspace(-psi[:, 0], psi[:, 0], 24, axis=1),
                           np.linspace(-psi[:, 1], psi[:, 1], 24, axis=1), psi_cap, -psi_cap,
                           (psi_in[:, :, None] * _INTERIOR_FRACTIONS).reshape(-1, 16)), axis=1)
-    # math.atan2, not np.arctan2: the two differ in the last ulp on some directions
-    arc = np.array([math.atan2(y, x) for x, y in dirs]).reshape(-1, 1)
-    return radius, arc + phi
+    return radius, np.arctan2(dirs[:, 1], dirs[:, 0])[:, None] + phi
 
 
 def polar_points(cores: np.ndarray, radius: np.ndarray, angle: np.ndarray) -> np.ndarray:

@@ -572,7 +572,11 @@ def frostman_sample_tuple_keys(draw, n: int, base: float, span: float,
 
 
 def raster_per_annulus(spans, n: int) -> np.ndarray:
-    """`maximal._raster` with two np.add.at calls per annulus and an int64 cumsum."""
+    """The multiplicity field of `maximal.multiplicity_field` from per-annulus spans.
+
+    Two np.add.at calls per annulus mark its span ends, and an int64 row
+    cumsum counts them, in place of the library's sorted span events.
+    """
     diff = np.zeros((n, n + 1), dtype=np.int64)
     for rows, starts, ends in spans:
         np.add.at(diff, (rows, starts), 1)

@@ -21,7 +21,7 @@ from conelab.maximal import (
     HIST_ROWS,
     _annulus_spans,
     _level_counts,
-    _raster,
+    _span_events,
     default_grid,
     multiplicity_field,
     wolff_example_check,
@@ -550,15 +550,14 @@ class TestRaster:
         circles = ((0.0, 0.0, 0.7), (0.01, 0.0, 0.7))
         grid = default_grid(delta)
         n = len(grid.nodes_1d)
-        full = _raster(full_spans(circles, delta, grid), n, n)
-        assert full.dtype == np.int32 and full.flags.c_contiguous
-        assert full.shape == (n, n) and full.max() == 2
-        # a block of rows that the annuli cross, counted from its first row
-        block = _raster(_annulus_spans(circles, delta, grid, 100, 150), 50, n)
-        assert block.dtype == np.int32 and block.flags.c_contiguous
-        assert np.array_equal(block, full[100:150])
+        ref = raster_per_annulus([full_spans(circles, delta, grid)], n)
+        assert ref.max() == 2
+        # a block of rows that the annuli cross: its event cells and counts stay int32
+        cells, level = _span_events(_annulus_spans(circles, delta, grid, 100, 150), 50, n)
+        assert cells.dtype == np.int32 and level.dtype == np.int32 and level.max() == 2
         field, _ = multiplicity_field(CircleConfig(np.array(circles), delta))
-        assert field.dtype == np.int16 and np.array_equal(field, full)
+        assert field.dtype == np.int16 and field.flags.c_contiguous
+        assert np.array_equal(field, ref)
 
     def test_level_counts_above_255(self):
         # 300 annuli about one center: multiplicities past any 8-bit count
@@ -603,11 +602,13 @@ class TestRaster:
     ))
     def test_histogram_equals_bincount(self, circles):
         config = CircleConfig(np.array(circles), delta=2.0 ** -7)
-        m, grid = multiplicity_field(config)
-        assert len(m) % HIST_ROWS != 0  # the last row block is partial
+        grid = default_grid(config.delta)
+        n = len(grid.nodes_1d)
+        assert n % HIST_ROWS != 0  # the last row block is partial
         # every annulus is taller than a block, so each crosses a block boundary
         assert np.all(2 * (config.circles[:, 2] - config.delta) > HIST_ROWS * grid.h)
-        ref = np.bincount(m.ravel())
+        spans = [full_spans(c, config.delta, grid) for c in config.circles]
+        ref = np.bincount(raster_per_annulus(spans, n).ravel())
         hist = _level_counts(config, grid)
         assert hist.dtype == ref.dtype and np.array_equal(hist, ref)
 
@@ -616,11 +617,15 @@ class TestRaster:
     def test_span_events_equal_dense_bincount(self, monkeypatch, case, rows):
         config = EVENT_CASES[case]
         monkeypatch.setattr(maximal, "HIST_ROWS", rows)
-        field, grid = multiplicity_field(config)
-        ref = np.bincount(field.ravel())
+        grid = default_grid(config.delta)
+        spans = [full_spans(c, config.delta, grid) for c in config.circles]
+        ref = raster_per_annulus(spans, len(grid.nodes_1d))
+        field, _ = multiplicity_field(config)
+        assert field.dtype == np.int16 and np.array_equal(field, ref)
         hist = _level_counts(config, grid)
-        assert hist.dtype == ref.dtype and len(hist) == len(ref)
-        assert np.array_equal(hist, ref)
+        ref_hist = np.bincount(ref.ravel())
+        assert hist.dtype == ref_hist.dtype and len(hist) == len(ref_hist)
+        assert np.array_equal(hist, ref_hist)
 
     def test_event_cases_reach_their_edges(self):
         # each EVENT_CASES entry holds the event layout it is named for

@@ -205,6 +205,8 @@ class TestPipelines:
         # settings no point of the pipeline reads
         pytest.param("decay", ["--delta", "0.0625", "--kind", "light_tube", "--q", "2"],
                      "reads delta (", id="decay-delta"),
+        pytest.param("decay", ["--R", "16", "--delta", "0.03125"], "reads delta (",
+                     id="decay-R-delta"),
         pytest.param("maximal", ["--R", "16"], "reads R (", id="maximal-R"),
         pytest.param("maximal", ["--delta", "0.03125", "--q", "3", "--gamma", "full"],
                      "reads gamma, q (", id="maximal-gamma-q"),
@@ -254,6 +256,11 @@ class TestPipelines:
         for name, own in (("decay", "light_tube"), ("pairs", "wolff_radii")):
             alone = ExperimentConfig(experiment=name, kinds=(own,))
             assert estimate_evals(name, shared) == estimate_evals(name, alone)
+
+    def test_all_takes_R_and_delta_together(self):
+        # each sweep reads only its own axis, so R and delta need not pair up
+        cfg = ExperimentConfig(experiment="all", R=(16,), delta=(2.0 ** -5,))
+        assert cfg.R == (16,) and cfg.delta == (2.0 ** -5,)
 
     def test_pool_capped_at_task_count(self, monkeypatch):
         started = []
