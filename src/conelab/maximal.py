@@ -57,10 +57,13 @@ def _annulus_spans(circles, delta: float, grid: RasterGrid, row0: int, row1: int
 
     Each grid row intersects an annulus in at most two chords; rows where
     the inner disk does not reach merge into one.  Every circle's rows are
-    clipped to the range, and all the circles are handled in one
-    whole-array pass.  Returns (rows, starts, ends) index arrays with rows
-    counted from row0, so rasterization touches O(annulus area / h^2)
-    cells instead of the whole grid.
+    clipped to the range, and all the circles are handled in one lean
+    whole-array pass: the squared outer and inner radii once per circle,
+    the row heights read from the grid's nodes, dy^2 once per (circle,
+    row) entry and the chord half-widths rooted in place.  Returns (rows,
+    starts, ends) index arrays with rows counted from row0, so
+    rasterization touches O(annulus area / h^2) cells instead of the whole
+    grid.
     """
     c = np.reshape(circles, (-1, 3))
     xs = grid.nodes_1d
@@ -69,23 +72,29 @@ def _annulus_spans(circles, delta: float, grid: RasterGrid, row0: int, row1: int
     r0 = np.maximum(np.ceil((c[:, 1] - hi - x0) / h), row0).astype(np.int64)
     r1 = np.minimum(np.floor((c[:, 1] + hi - x0) / h), row1 - 1).astype(np.int64)
     count = np.maximum(r1 - r0 + 1, 0)
-    ic = np.repeat(np.arange(len(c)), count)  # the circle of each (circle, row) entry
-    rows = np.arange(len(ic)) + (r0 + count - np.cumsum(count))[ic]
-    a1, hi, lo = c[ic, 0], hi[ic], lo[ic]
-    dy = x0 + h * rows - c[ic, 1]
-    wo = np.sqrt(np.maximum(hi * hi - dy * dy, 0.0))
-    wi = np.sqrt(np.maximum(lo * lo - dy * dy, 0.0))
-    left0 = np.ceil((a1 - wo - x0) / h).astype(np.int64)
-    left1 = np.floor((a1 - wi - x0) / h).astype(np.int64)
-    right0 = np.ceil((a1 + wi - x0) / h).astype(np.int64)
-    right1 = np.floor((a1 + wo - x0) / h).astype(np.int64)
-    merge = left1 >= right0  # chords meet: count the union once
-    chords = ((merge & (left0 <= right1), left0, right1),
-              (~merge & (left0 <= left1), left0, left1),
-              (~merge & (right0 <= right1), right0, right1))
-    return (np.concatenate([rows[k] for k, _, _ in chords]) - row0,
-            np.clip(np.concatenate([s[k] for k, s, _ in chords]), 0, n - 1),
-            np.clip(np.concatenate([e[k] for k, _, e in chords]), 0, n - 1))
+    rows = np.arange(count.sum()) + np.repeat(r0 - row0 + count - np.cumsum(count), count)
+    dy2 = xs[row0:][rows] - np.repeat(c[:, 1], count)
+    dy2 *= dy2
+    wo = np.repeat(hi * hi, count) - dy2
+    wi = np.subtract(np.repeat(lo * lo, count), dy2, out=dy2)
+    for w in (wo, wi):
+        np.sqrt(np.maximum(w, 0.0, out=w), out=w)
+    a1 = np.repeat(c[:, 0], count)
+
+    def edge(x, rounding):
+        """rounding((x - x0) / h) in place: the grid column of a chord end at x."""
+        x -= x0
+        x /= h
+        return rounding(x, out=x).astype(np.int64)
+
+    left0, left1 = edge(a1 - wo, np.ceil), edge(a1 - wi, np.floor)
+    right0, right1 = edge(a1 + wi, np.ceil), edge(a1 + wo, np.floor)
+    merge = left1 >= right0  # chords meet: the left one runs on to right1
+    end = np.where(merge, right1, left1)
+    left, right = left0 <= end, ~merge & (right0 <= right1)
+    return (np.concatenate((rows[left], rows[right])),
+            np.clip(np.concatenate((left0[left], right0[right])), 0, n - 1),
+            np.clip(np.concatenate((end[left], right1[right])), 0, n - 1))
 
 
 def _span_events(spans, n_rows: int, n: int):
@@ -173,7 +182,7 @@ def wolff_example_check(config: CircleConfig) -> dict:
     levels = 2 ** np.arange(max(len(hist) - 1, 1).bit_length())
     dyadic = sum(float(j) ** 1.5 * float(np.sum(hist[j:2 * j])) * grid.cell_area
                  for j in levels)
-    trivial = (config.delta * config.count) ** (2.0 / 3.0)
+    trivial = (config.delta * max(config.count, 1)) ** (2.0 / 3.0)
     return {
         "delta": config.delta,
         "count": config.count,

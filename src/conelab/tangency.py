@@ -32,6 +32,7 @@ from .measures import CircleConfig, gamma_tau
 from .rectangles import (
     CORNER_COLUMNS,
     RectangleFamily,
+    corner_polar,
     greedy_maximal_incomparable,
     polar_points,
     sample_polar,
@@ -40,8 +41,8 @@ from .rectangles import (
 TANGENT_SLACK = 2.0  # pairs with Delta <= TANGENT_SLACK * delta count as tangent
 GEOM_EPS = 0.1  # main_geom_check compares rectangles at level A = delta^(-GEOM_EPS)
 NU_BLOCK = 512  # candidate rectangles per block of nu_multiplicity
-# the sample columns nu_multiplicity tests in turn: the corners, then the rest
-_STAGES = (CORNER_COLUMNS, np.delete(np.arange(80), CORNER_COLUMNS))
+# the sample points nu_multiplicity tests in turn: the four corners, then the other 76
+_STAGES = ((corner_polar, slice(None)), (sample_polar, np.delete(np.arange(80), CORNER_COLUMNS)))
 
 
 @dataclass(frozen=True)
@@ -119,29 +120,56 @@ def nu_multiplicity(config: CircleConfig, cores: np.ndarray, dirs: np.ndarray,
     pass that test go on.  Of those, a circle equal to the core with height
     above delta counts at once: every sample point lies at radius
     v3 +- delta about its centre, up to rounding far inside the slack.  The
-    rest test the four corner points first and the other 76 only if all
-    four hold.  Rectangles are taken NU_BLOCK at a time, so memory is
-    bounded by the block, not by n.
+    rest test the four corner points first, from `corner_polar`, and build
+    and test the other 76 only if all four hold.  Rectangles are taken
+    NU_BLOCK at a time, so memory is bounded by the block, not by n.
+
+    The a0 test itself only sees the circles whose radius can pass it.
+    With m the midpoint of the centres' bounding box and rho the largest
+    |w' - m|, the triangle inequality puts |a0 - w'| within rho of
+    |a0 - m|, so a passing circle has w3 within rho + delta + COORD_TOL of
+    |a0 - m|.  The circles are sorted by radius and each rectangle tests
+    the run of radii in that window, widened by 1e-12 (1 + |a0 - m| + rho),
+    thousands of times the few ulps of rounding in either distance.
     """
-    c, delta = config.circles, config.delta
+    delta = config.delta
     cores, dirs = np.reshape(cores, (-1, 3)), np.reshape(dirs, (-1, 2))
     counts = np.zeros(len(cores), dtype=np.intp)
+    if not config.count:
+        return counts
+    # the circles by radius, one contiguous column per coordinate
+    cx, cy, cr = config.circles[np.argsort(config.circles[:, 2])].T.copy()
+    mid = 0.5 * (cx.min() + cx.max()), 0.5 * (cy.min() + cy.max())
+    rho = float(np.max(np.hypot(cx - mid[0], cy - mid[1])))
+    if not math.isfinite(rho):  # a centre off the reals: every circle is in the window
+        mid, rho = (0.0, 0.0), math.inf
     for b0 in range(0, len(cores), NU_BLOCK):
         core, unit = cores[b0:b0 + NU_BLOCK], dirs[b0:b0 + NU_BLOCK]
-        a0 = core[:, :2] + core[:, 2:3] * unit
-        band_a0 = np.abs(np.hypot(a0[:, None, 0] - c[:, 0], a0[:, None, 1] - c[:, 1]) - c[:, 2])
-        rect, circle = np.nonzero(band_a0 <= delta + COORD_TOL)
-        own = np.all(c[circle] == core[rect], axis=1) & (core[rect, 2] > delta)
+        ax, ay = (core[:, :2] + core[:, 2:3] * unit).T
+        dist = np.hypot(ax - mid[0], ay - mid[1])
+        reach = rho + delta + COORD_TOL + 1e-12 * (1.0 + dist + rho)
+        lo = np.searchsorted(cr, dist - reach)
+        count = np.searchsorted(cr, dist + reach, side="right") - lo
+        rect = np.repeat(np.arange(len(core)), count)
+        circle = np.arange(len(rect)) + np.repeat(lo + count - np.cumsum(count), count)
+        band_a0 = np.abs(np.hypot(np.repeat(ax, count) - cx[circle],
+                                  np.repeat(ay, count) - cy[circle]) - cr[circle])
+        hit = band_a0 <= delta + COORD_TOL
+        rect, circle = rect[hit], circle[hit]
+        own = ((cx[circle] == core[rect, 0]) & (cy[circle] == core[rect, 1])
+               & (cr[circle] == core[rect, 2]) & (core[rect, 2] > delta))
         counts[b0:b0 + len(core)] = np.bincount(rect[own], minlength=len(core))
         rect, circle = rect[~own], circle[~own]
-        sampled, at = np.unique(rect, return_inverse=True)
-        radius, angle = sample_polar(core[sampled], unit[sampled], delta, tau)
-        for cols in _STAGES:
-            pts = polar_points(core[rect], radius[at[:, None], cols], angle[at[:, None], cols])
-            diff = pts - c[circle, None, :2]
-            band = np.abs(np.sqrt(np.sum(diff * diff, axis=-1)) - c[circle, 2:3])
-            ok = np.all(band <= delta + 1e-7 * delta + COORD_TOL, axis=1)
-            rect, circle, at = rect[ok], circle[ok], at[ok]
+        for polar, cols in _STAGES:
+            if not len(rect):
+                break
+            sampled, at = np.unique(rect, return_inverse=True)
+            radius, angle = polar(core[sampled], unit[sampled], delta, tau)
+            pts = polar_points(core[sampled], radius[:, cols], angle[:, cols])[at]
+            dx, dy = pts[..., 0] - cx[circle, None], pts[..., 1] - cy[circle, None]
+            band = np.abs(np.sqrt(dx * dx + dy * dy) - cr[circle, None])
+            hit = np.all(band <= delta + 1e-7 * delta + COORD_TOL, axis=1)
+            rect, circle = rect[hit], circle[hit]
         counts[b0:b0 + len(core)] += np.bincount(rect, minlength=len(core))
     return counts
 

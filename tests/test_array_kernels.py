@@ -523,6 +523,34 @@ def geom_candidates(config):
     return np.repeat(config.circles, n_arc, axis=0), np.tile(units, (config.count, 1)), tau
 
 
+def a0_edge_ladders(w, far, offsets, delta):
+    """Rectangles of arc length 0 whose a0 lies within ulps of annulus edges about w'.
+
+    With tau = 0 every sample point lies on the radial segment a0 -+ delta u,
+    here perpendicular to a0 - w', so a circle about w' whose inner edge
+    passes a0 holds all 80 points and counts exactly when a0 passes its
+    band test.  Each a0 is w' + D e for D in `offsets`, e the unit vector
+    towards the centre `far`: on that line the triangle inequality that sets
+    the radius window is an equality.  Each a0 gets two ladders of nine
+    circles about w', with radii a few ulps either side of
+    |a0 - w'| +- (delta + COORD_TOL).  Returns (config, cores, dirs).
+    """
+    slack = delta + COORD_TOL
+    w, far = np.asarray(w), np.asarray(far)
+    e = (far - w) / np.hypot(*(far - w))
+    n = np.array([-e[1], e[0]])
+    circles, cores, dirs = [(*far, 0.7)], [], []
+    for D in offsets:
+        a0 = w + D * e
+        dist = float(np.hypot(*(a0 - w)))
+        circles += [(*w, r + k * math.ulp(r)) for r in (dist + slack, dist - slack)
+                    for k in range(-4, 5)]
+        for up in (1.0, -1.0):
+            cores.append((*(a0 - 0.3 * up * n), 0.3))
+            dirs.append(up * n)
+    return CircleConfig(np.array(circles), delta), np.array(cores), np.array(dirs)
+
+
 def traced_peak(call):
     """(call(), peak bytes traced by tracemalloc while it ran)."""
     tracemalloc.start()
@@ -710,6 +738,50 @@ class TestNuMultiplicity:
         inside = band <= delta + 1e-7 * delta + COORD_TOL
         assert inside[CORNER_COLUMNS].all() and not inside.all()
         assert by_core[c0][0] == 3
+
+    def test_radius_window_keeps_the_a0_edge(self):
+        # a0 within ulps of an annulus edge, where the radius window about
+        # |a0 - m| is tight: a window without its rounding margin, delta or
+        # COORD_TOL drops passing circles here.  The lengths keep each
+        # rectangle's ladder more than 2 delta from the others, so a count
+        # strictly between 0 and 9 is a ladder split at its edge.
+        rng = np.random.default_rng(0)
+        split = 0
+        for _ in range(24):
+            w, far = rng.uniform(-0.3, 0.3, (2, 2))
+            offsets = np.array([0.5, -0.55, 0.6, -0.65, 0.7, -0.75])
+            offsets += np.sign(offsets) * rng.uniform(0, 0.01, 6)
+            config, cores, dirs = a0_edge_ladders(w, far, offsets, 2.0 ** -6)
+            counts = nu_multiplicity(config, cores, dirs, 0.0)
+            ref = nu_multiplicity_single_pass(config, cores, dirs, 0.0)
+            assert counts.dtype == ref.dtype and np.array_equal(counts, ref)
+            assert counts.max() < 9
+            split += np.count_nonzero(counts > 0)
+        assert split > 200
+
+    def test_radius_window_edge_cases(self):
+        # one centre for all (|w' - m| = 0, duplicates included), one circle,
+        # no circle, a centre that is NaN, and cores off every circle
+        delta = 2.0 ** -6
+        centre = (0.05, -0.03)
+        concentric = [(*centre, r) for r in (0.5, 0.5, 0.5 + 1e-9, 0.6, 0.6 + delta / 2, 0.6)]
+        cases = [CircleConfig(np.array(concentric), delta),
+                 CircleConfig(np.array([[0.1, 0.2, 0.5]]), delta),
+                 CircleConfig(np.empty((0, 3)), delta),
+                 CircleConfig(np.array(concentric + [(math.nan, 0.0, 0.5)]), delta)]
+        ladder, ladder_cores, ladder_dirs = a0_edge_ladders(centre, (0.3, -0.1), (0.55, -0.6),
+                                                            delta)
+        cases.append(CircleConfig(np.vstack((concentric, ladder.circles[1:])), delta))
+        cores, dirs, tau = geom_candidates(cases[0])
+        off = cores + np.random.default_rng(1).choice([0.0, 1e-10, 1e-3], size=cores.shape)
+        candidates = ((cores, dirs, tau), (off, dirs, tau), (ladder_cores, ladder_dirs, 0.0))
+        for config in cases:
+            for args in candidates:
+                counts = nu_multiplicity(config, *args)
+                ref = nu_multiplicity_single_pass(config, *args)
+                assert counts.dtype == ref.dtype and np.array_equal(counts, ref)
+        # on the concentric family: the three annuli about radius 0.5, two and one about 0.6
+        assert sorted(set(nu_multiplicity(cases[0], cores, dirs, tau).tolist())) == [1, 2, 3]
 
     @pytest.mark.parametrize("block", (1, 7, 1 << 20))
     def test_block_size_does_not_change_counts(self, monkeypatch, block):

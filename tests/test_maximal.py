@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conelab.maximal import RasterGrid, default_grid, multiplicity_field, wolff_example_check
-from conelab.measures import MAXIMAL_RADII, CircleConfig, generate_config
+from conelab.measures import MAXIMAL_RADII, CircleConfig, generate_config, load_config
 
 
 def reference_mask(circle, delta, grid):
@@ -125,6 +125,16 @@ class TestWolffExample:
         config = CircleConfig(np.array([[0.0, 0.0, 1.0]]), delta=2.0 ** -6)
         out = wolff_example_check(config)
         assert out["ratio"] == pytest.approx((4 * math.pi) ** (2.0 / 3.0), rel=0.15)
+
+    def test_empty_family(self, tmp_path):
+        # no circle: every ratio is 0, as main_geom_check's are, from the
+        # constructor and from a file that holds only its header
+        path = tmp_path / "empty.txt"
+        path.write_text("delta=0.03125\n")
+        for config in (CircleConfig(np.empty((0, 3)), delta=2.0 ** -5), load_config(path)):
+            out = wolff_example_check(config)
+            assert out["count"] == 0
+            assert out["l32_norm"] == out["ratio"] == out["ratio_dyadic"] == 0.0
 
     def test_concentric_disjoint_annuli(self):
         # one radius per 2*delta: annuli pairwise disjoint, multiplicity <= 1

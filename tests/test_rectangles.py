@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conelab import tangency
+from conelab.measures import MAXIMAL_RADII, generate_config
 from conelab.rectangles import (
     C0,
+    CORNER_COLUMNS,
     GREEDY_BLOCK,
     DeltaTauRectangle,
     RectangleFamily,
-    _separation,
+    _comparable_pairs,
     comparable,
     comparability_separation,
+    corner_polar,
     greedy_maximal_incomparable,
     sample_points,
+    sample_polar,
 )
 
 from oracle_suites import (
@@ -83,6 +88,22 @@ class TestRectangleBasics:
         assert batch.shape == (20, 80, 2)
         assert np.array_equal(batch, [sample_points(r.core, r.arc_center, 1e-4, 0.02)[0]
                                       for r in rects])
+
+    def test_corner_polar_is_the_corner_columns(self):
+        # the closed-form corners equal sample_polar's corner columns bit for
+        # bit, at every batch length and with tau = 0, where every half angle is 0
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 7, 33, 500):
+            for k in (5, 7, 10):
+                delta = 2.0 ** -k
+                angles = rng.uniform(-math.pi, math.pi, n)
+                dirs = np.column_stack((np.cos(angles), np.sin(angles)))
+                cores = np.column_stack((rng.uniform(-0.1, 0.1, (n, 2)), rng.uniform(0.3, 1.2, n)))
+                for tau in (math.sqrt(delta), delta ** 0.25, 0.0):
+                    radius, angle = sample_polar(cores, dirs, delta, tau)
+                    corners = corner_polar(cores, dirs, delta, tau)
+                    assert np.array_equal(corners[0], radius[:, CORNER_COLUMNS])
+                    assert np.array_equal(corners[1], angle[:, CORNER_COLUMNS])
 
     def test_arc_center_normalized(self):
         rect = DeltaTauRectangle((0, 0, 1), (3.0, 4.0), 1e-4, 1e-2)
@@ -297,11 +318,38 @@ class TestGreedy:
                 for t in (theta + k * thresh * tau + eps for k, eps, _ in family)]
         us = np.array([(x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in arcs])
         cores = np.array([(0.01 + shift * delta, 0.01, 1.0) for *_, shift in family])
-        exact = _separation(cores, us, cores, us, delta, tau) <= thresh
-        cut = _separation(cores, us, cores, us, delta, tau, thresh) <= thresh
-        lower = _separation(cores, us, cores, us, delta, tau, thresh, below_diagonal=True)
+        n = len(family)
+        masks = []
+        for limit, lower in ((math.inf, False), (thresh, False), (thresh, True)):
+            ia, ib, sep = _comparable_pairs(cores, us, cores, us, delta, tau, limit, lower)
+            assert np.all(np.diff(ib) >= 0)  # the pairs come in order of ib
+            mask = np.zeros((n, n), dtype=bool)
+            mask[ia, ib] = sep <= thresh
+            masks.append(mask)
+        exact, cut, lower = masks
         assert np.array_equal(cut, exact)
-        assert np.array_equal(lower <= thresh, np.tril(exact, -1))
+        assert np.array_equal(lower, np.tril(exact, -1))
+
+    def test_main_geom_check_family_matches_one_candidate_at_a_time(self, monkeypatch):
+        # the M = 1 bucket of main_geom_check at delta = 2^-6: every circle
+        # at every arc node, 1632 candidates, against the one-at-a-time keep
+        families = []
+
+        def capture(family, A):
+            families.append((family, A))
+            return greedy_maximal_incomparable(family, A)
+
+        monkeypatch.setattr(tangency, "greedy_maximal_incomparable", capture)
+        config = generate_config("wolff_radii", 2.0 ** -6, 32, 0, radius_band=MAXIMAL_RADII)
+        tangency.main_geom_check(config)
+        (family, A), = families
+        thresh = A ** (C0 / 2)
+        ref = []
+        for r in members(family):
+            if all(comparability_separation(r, k) > thresh for k in ref):
+                ref.append(r)
+        assert len(family) == 1632 and len(ref) == 65
+        assert greedy_maximal_incomparable(family, A) == ref
 
     def test_comparable_pair_far_apart_in_angle(self):
         # arc angles 0.374 apart on one core: separation 4.234 <= A^3 = 4.287,

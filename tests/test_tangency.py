@@ -211,11 +211,13 @@ class TestMainGeomCheck:
 
     def test_frozen_report_at_the_finest_delta(self):
         # delta = 2^-9: 256 circles, 36,608 candidates
-        config = generate_config("wolff_radii", 2.0 ** -9, 256, seed=0, radius_band=MAXIMAL_RADII)
-        out = main_geom_check(config)
-        assert [(b["M"], b["candidates"], b["incomparable"]) for b in out["buckets"]] == [
-            (1, 36608, 458)]
-        assert repr(out["max_value"]) == "0.07906613910728486"
+        for kind, incomparable, max_value in (("wolff_radii", 458, "0.07906613910728486"),
+                                              ("random_frostman", 452, "0.07803033815828113")):
+            config = generate_config(kind, 2.0 ** -9, 256, seed=0, radius_band=MAXIMAL_RADII)
+            out = main_geom_check(config)
+            assert [(b["M"], b["candidates"], b["incomparable"]) for b in out["buckets"]] == [
+                (1, 36608, incomparable)]
+            assert repr(out["max_value"]) == max_value
 
     def test_builds_a_rectangle_only_for_each_kept_member(self, monkeypatch):
         built = []
