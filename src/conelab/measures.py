@@ -114,6 +114,10 @@ class CircleConfig:
 
     def __post_init__(self):
         c = np.asarray(self.circles, dtype=float).reshape(-1, 3)
+        if not np.all(np.isfinite(c)):
+            raise ValueError("circles must be finite")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
         order = np.lexsort((c[:, 2], c[:, 1], c[:, 0]))
         c = c[order]
         c.setflags(write=False)

@@ -37,6 +37,7 @@ from .fourier import MIDPOINTS, cube_midpoints, e1_grid, extension_bandwidths, m
 from .measures import CubeMeasure, _lightplank_scan
 
 DUAL_ITERS = 20
+L1_TRIALS = 100  # seeded unit densities behind the L1 lower bracket
 LANCZOS_ITERS = 300  # cap on the Krylov dimension of the norm iteration
 LANCZOS_TOL = 1e-13  # Ritz residual, relative to the Ritz value, that stops it
 ROW_BLOCK = 256  # Gram rows filled per table lookup
@@ -115,6 +116,8 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 def operator_from_gram(nu: CubeMeasure, gram: np.ndarray, m: int,
                        seed: int = 0) -> DiscreteExtensionOperator:
     """The operator of the Gram matrix G = A A*, with its norm bracket."""
+    if not nu.mass:
+        raise ValueError("the extension operator of an empty measure (no cubes) is undefined")
     lam, x, gx = _top_eigenpair(gram)
     residual = float(np.linalg.norm(gx - lam * x))
     return DiscreteExtensionOperator(nu, gram, m, seed, lam, lam + residual,
@@ -178,16 +181,15 @@ def _unit_trials(op: DiscreteExtensionOperator, trials: int) -> np.ndarray:
     return _images(op, np.exp(2j * np.pi * rng.random((len(op.gram), trials))))
 
 
-def l1_constant(op: DiscreteExtensionOperator, trials: int = 100) -> float:
+def l1_constant(op: DiscreteExtensionOperator) -> float:
     """Lower bracket of the L1(dnu) constant: max |Ef|_{L1} over unit f.
 
-    Seeded trial images plus dual-ascent iterates y <- G s / (s* G s)^(1/2)
-    for s = sign(y), the image of g <- B sign(B g) / |B sign(B g)|; every
-    trial asserts the Cauchy-Schwarz ceiling |Ef|_{L1} <= |Ef|_{L2} mass^(1/2).
+    L1_TRIALS seeded trial images plus dual-ascent iterates
+    y <- G s / (s* G s)^(1/2) for s = sign(y), the image of
+    g <- B sign(B g) / |B sign(B g)|; every trial asserts the Cauchy-Schwarz
+    ceiling |Ef|_{L1} <= |Ef|_{L2} mass^(1/2).
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a stable lower bracket")
-    sqrt_mass = math.sqrt(max(op.nu.mass, 1))
+    sqrt_mass = math.sqrt(op.nu.mass)
 
     def score(ys):
         l1 = op.image_l1(ys)
@@ -195,7 +197,7 @@ def l1_constant(op: DiscreteExtensionOperator, trials: int = 100) -> float:
             raise RuntimeError("L1 trial exceeded its Cauchy-Schwarz ceiling")
         return l1
 
-    ys = _unit_trials(op, trials)
+    ys = _unit_trials(op, L1_TRIALS)
     l1 = score(ys)
     k = int(np.argmax(l1))
     best, y = float(l1[k]), ys[:, k]

@@ -5,14 +5,14 @@ A (delta, tau)-rectangle on the circle dual to a point v is the set
     Omega = { a in R^2 : | |a - v'| - v3 | <= delta, |a - a0| <= tau },
 
 where a0 = v' + v3 * arc_center is the arc midpoint.  Containment is
-boundary inclusive and is always decided on the fixed 64 boundary + 16
-interior sample points produced by :func:`sample_points`, one array call
-for a whole family of rectangles sharing (delta, tau).  The points come in
-two elementwise steps, polar arrays (:func:`sample_polar`) and then the
-cartesian points of chosen columns (:func:`polar_points`), so a caller can
-test the four corners (CORNER_COLUMNS, the ends of the outer and inner
-arcs) first: a rectangle off its circle's annulus almost always leaves it
-at a corner, and whether all 80 points hold does not depend on the order.
+boundary inclusive and is always decided on 64 boundary + 16 interior
+sample points, one array call for a whole family of rectangles sharing
+(delta, tau).  The points come in two elementwise steps, polar arrays
+(:func:`sample_polar`) and then the cartesian points of chosen columns
+(:func:`polar_points`), so a caller can test the four corners
+(CORNER_COLUMNS, the ends of the outer and inner arcs) first: a rectangle
+off its circle's annulus almost always leaves it at a corner, and whether
+all 80 points hold does not depend on the order.
 A circle equal to the core, of height v3 > delta, holds all 80 without a
 test: every sample point lies at a radius in [v3 - delta, v3 + delta]
 about its centre, which leaves only rounding of about 1e-16 against the
@@ -34,8 +34,8 @@ the canonical plank half-dims, together with the arc direction angle in
 units of tau.  With decision constant C0 = 6 the acceptance threshold is
 sep <= A^(C0/2); the bracketed thresholds A^(1/C0) (complete side) and
 A^C0 (sound side) are exercised by the test suite.  One kernel serves the
-greedy selection and `comparability_separation` alike, and returns only
-the comparable pairs, as index arrays.  Since sep >= |angle| / tau, it
+greedy selection and the one-pair decision `comparable` alike, and returns
+only the comparable pairs, as index arrays.  Since sep >= |angle| / tau, it
 takes up only pairs of arcs whose dot product exceeds
 cos(threshold * tau) - 1e-12 (when threshold * tau < pi/2; the 1e-12
 covers rounding); of those, the short-axis term screens first, the middle
@@ -56,9 +56,6 @@ from .geometry import COORD_TOL, SQRT2, as_point
 # Comparability decision constant: thresholds A^(1/C0) and A^C0 bracket the
 # relation, the decision itself sits at the geometric midpoint A^(C0/2).
 C0 = 6
-# Margin applied to measured envelope parameters so that independently drawn
-# sample points stay inside the witness envelope.
-ENVELOPE_MARGIN = 1.05
 
 GREEDY_BLOCK = 256  # greedy candidates tested per pairwise separation call
 
@@ -162,35 +159,11 @@ def corner_polar(cores: np.ndarray, dirs: np.ndarray, delta: float,
 def polar_points(cores: np.ndarray, radius: np.ndarray, angle: np.ndarray) -> np.ndarray:
     """Planar (n, k, 2) points at (n, k) radii and angles about the n cores' centres.
 
-    Elementwise, so any selection of sample columns gives the same bits as
-    those columns of the full :func:`sample_points` array.
+    Elementwise, so any selection of the (n, 80) polar columns gives the
+    same bits as those columns of the points of all 80.
     """
     return cores[:, None, :2] + radius[:, :, None] * np.stack((np.cos(angle), np.sin(angle)),
                                                               axis=-1)
-
-
-def sample_points(cores: np.ndarray, dirs: np.ndarray, delta: float, tau: float) -> np.ndarray:
-    """The fixed (n, 80, 2) sample points of n rectangles; see :func:`sample_polar`."""
-    cores = np.reshape(cores, (-1, 3))
-    return polar_points(cores, *sample_polar(cores, dirs, delta, tau))
-
-
-@dataclass(frozen=True)
-class ComparabilityWitness:
-    """Envelope rectangle containing both members, with its measured level.
-
-    effective_level B means the envelope has parameters (B^2 delta, B tau)
-    relative to the members' (delta, tau).
-    """
-
-    envelope: DeltaTauRectangle
-    members: tuple[DeltaTauRectangle, DeltaTauRectangle]
-    effective_level: float
-
-
-def _check_same_scale(r1: DeltaTauRectangle, r2: DeltaTauRectangle):
-    if abs(r1.delta - r2.delta) > 1e-12 * r1.delta or abs(r1.tau - r2.tau) > 1e-12 * r1.tau:
-        raise ValueError("rectangles must share (delta, tau)")
 
 
 def _comparable_pairs(cores_a: np.ndarray, us_a: np.ndarray, cores_b: np.ndarray,
@@ -237,47 +210,20 @@ def _comparable_pairs(cores_a: np.ndarray, us_a: np.ndarray, cores_b: np.ndarray
     return ia[k], ib[k], sep[k]
 
 
-def comparability_separation(r1: DeltaTauRectangle, r2: DeltaTauRectangle) -> float:
-    """Symmetric plank-frame separation used by the comparability decision."""
-    _check_same_scale(r1, r2)
-    *_, sep = _comparable_pairs(np.array([r1.core]), np.array([r1.arc_center]),
-                                np.array([r2.core]), np.array([r2.arc_center]),
-                                r1.delta, r1.tau, math.inf)
-    return float(sep[0]) if len(sep) else math.inf
+def comparable(r1: DeltaTauRectangle, r2: DeltaTauRectangle, A: float) -> float | None:
+    """The decision separation of an A-comparable pair, or None.
 
-
-def _build_envelope(r1: DeltaTauRectangle, r2: DeltaTauRectangle) -> DeltaTauRectangle:
-    """Smallest sampled rectangle on the midpoint core containing both members."""
-    mid = 0.5 * (np.asarray(r1.core) + np.asarray(r2.core))
-    ub = np.asarray(r1.arc_center) + np.asarray(r2.arc_center)
-    ub = ub / math.hypot(ub[0], ub[1])
-    pts = sample_points(np.array([r1.core, r2.core]), np.array([r1.arc_center, r2.arc_center]),
-                        r1.delta, r1.tau).reshape(-1, 2)
-    rel = pts - mid[:2]
-    band = float(np.max(np.abs(np.hypot(rel[:, 0], rel[:, 1]) - mid[2])))
-    a0 = mid[:2] + mid[2] * ub
-    reach = float(np.max(np.hypot(*(pts - a0).T)))
-    return DeltaTauRectangle(mid, (float(ub[0]), float(ub[1])),
-                             band * ENVELOPE_MARGIN + COORD_TOL,
-                             reach * ENVELOPE_MARGIN + COORD_TOL)
-
-
-def comparable(r1: DeltaTauRectangle, r2: DeltaTauRectangle, A: float) -> ComparabilityWitness | None:
-    """Witness of A-comparability, or None.
-
-    Deterministic, symmetric, reflexive.  A witness is returned exactly
-    when the decision separation is <= A^(C0/2); its envelope genuinely
-    contains both members' sample points and records the effective level
-    B = max(sqrt(delta_env/delta), tau_env/tau).
+    Deterministic, symmetric, reflexive: the pair is comparable exactly
+    when its separation is <= A^(C0/2), decided by the greedy's own kernel.
     """
-    _check_same_scale(r1, r2)
+    if abs(r1.delta - r2.delta) > 1e-12 * r1.delta or abs(r1.tau - r2.tau) > 1e-12 * r1.tau:
+        raise ValueError("rectangles must share (delta, tau)")
     if A < 1.0:
         raise ValueError("A must be >= 1")
-    if comparability_separation(r1, r2) > A ** (C0 / 2):
-        return None
-    env = _build_envelope(r1, r2)
-    level = max(math.sqrt(env.delta / r1.delta), env.tau / r1.tau)
-    return ComparabilityWitness(env, (r1, r2), level)
+    *_, sep = _comparable_pairs(np.array([r1.core]), np.array([r1.arc_center]),
+                                np.array([r2.core]), np.array([r2.arc_center]),
+                                r1.delta, r1.tau, A ** (C0 / 2))
+    return float(sep[0]) if len(sep) else None
 
 
 def greedy_maximal_incomparable(family: RectangleFamily, A: float) -> list[DeltaTauRectangle]:

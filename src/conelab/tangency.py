@@ -64,7 +64,7 @@ class PairTable:
 
     def dyadic_D(self) -> list[float]:
         """Dyadic distances delta * 2^k intersecting the observed range."""
-        if len(self.d) == 0:
+        if len(self.d) == 0 or self.d.max() == 0:  # no pairs, or only coincident ones
             return []
         lo = max(int(math.floor(math.log2(max(self.d.min(), self.delta) / self.delta))), 0)
         hi = int(math.floor(math.log2(self.d.max() / self.delta)))
@@ -141,8 +141,6 @@ def nu_multiplicity(config: CircleConfig, cores: np.ndarray, dirs: np.ndarray,
     cx, cy, cr = config.circles[np.argsort(config.circles[:, 2])].T.copy()
     mid = 0.5 * (cx.min() + cx.max()), 0.5 * (cy.min() + cy.max())
     rho = float(np.max(np.hypot(cx - mid[0], cy - mid[1])))
-    if not math.isfinite(rho):  # a centre off the reals: every circle is in the window
-        mid, rho = (0.0, 0.0), math.inf
     for b0 in range(0, len(cores), NU_BLOCK):
         core, unit = cores[b0:b0 + NU_BLOCK], dirs[b0:b0 + NU_BLOCK]
         ax, ay = (core[:, :2] + core[:, 2:3] * unit).T

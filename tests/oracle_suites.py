@@ -17,7 +17,9 @@ defects, and the cube-measure transform inside `decay_mean`.
 
 The criterion-6 lemma code, which no pipeline computes with, lives here
 too: lightplanks, tangency planks and their dual rectangles, rectangle
-membership, intersection angles and exact annulus-overlap areas.
+membership and sample points, the comparability family (the raw
+separation at no threshold and the witness envelope of a comparable
+pair), intersection angles and exact annulus-overlap areas.
 
 The second routes to library quantities: the full tensor sum
 `extension_direct` (for the separable extension and sigma_check), the pair
@@ -39,14 +41,18 @@ from conelab.rectangles import (
     C0,
     DeltaTauRectangle,
     RectangleFamily,
+    _comparable_pairs,
     comparable,
-    comparability_separation,
     greedy_maximal_incomparable,
-    sample_points,
+    polar_points,
+    sample_polar,
 )
 from conelab.tangency import classify_pairs
 
 NEAR_EPS = 0.05  # decay_by_classes: the near class reaches separation R^(10 NEAR_EPS)
+# Margin applied to measured envelope parameters so that independently drawn
+# sample points stay inside the witness envelope.
+ENVELOPE_MARGIN = 1.05
 
 
 def dist_d(v, w) -> float | np.ndarray:
@@ -125,6 +131,70 @@ def rect_contains(rect: DeltaTauRectangle, points) -> bool | np.ndarray:
     reach = np.hypot(*(p - arc_midpoint(rect)).T) <= rect.tau + COORD_TOL
     out = band & reach
     return bool(out[0]) if np.ndim(points) == 1 else out
+
+
+def sample_points(cores, dirs, delta: float, tau: float) -> np.ndarray:
+    """The fixed (n, 80, 2) sample points of n rectangles; see `rectangles.sample_polar`."""
+    cores = np.reshape(cores, (-1, 3))
+    return polar_points(cores, *sample_polar(cores, dirs, delta, tau))
+
+
+def separation(r1: DeltaTauRectangle, r2: DeltaTauRectangle) -> float:
+    """Symmetric plank-frame separation of the comparability decision, at no threshold.
+
+    The greedy's kernel with thresh = inf, where its cosine cut is 0, so
+    arcs whose dot product is not positive (a right angle or more apart)
+    come out as inf.
+    """
+    if abs(r1.delta - r2.delta) > 1e-12 * r1.delta or abs(r1.tau - r2.tau) > 1e-12 * r1.tau:
+        raise ValueError("rectangles must share (delta, tau)")
+    *_, sep = _comparable_pairs(np.array([r1.core]), np.array([r1.arc_center]),
+                                np.array([r2.core]), np.array([r2.arc_center]),
+                                r1.delta, r1.tau, math.inf)
+    return float(sep[0]) if len(sep) else math.inf
+
+
+@dataclass(frozen=True)
+class ComparabilityWitness:
+    """Envelope rectangle containing both members, with its measured level.
+
+    effective_level B means the envelope has parameters (B^2 delta, B tau)
+    relative to the members' (delta, tau).
+    """
+
+    envelope: DeltaTauRectangle
+    members: tuple[DeltaTauRectangle, DeltaTauRectangle]
+    effective_level: float
+
+
+def build_envelope(r1: DeltaTauRectangle, r2: DeltaTauRectangle) -> DeltaTauRectangle:
+    """Smallest sampled rectangle on the midpoint core containing both members."""
+    mid = 0.5 * (np.asarray(r1.core) + np.asarray(r2.core))
+    ub = np.asarray(r1.arc_center) + np.asarray(r2.arc_center)
+    ub = ub / math.hypot(ub[0], ub[1])
+    pts = sample_points(np.array([r1.core, r2.core]), np.array([r1.arc_center, r2.arc_center]),
+                        r1.delta, r1.tau).reshape(-1, 2)
+    rel = pts - mid[:2]
+    band = float(np.max(np.abs(np.hypot(rel[:, 0], rel[:, 1]) - mid[2])))
+    a0 = mid[:2] + mid[2] * ub
+    reach = float(np.max(np.hypot(*(pts - a0).T)))
+    return DeltaTauRectangle(mid, (float(ub[0]), float(ub[1])),
+                             band * ENVELOPE_MARGIN + COORD_TOL,
+                             reach * ENVELOPE_MARGIN + COORD_TOL)
+
+
+def comparability_witness(r1: DeltaTauRectangle, r2: DeltaTauRectangle,
+                          A: float) -> ComparabilityWitness | None:
+    """Witness of A-comparability, or None when `rectangles.comparable` says None.
+
+    The envelope genuinely contains both members' sample points and
+    records the effective level B = max(sqrt(delta_env/delta), tau_env/tau).
+    """
+    if comparable(r1, r2, A) is None:
+        return None
+    env = build_envelope(r1, r2)
+    level = max(math.sqrt(env.delta / r1.delta), env.tau / r1.tau)
+    return ComparabilityWitness(env, (r1, r2), level)
 
 
 class SubResolutionArcError(ValueError):
@@ -301,10 +371,10 @@ def transitivity_suite(n: int, seed: int = 0) -> dict:
         if comparable(r1, r2, A) is None or comparable(r2, r3, A) is None:
             continue
         done += 1
-        if comparable(r1, r3, A ** 12) is None:
+        sep = comparable(r1, r3, A ** 12)
+        if sep is None:
             violations += 1
             continue
-        sep = comparability_separation(r1, r3)
         if sep > 1.0:
             max_c = max(max_c, 2.0 * math.log(sep) / (C0 * math.log(A)))
     return {"instances": done, "violations": violations, "max_C": max_c}
@@ -324,7 +394,7 @@ def dictionary_suite(n: int, seed: int = 0, A: float = 2.0) -> dict:
     for _ in range(n):
         r1 = seeded_rectangle(rng)
         near = perturbed(rng, r1, 0.5)
-        wit = comparable(r1, near, A)
+        wit = comparability_witness(r1, near, A)
         if wit is None:
             violations += 1
             continue

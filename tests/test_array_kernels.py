@@ -761,14 +761,15 @@ class TestNuMultiplicity:
 
     def test_radius_window_edge_cases(self):
         # one centre for all (|w' - m| = 0, duplicates included), one circle,
-        # no circle, a centre that is NaN, and cores off every circle
+        # no circle, and cores off every circle; a centre that is NaN is refused
         delta = 2.0 ** -6
         centre = (0.05, -0.03)
         concentric = [(*centre, r) for r in (0.5, 0.5, 0.5 + 1e-9, 0.6, 0.6 + delta / 2, 0.6)]
+        with pytest.raises(ValueError, match="finite"):
+            CircleConfig(np.array(concentric + [(math.nan, 0.0, 0.5)]), delta)
         cases = [CircleConfig(np.array(concentric), delta),
                  CircleConfig(np.array([[0.1, 0.2, 0.5]]), delta),
-                 CircleConfig(np.empty((0, 3)), delta),
-                 CircleConfig(np.array(concentric + [(math.nan, 0.0, 0.5)]), delta)]
+                 CircleConfig(np.empty((0, 3)), delta)]
         ladder, ladder_cores, ladder_dirs = a0_edge_ladders(centre, (0.3, -0.1), (0.55, -0.6),
                                                             delta)
         cases.append(CircleConfig(np.vstack((concentric, ladder.circles[1:])), delta))

@@ -230,6 +230,18 @@ class TestGenerateConfig:
         with pytest.raises(ValueError):
             generate_config("light_tube", 2.0 ** -6, 8)
 
+    def test_config_refuses_non_finite_circles_and_delta(self):
+        ok = np.array([[0.0, 0.0, 0.7]])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="circles must be finite"):
+                CircleConfig(np.array([[0.0, 0.0, 0.7], [bad, 0.0, 0.7]]), delta=2.0 ** -5)
+            with pytest.raises(ValueError, match="circles must be finite"):
+                CircleConfig(np.array([[0.0, 0.0, bad]]), delta=2.0 ** -5)
+        for delta in (0.0, -2.0 ** -5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta must be finite and positive"):
+                CircleConfig(ok, delta=delta)
+        assert CircleConfig(ok, delta=2.0 ** -5).count == 1
+
 
 class TestPersistence:
     def test_measure_round_trip(self, tmp_path):
@@ -257,6 +269,12 @@ class TestPersistence:
         assert back.nominal_R == 16
         assert back.delta == config.delta
         assert np.allclose(back.circles, config.circles, rtol=0, atol=0)
+
+    def test_config_with_nan_refused(self, tmp_path):
+        path = tmp_path / "nan.circles"
+        path.write_text("delta=0.03125\n0 0 0.7\nnan 0 0.7\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_config(path)
 
     def test_missing_headers(self, tmp_path):
         bad = tmp_path / "bad.cubes"

@@ -23,7 +23,7 @@ from conelab.fourier import (
     sigma_check,
     weighted_l2,
 )
-from conelab.measures import CubeMeasure, generate
+from conelab.measures import CubeMeasure, generate, load_measure
 from conelab.operators import (
     bbcr_equivalence_check,
     build_extension_operator,
@@ -118,6 +118,12 @@ class TestAssembly:
             roundoff = 4 * len(gram) * np.finfo(float).eps * op.u_l2
             assert np.max(np.abs(op.matrix @ op.matrix.conj().T - gram)) <= roundoff
 
+    def test_empty_measure_refused(self, tmp_path):
+        path = tmp_path / "empty.cubes"
+        path.write_text("R=16\n")
+        with pytest.raises(ValueError, match="empty measure"):
+            build_extension_operator(load_measure(path))
+
     def test_density_norm_of_ones_is_sigma_mass(self):
         # G[p, p] = m^-3 sum_n w_n = m^-3 sigma(cone band) ~ 4.359 / m^3, for
         # the Gram matrix and for the row energies of its factor B B* = G
@@ -157,11 +163,6 @@ class TestAssembly:
 
 
 class TestL1Constant:
-    def test_requires_enough_trials(self):
-        op = toy_operator(np.eye(2))
-        with pytest.raises(ValueError):
-            l1_constant(op, trials=10)
-
     def test_lower_bracket_below_ceiling(self):
         nu = generate("light_tube", 8, 0)
         op = build_extension_operator(nu, q=2.0, m=2)

@@ -17,10 +17,8 @@ from conelab.rectangles import (
     RectangleFamily,
     _comparable_pairs,
     comparable,
-    comparability_separation,
     corner_polar,
     greedy_maximal_incomparable,
-    sample_points,
     sample_polar,
 )
 
@@ -31,6 +29,7 @@ from oracle_suites import (
     annuli_area_suite,
     annuli_intersection_area,
     arc_midpoint,
+    comparability_witness,
     dictionary_suite,
     dual_rectangle,
     duality_roundtrip_suite,
@@ -41,7 +40,9 @@ from oracle_suites import (
     packing_suite,
     perturbed,
     rect_contains,
+    sample_points,
     seeded_rectangle,
+    separation,
     tangency_plank,
     transitivity_suite,
 )
@@ -174,17 +175,15 @@ class TestComparability:
         rng = np.random.default_rng(11)
         for _ in range(20):
             rect = seeded_rectangle(rng)
-            wit = comparable(rect, rect, 2.0)
-            assert wit is not None
-            assert comparability_separation(rect, rect) == 0.0
+            assert comparable(rect, rect, 2.0) is not None
+            assert separation(rect, rect) == 0.0
 
     def test_symmetric(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             r1 = seeded_rectangle(rng)
             r2 = perturbed(rng, r1, 0.8)
-            assert comparability_separation(r1, r2) == pytest.approx(
-                comparability_separation(r2, r1), rel=1e-9)
+            assert separation(r1, r2) == pytest.approx(separation(r2, r1), rel=1e-9)
             assert (comparable(r1, r2, 2.0) is None) == (comparable(r2, r1, 2.0) is None)
 
     def test_shifted_core_not_comparable(self):
@@ -200,18 +199,54 @@ class TestComparability:
         rect = example_rect()
         c, s = math.cos(rect.tau / 2), math.sin(rect.tau / 2)
         rot = DeltaTauRectangle(rect.core, (c, s), rect.delta, rect.tau)
-        wit = comparable(rect, rot, 2.0)
+        wit = comparability_witness(rect, rot, 2.0)
         assert wit is not None
         pts = sample_points([rect.core, rot.core], [rect.arc_center, rot.arc_center],
                             rect.delta, rect.tau).reshape(-1, 2)
         assert bool(np.all(rect_contains(wit.envelope, pts)))
         assert wit.effective_level >= 1.0
 
+    def test_comparable_is_the_greedy_decision(self):
+        # comparable says yes exactly when the separation is <= A^(C0/2) and the
+        # greedy drops r2 from [r1, r2], and its float is that separation bit for
+        # bit: on seeded pairs, opposed arcs, and arcs turned thresh * tau -+ 1e-9
+        # rad from r1's, also past pi / 2, where the cut is off
+        rng = np.random.default_rng(37)
+        pairs = []
+        for delta, tau in ((1e-5, 1e-2), (1e-4, 3e-2), (1e-3, 0.3)):
+            for _ in range(40):
+                r1 = seeded_rectangle(rng, delta, tau)
+                pairs += [(r1, perturbed(rng, r1, frac)) for frac in (0.5, 2.0, 6.0)]
+                t0 = math.atan2(r1.arc_center[1], r1.arc_center[0])
+                for A in (1.0, 2.0, 3.0):
+                    turns = [sign * (A ** (C0 / 2) * tau + off)
+                             for sign in (-1, 1) for off in (-1e-9, 1e-9)]
+                    pairs += [(r1, DeltaTauRectangle(r1.core, (math.cos(t0 + t), math.sin(t0 + t)),
+                                                     delta, tau))
+                              for t in turns + [math.pi]]
+        outcomes = set()
+        for r1, r2 in pairs:
+            for A in (1.0, 2.0, 3.0):
+                sep = comparable(r1, r2, A)
+                family = family_of([r1, r2])
+                kept = greedy_maximal_incomparable(family, A)
+                assert (sep is not None) == (separation(r1, r2) <= A ** (C0 / 2))
+                assert kept == members(family)[:2 if sep is None else 1]
+                if sep is not None:
+                    assert sep == separation(r1, r2)
+                outcomes.add(sep is None)
+        assert outcomes == {True, False}
+
     def test_scale_mismatch_rejected(self):
         r1 = example_rect(delta=1e-4)
         r2 = example_rect(delta=2e-4)
         with pytest.raises(ValueError):
             comparable(r1, r2, 2.0)
+        # the scales are checked before A
+        with pytest.raises(ValueError, match="share"):
+            comparable(r1, r2, 0.5)
+        with pytest.raises(ValueError, match="A must be"):
+            comparable(r1, r1, 0.5)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -219,7 +254,7 @@ class TestComparability:
         rng = np.random.default_rng(seed)
         r1 = seeded_rectangle(rng)
         r2 = perturbed(rng, r1, 1.0)
-        wit = comparable(r1, r2, 4.0)
+        wit = comparability_witness(r1, r2, 4.0)
         if wit is not None:
             pts = sample_points([r1.core, r2.core], [r1.arc_center, r2.arc_center],
                                 r1.delta, r1.tau).reshape(-1, 2)
@@ -295,12 +330,12 @@ class TestGreedy:
             edge = [DeltaTauRectangle(r.core, (math.cos(t), math.sin(t)), r.delta, r.tau)
                     for t in (t0 + sign * (thresh * r.tau + off)
                               for sign in (-1, 1) for off in (-1e-9, 1e-9))]
-            assert [comparability_separation(r, e) <= thresh for e in edge] == [True, False] * 2
+            assert [separation(r, e) <= thresh for e in edge] == [True, False] * 2
             rects += [r] + edge
         family = family_of([rects[i] for i in rng.permutation(len(rects))])
         ref = []
         for r in members(family):
-            if all(comparability_separation(r, k) > thresh for k in ref):
+            if all(separation(r, k) > thresh for k in ref):
                 ref.append(r)
         assert len(family) > 2 * GREEDY_BLOCK and 40 < len(ref) < len(family) / 2
         assert greedy_maximal_incomparable(family, 2.0) == ref
@@ -346,7 +381,7 @@ class TestGreedy:
         thresh = A ** (C0 / 2)
         ref = []
         for r in members(family):
-            if all(comparability_separation(r, k) > thresh for k in ref):
+            if all(separation(r, k) > thresh for k in ref):
                 ref.append(r)
         assert len(family) == 1632 and len(ref) == 65
         assert greedy_maximal_incomparable(family, A) == ref

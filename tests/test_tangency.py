@@ -10,9 +10,8 @@ from conelab import rectangles, tangency
 from conelab.experiments import CONFIG_KINDS, DECAY_KINDS, _swept_config, _swept_measure
 from conelab.geometry import COORD_TOL
 from conelab.measures import MAXIMAL_RADII, CircleConfig, generate_config, rescale_to_Q
-from conelab.rectangles import sample_points
 from conelab.tangency import classify_pairs, main_geom_check, nu_multiplicity, pair_count
-from oracle_suites import dist_d, gap_delta
+from oracle_suites import dist_d, gap_delta, sample_points
 
 
 def brute_force_pairs(circles):
@@ -78,6 +77,13 @@ class TestClassifyPairs:
         config = CircleConfig(np.array([[0.0, 0.0, 1.0]]), delta=1e-2)
         table = classify_pairs(config)
         assert len(table.d) == 0
+        assert table.dyadic_D() == []
+
+    def test_coincident_circles_have_no_dyadic_D(self):
+        # every pair at distance 0, as a duplicated circle gives
+        config = CircleConfig(np.array([[0.0, 0.0, 0.7], [0.0, 0.0, 0.7]]), delta=2.0 ** -5)
+        table = classify_pairs(config)
+        assert table.d.tolist() == [0.0]
         assert table.dyadic_D() == []
 
     def test_tangent_mask_and_band(self):
