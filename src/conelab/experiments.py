@@ -17,6 +17,7 @@ sums their costs.  `sigma` profiles one fixed set of points instead.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import platform
@@ -202,11 +203,14 @@ def _circle_count(n, delta: float) -> int:
 # takes (task, force) and returns the kernel evaluations of its calls
 
 
+@functools.cache
 def _swept_measure(kind: str, R: int, seed: int, n):
     """Cube measure of a sweep point and its generator parameter as text.
 
     A kind that reads n takes the configured n; every other parameter, and
-    n when none is configured, takes its GENERATOR_PARAMS default.
+    n when none is configured, takes its GENERATOR_PARAMS default.  Cached
+    for one run_experiment call, so a point's cost and the point build the
+    measure once (its cubes are read-only).
     """
     name, default = GENERATOR_PARAMS[kind]
     value = n if name == "n" and n else default(R)
@@ -564,6 +568,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     `all` skips, per sweep, the kinds it does not sweep.
     """
     names = PIPELINE_NAMES if cfg.experiment == "all" else (cfg.experiment,)
+    _swept_measure.cache_clear()  # a run shares its measures with no other run
     if cfg.experiment != "all":
         _refuse_unread(cfg)
     summaries = {}

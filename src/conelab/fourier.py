@@ -16,7 +16,8 @@ an oversampling factor.
 For purely angular f = h(phi) the phi sum factors through the radial
 transform G(u) = sum_rho a rho drho exp(2 pi i rho u), which is sampled
 exactly on a fine u-grid by a zero-padded real FFT of the (real) radial
-weights, extended past half the period by Hermitian symmetry, and then
+weights, extended past half the period by Hermitian symmetry, turned by
+a phase that is an outer product of two short geometric tables, and then
 interpolated; Ef(x) = sum_phi h(phi) dphi G(x' . e(phi) + x3), which
 agrees with the full tensor sum to the interpolation error.  For f = 1 the
 phi integral is exact, E1 being radial:
@@ -31,6 +32,9 @@ and the decay mean integral(|hat(nu)|^2 dsigma) over the segment is
 accumulated over blocks of phi nodes, each one batched product of baby-step
 and giant-step tables of the cube phases in rho (about 2 sqrt(n_rho)
 entries per phi node and cube), with the block sized by a memory budget.
+The sines of its sinc form factors come from baby-step and giant-step
+tables too, and their denominators from the radial weight and a factor
+per phi row, so no node takes a sine or an exponential of its own.
 """
 
 from __future__ import annotations
@@ -44,12 +48,13 @@ import numpy.fft  # noqa: F401  lazy in numpy; load it here, not in a sweep poin
 from .measures import CubeMeasure, max_plank_mass
 
 BUMP_ORDER = 2  # Gevrey exponent of the amplitude's flatness at rho = 1, 2
-PHI_BATCH = 8  # decay_mean sums its terms in groups of this many phi rows
-# decay_mean: complex entries (4 MB) of one phi block's step tables and cube
-# sums; random_frostman takes 96 phi nodes a block at R=64, 8 from R=256 up
+# decay_mean: complex entries (4 MB) of one phi block's step tables, cube sums
+# and sine tables; random_frostman takes 75 phi nodes a block at R=64, 11 at R=256
 DECAY_BLOCK_BUDGET = 1 << 18
 J0_BLOCK = 1 << 14  # e1_grid evaluates J0 on blocks of rows of this many entries
 SAMPLES_PER_UNIT = 1024  # radial-table samples per unit of u, at least
+# extension_separable: (point, phi) lookups per chunk of points (1 MB of complex)
+SEPARABLE_CHUNK = 1 << 16
 # midpoint samples per cube axis of weighted_l2 and the extension operator;
 # |A c|^2 equals weighted_l2 only when both use the same m
 MIDPOINTS = 4
@@ -136,8 +141,14 @@ class RadialTable:
             raise ValueError("radial table lookup out of range")
         idx = np.minimum(au.astype(int), len(self.values) - 2)
         frac = au - idx
-        vals = self.values[idx] * (1 - frac) + self.values[idx + 1] * frac
-        return np.where(u >= 0, vals, np.conj(vals))
+        vals = self.values.take(idx, out=np.empty(u.shape, dtype=complex))
+        vals *= 1 - frac
+        idx += 1
+        upper = self.values.take(idx)
+        upper *= frac
+        vals += upper
+        np.negative(vals.imag, out=vals.imag, where=u < 0)  # G(-u) = conj(G(u))
+        return vals
 
 
 def radial_fft_length(quad: ConeQuadrature) -> int:
@@ -163,9 +174,14 @@ def radial_transform_table(quad: ConeQuadrature, u_max: float) -> RadialTable:
     inner = np.conj(np.fft.rfft(c, n_pad)[:n_keep])
     if n_keep > len(inner):
         inner = np.concatenate([inner, np.conj(inner[n_pad - np.arange(len(inner), n_keep)])])
-    k = np.arange(n_keep)
-    values = np.exp(2j * math.pi * quad.rho[0] * k * du) * inner
-    return RadialTable(du, values)
+    # the phase exp(2 pi i rho_0 k du) at k = a + n_low b, an outer product of
+    # two geometric tables of about sqrt(n_keep) entries each
+    n_low, n_high = rho_split(n_keep)
+    turn = 2j * math.pi * quad.rho[0] * du
+    low = np.exp(turn * np.arange(n_low))
+    high = np.exp(turn * n_low * np.arange(n_high))
+    inner *= np.multiply.outer(high, low).reshape(-1)[:n_keep]
+    return RadialTable(du, inner)
 
 
 def extension_separable(points, quad: ConeQuadrature, h_phi=None) -> np.ndarray:
@@ -183,7 +199,7 @@ def extension_separable(points, quad: ConeQuadrature, h_phi=None) -> np.ndarray:
     table = radial_transform_table(quad, u_max)
     e1, e2 = np.cos(phi), np.sin(phi)
     out = np.empty(len(pts), dtype=complex)
-    chunk = max(1, int(2 * 10 ** 6 / max(len(h), 1)))
+    chunk = max(1, SEPARABLE_CHUNK // max(len(h), 1))
     for s in range(0, len(pts), chunk):
         p = pts[s:s + chunk]
         u = p[:, 0, None] * e1 + p[:, 1, None] * e2 + p[:, 2, None]
@@ -299,9 +315,27 @@ def sigma_check(points, q: float = 3.0) -> np.ndarray:
 
 
 def rho_split(n_rho: int) -> tuple[int, int]:
-    """decay_mean's step counts: n_baby = ceil(sqrt(n_rho)), n_baby * n_giant >= n_rho."""
+    """Step counts n_baby = ceil(sqrt(n_rho)), n_baby * n_giant >= n_rho.
+
+    decay_mean splits its rho nodes so, and radial_transform_table its phase samples.
+    """
     n_baby = math.isqrt(n_rho - 1) + 1
     return n_baby, -(-n_rho // n_baby)
+
+
+def _sine_table(x: np.ndarray, rho0: float, drho: float, n_baby: int, n_giant: int) -> np.ndarray:
+    """sin(pi rho_j x) at rho_j = rho0 + j drho, shape (len(x), n_giant, n_baby).
+
+    j = i + n_baby t splits the angle into a giant step g_t = pi x (rho0 +
+    n_baby t drho) and a baby step b_i = pi x i drho, and sin(g + b) =
+    sin g cos b + cos g sin b is one batched product of the sines and cosines
+    of the two step tables; both terms keep their relative accuracy as x -> 0.
+    """
+    x = x[:, None]
+    baby = (math.pi * drho * np.arange(n_baby)) * x
+    giant = (math.pi * (rho0 + n_baby * drho * np.arange(n_giant))) * x
+    return (np.stack([np.sin(giant), np.cos(giant)], axis=2)
+            @ np.stack([np.cos(baby), np.sin(baby)], axis=1))
 
 
 def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
@@ -310,10 +344,15 @@ def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
     Bandwidths are the extension's at the centers' spread (the largest
     center difference per coordinate).  rho index j + n_baby t has cube phase
     z0 (step^n_baby)^t step^j: the giant-step table times the baby-step table
-    gives every cube sum, at two exponentials per (phi, cube).  phi nodes go
-    in blocks of whole PHI_BATCH groups within DECAY_BLOCK_BUDGET; the tables
-    are step-major, (step, phi, cube), so each step is one contiguous product.
-    Terms are summed PHI_BATCH phi rows at a time, whatever the block size.
+    gives every cube sum, at two exponentials per (phi, cube).  The squared
+    form factor (sinc(rho c) sinc(rho s) sinc(rho))^2, c = cos phi and
+    s = sin phi, is sin^2(pi rho c) sin^2(pi rho s) from the step tables of
+    _sine_table, times sinc(rho)^2 / (pi rho)^4 in the radial weight, over
+    (c s)^2 per phi row, so each row's sum is one product with that weight;
+    rows with c s = 0 exactly (phi = 0) take np.sinc instead.  phi nodes go
+    in blocks within DECAY_BLOCK_BUDGET; the cube tables are step-major,
+    (step, phi, cube), so each step is one contiguous product.  The row sums
+    are added once at the end, in an order the block size does not change.
     """
     if nu.mass == 0:
         return 0.0
@@ -323,16 +362,21 @@ def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
     w_rho = quad.amplitude * quad.radial_weight
     sinc_rho = np.sinc(rho)
     n_baby, n_giant = rho_split(len(rho))
-    per_phi = (n_baby + n_giant) * nu.mass + n_baby * n_giant
-    block = min(PHI_BATCH * max(1, DECAY_BLOCK_BUDGET // (PHI_BATCH * per_phi)), len(quad.phi))
+    # the sums run over n_baby * n_giant >= n_rho indices; the padding weighs 0
+    weight = np.zeros(n_baby * n_giant)
+    weight[:len(rho)] = w_rho * sinc_rho ** 2 / (math.pi * rho) ** 4
+    # complex entries per phi node: the cube and sine step tables, then the
+    # cube sums, their |.|^2 and the two sine tables (real, two to an entry)
+    per_phi = (n_baby + n_giant) * (nu.mass + 2) + 3 * n_baby * n_giant
+    block = min(max(1, DECAY_BLOCK_BUDGET // per_phi), len(quad.phi))
     baby_table = np.empty((n_baby, block, nu.mass), dtype=complex)
     giant_table = np.empty((n_giant, block, nu.mass), dtype=complex)
-    total = 0.0
+    rows = np.empty(len(quad.phi))
     for s in range(0, len(quad.phi), block):
         phi = quad.phi[s:s + block]
-        cos, sin = np.cos(phi)[:, None], np.sin(phi)[:, None]
-        k = centers[:, 0] * cos + centers[:, 1] * sin + centers[:, 2]  # (b, nc)
-        step = np.exp(-2j * math.pi * quad.drho * k)
+        cos, sin = np.cos(phi), np.sin(phi)
+        k = centers[:, 0] * cos[:, None] + centers[:, 1] * sin[:, None] + centers[:, 2]
+        step = np.exp(-2j * math.pi * quad.drho * k)  # (b, nc)
         baby, giant = baby_table[:, :len(phi)], giant_table[:, :len(phi)]
         baby[0] = 1.0
         for j in range(1, n_baby):
@@ -342,11 +386,22 @@ def decay_mean(nu: CubeMeasure, q: float = 2.0) -> float:
         for t in range(1, n_giant):
             np.multiply(giant[t - 1], giant_step, out=giant[t])  # z0 step^(n_baby t)
         s_sum = (giant.transpose(1, 0, 2) @ baby.transpose(1, 2, 0)).reshape(len(phi), -1)
-        form = np.sinc(rho * cos) * np.sinc(rho * sin) * sinc_rho
-        terms = (np.abs(s_sum[:, :len(rho)]) ** 2) * (form ** 2) * w_rho
-        for r in range(0, len(phi), PHI_BATCH):
-            total += float(np.sum(terms[r:r + PHI_BATCH]))
-    return total * quad.dphi
+        power = np.square(s_sum.real)
+        power += np.square(s_sum.imag)
+        sines = _sine_table(np.concatenate([cos, sin]), rho[0], quad.drho, n_baby, n_giant)
+        both = sines[:len(phi)]
+        both *= sines[len(phi):]
+        both *= both
+        power *= both.reshape(len(phi), -1)
+        cs = cos * sin
+        zero = np.flatnonzero(cs == 0)
+        cs[zero] = 1.0  # their sines vanish; np.sinc's limit replaces them below
+        row = rows[s:s + block]
+        np.matmul(power, weight, out=row)
+        row /= cs * cs
+        form = np.sinc(rho * cos[zero, None]) * np.sinc(rho * sin[zero, None]) * sinc_rho
+        row[zero] = (np.abs(s_sum[zero, :len(rho)]) ** 2 * form ** 2) @ w_rho
+    return float(np.sum(rows)) * quad.dphi
 
 
 def decay_ratio(nu: CubeMeasure, q: float = 2.0) -> dict:

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-# numpy loads these lazily (np.unique reads np.ma); load them here, not in a sweep point
-import numpy.ma  # noqa: F401
+# numpy loads this lazily; load it here, not in a sweep point
 import numpy.random  # noqa: F401
 
 from .geometry import lightlike_frame
@@ -86,7 +85,8 @@ class CubeMeasure:
 
     def __post_init__(self):
         c = np.asarray(self.cubes, dtype=np.int64).reshape(-1, 3)
-        c = np.unique(c, axis=0)
+        # return_index skips the branch of np.unique that imports numpy.ma
+        c = np.unique(c, axis=0, return_index=True)[0]
         if len(c):
             if c[:, 0].min() < 0 or c[:, 0].max() > self.R - 1 \
                     or c[:, 1].min() < 0 or c[:, 1].max() > self.R - 1 \
@@ -366,7 +366,7 @@ def generate(kind: str, R: int, seed: int = 0, **params) -> CubeMeasure:
         for _ in range(64):
             vert = _vertical_tube(rng, R, R - size)
             both = np.vstack([tube, vert])
-            if len(np.unique(both, axis=0)) == len(both):
+            if len(np.unique(both, axis=0, return_index=True)[0]) == len(both):
                 return CubeMeasure(R, both)
         raise RuntimeError("could not place disjoint knapp pair")
     if kind == "wolff_radii":

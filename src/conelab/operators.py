@@ -38,6 +38,7 @@ from .measures import CubeMeasure, _lightplank_scan
 
 DUAL_ITERS = 20
 L1_TRIALS = 100  # seeded unit densities behind the L1 lower bracket
+TRANSFERENCE_TRIALS = 20  # seeded unit densities the transference check compares
 LANCZOS_ITERS = 300  # cap on the Krylov dimension of the norm iteration
 LANCZOS_TOL = 1e-13  # Ritz residual, relative to the Ritz value, that stops it
 ROW_BLOCK = 256  # Gram rows filled per table lookup
@@ -253,15 +254,15 @@ def bbcr_equivalence_check(op: DiscreteExtensionOperator) -> dict:
             "mass": nu.mass}
 
 
-def transference_check(op: DiscreteExtensionOperator, subweights, trials: int = 20) -> dict:
+def transference_check(op: DiscreteExtensionOperator, subweights) -> dict:
     """Monotonicity of mass, plank mass, and L1 norms under densities h.
 
     Each h (array over cubes of op.nu, values in [0, 1]) defines the positive
     measure h nu; the report asserts mass(h nu) <= mass(nu), P_upper(h nu) <=
-    P_upper(nu), and per random trial f (seeded by the operator) that
-    |Ef|_{L1(h nu)} <= |Ef|_{L1(nu)}.  P_upper of nu and of every h nu come
-    from one scan of the doubled planks (the upper bracket of max_plank_mass;
-    the lower bracket is not computed).
+    P_upper(nu), and per random trial f (TRANSFERENCE_TRIALS of them, seeded
+    by the operator) that |Ef|_{L1(h nu)} <= |Ef|_{L1(nu)}.  P_upper of nu
+    and of every h nu come from one scan of the doubled planks (the upper
+    bracket of max_plank_mass; the lower bracket is not computed).
     """
     nu = op.nu
     hs = [np.asarray(h, dtype=float).reshape(-1) for h in subweights]
@@ -270,7 +271,7 @@ def transference_check(op: DiscreteExtensionOperator, subweights, trials: int = 
             raise ValueError("h must assign one value per cube")
         if h.min(initial=0.0) < 0.0 or h.max(initial=0.0) > 1.0:
             raise ValueError("h values must lie in [0, 1]")
-    images = _unit_trials(op, trials)
+    images = _unit_trials(op, TRANSFERENCE_TRIALS)
     base_l1 = op.image_l1(images)
     # one scan of the doubled planks: row 0 weighs nu by ones, row i + 1 by hs[i]
     uppers = _lightplank_scan(nu, (2,), np.vstack([np.ones(nu.mass), *hs]))[0]

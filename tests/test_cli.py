@@ -187,6 +187,23 @@ class TestPipelines:
                               for w in ("1", "2"))
             assert serial.read_bytes() == pooled.read_bytes()
 
+    def test_a_run_builds_each_measure_once(self, tmp_path, monkeypatch):
+        # the budget's cost pass and the sweep points share each measure;
+        # the next run builds its own
+        built, generate = [], experiments.generate
+
+        def counting_generate(kind, R, seed, **params):
+            built.append((kind, R, seed))
+            return generate(kind, R, seed, **params)
+
+        monkeypatch.setattr(experiments, "generate", counting_generate)
+        cfg = ExperimentConfig(experiment="duality", R=(16,), kinds=("light_tube", "vertical_tube"),
+                               seeds=(0, 1), out=str(tmp_path))
+        points = [(kind, 16, seed) for kind in cfg.kinds for seed in cfg.seeds]
+        for runs in (1, 2):
+            run_experiment(cfg)
+            assert sorted(built) == sorted(runs * points)
+
     def test_unknown_kind_exits_2(self, tmp_path, capsys):
         code = main(["pairs", "--delta", "0.03125", "--kind", "nope",
                      "--out", str(tmp_path)])

@@ -19,6 +19,7 @@ Oracles:
     the E1 table built on it against the same formula on scipy's J0.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -29,7 +30,6 @@ from scipy.special import j0
 
 from conelab import fourier
 from conelab.fourier import (
-    PHI_BATCH,
     cube_midpoints,
     decay_mean,
     decay_ratio,
@@ -315,6 +315,22 @@ class TestExtensionRoutes:
             direct = np.sum(c * np.exp(2j * math.pi * quad.rho * k * table.du))
             assert abs(table.values[k] - direct) <= 1e-12 * scale
 
+    def test_radial_lookup_is_the_interpolation_formula(self):
+        # in-place lookup against the formula it replaced, bit for bit: u of
+        # both signs, signed zeros, and u in the last interval of the table
+        table = radial_transform_table(make_quadrature(8.0, 8.0, q=2.0), 5.0)
+        n = len(table.values)
+        edge = (n - 1.002) * table.du
+        last = np.linspace((n - 2) * table.du, edge, 7)
+        u = np.concatenate([np.random.default_rng(3).uniform(-edge, edge, 990),
+                            last, -last, [0.0, -0.0, table.du, -table.du]]).reshape(-1, 6)
+        au = np.abs(u) / table.du
+        idx = np.minimum(au.astype(int), n - 2)
+        assert np.count_nonzero(idx == n - 2) == 14
+        frac = au - idx
+        vals = table.values[idx] * (1 - frac) + table.values[idx + 1] * frac
+        assert np.array_equal(table(u), np.where(u >= 0, vals, np.conj(vals)))
+
     def test_budget_guard(self, monkeypatch):
         quad = make_quadrature(8.0, 8.0, q=2.0)
         pts = np.zeros((20, 3))
@@ -363,18 +379,36 @@ class TestDecayRoutes:
             direct += float(np.sum(np.abs(nu_hat(nu, xi)) ** 2 * w))
         assert decay_mean(nu) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("nu,rows", [
+        (CubeMeasure(8, [[3, 4, 10], [0, 7, 15]]), [0.0]),
+        (generate("random_frostman", 16, 0),
+         [np.nextafter(math.pi / 2, 0), math.pi / 2, np.nextafter(math.pi / 2, 4), math.pi,
+          3 * math.pi / 2]),
+    ], ids=["phi_0", "cos_or_sin_near_0"])
+    def test_form_factor_matches_sinc(self, monkeypatch, nu, rows):
+        # phi = 0 takes the np.sinc fallback; next to pi/2 and at pi, cos phi or
+        # sin phi is about 1e-16 and the factored sines divide by (c s)^2
+        quad = make_quadrature(*extension_bandwidths(np.ptp(nu.centers, axis=0)), 2.0)
+        w = quad.amplitude * quad.radial_weight * quad.dphi
+        for phi in rows:
+            xi = np.column_stack([quad.rho * math.cos(phi), quad.rho * math.sin(phi), quad.rho])
+            monkeypatch.setattr(fourier, "make_quadrature",
+                                lambda *args: dataclasses.replace(quad, phi=np.array([phi])))
+            direct = float(np.sum(np.abs(nu_hat(nu, xi)) ** 2 * w))
+            assert decay_mean(nu) == pytest.approx(direct, rel=1e-13, abs=0)
+
     @pytest.mark.parametrize("kind,R", [("vertical_tube", 16), ("random_frostman", 32)])
     def test_block_size_does_not_change_mean(self, monkeypatch, kind, R):
-        # one PHI_BATCH per block, then three batches per block: at least
-        # three blocks and a ragged last one, against the default budget
+        # one phi row per block, then 24 rows per block: at least three
+        # blocks and a ragged last one, against the default budget
         nu = generate(kind, R, 0)
         quad = make_quadrature(*extension_bandwidths(np.ptp(nu.centers, axis=0)), 2.0)
         n_baby, n_giant = rho_split(len(quad.rho))
-        per_phi = (n_baby + n_giant) * nu.mass + n_baby * n_giant
+        per_phi = (n_baby + n_giant) * (nu.mass + 2) + 3 * n_baby * n_giant
         n_phi = len(quad.phi)
-        assert n_phi % PHI_BATCH and n_phi % (3 * PHI_BATCH) and n_phi > 6 * PHI_BATCH
+        assert n_phi % 24 and n_phi > 3 * 24
         ref = decay_mean(nu)
-        for budget in (1, 3 * PHI_BATCH * per_phi):
+        for budget in (1, 24 * per_phi):
             monkeypatch.setattr(fourier, "DECAY_BLOCK_BUDGET", budget)
             assert decay_mean(nu) == pytest.approx(ref, rel=1e-15, abs=0)
 

@@ -49,6 +49,18 @@ def test_sweep_points_import_nothing():
     assert out.stdout.strip() == "[]"
 
 
+def test_numpy_ma_stays_unloaded():
+    # the plain form of np.unique imports numpy.ma to test for a masked array;
+    # the package calls the forms that skip that test, so neither the import
+    # nor a sweep point loads it
+    code = ("import sys, conelab, conelab.cli; print('numpy.ma' in sys.modules)\n"
+            + SWEEP_POINTS.replace("print(sorted(set(sys.modules) - before))",
+                                   "print('numpy.ma' in sys.modules)"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    assert out.stdout.split() == ["False", "False"]
+
+
 def _imported(module: str) -> set:
     """Module and imported names of every import statement in the package file."""
     imported = set()

@@ -256,7 +256,7 @@ class TestTransference:
         nu = generate("light_tube", 8, 0)
         ones = np.ones(nu.mass)
         op = build_extension_operator(nu, m=2)
-        res = transference_check(op, [ones, 0.5 * ones, np.zeros(nu.mass)], trials=5)
+        res = transference_check(op, [ones, 0.5 * ones, np.zeros(nu.mass)])
         assert res["ok"]
         assert res["sub"][0]["mass"] == pytest.approx(nu.mass)
         # h = 1/2 scales every L1 norm exactly by 1/2
@@ -267,7 +267,7 @@ class TestTransference:
         nu = generate("random_frostman", 8, 2)
         rng = np.random.default_rng(7)
         hs = [rng.uniform(0, 1, nu.mass) for _ in range(3)]
-        res = transference_check(build_extension_operator(nu, m=2), hs, trials=5)
+        res = transference_check(build_extension_operator(nu, m=2), hs)
         assert res["ok"] and all(r["p_upper"] <= res["p_upper"] + 1e-9 for r in res["sub"])
 
     def test_plank_masses_match_the_public_route(self):
@@ -283,8 +283,7 @@ class TestTransference:
                 rng = np.random.default_rng(seed)
                 subs = [np.ones(nu.mass), (np.arange(nu.mass) % 2).astype(float),
                         rng.random(nu.mass)]
-                res = transference_check(build_extension_operator(nu, q=2.0, seed=seed),
-                                         subs, trials=5)
+                res = transference_check(build_extension_operator(nu, q=2.0, seed=seed), subs)
                 assert repr(res["p_upper"]) == repr(doubled())
                 assert [repr(r["p_upper"]) for r in res["sub"]] == \
                     [repr(doubled(h)) for h in subs]
@@ -293,8 +292,8 @@ class TestTransference:
         nu = generate("light_tube", 8, 0)
         op = build_extension_operator(nu, m=2)
         with pytest.raises(ValueError):
-            transference_check(op, [np.ones(nu.mass + 1)], trials=5)
+            transference_check(op, [np.ones(nu.mass + 1)])
         with pytest.raises(ValueError):
-            transference_check(op, [np.full(nu.mass, 1.5)], trials=5)
+            transference_check(op, [np.full(nu.mass, 1.5)])
         with pytest.raises(ValueError):
-            transference_check(op, [np.full(nu.mass, -0.1)], trials=5)
+            transference_check(op, [np.full(nu.mass, -0.1)])
