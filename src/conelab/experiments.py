@@ -31,8 +31,8 @@ import numpy as np
 from .fitting import fit_exponent
 from .fourier import (MIDPOINTS, cube_midpoints, decay_ratio, diagnostic_points,
                       extension_bandwidths, knapp_center, knapp_sector, knapp_sharpness,
-                      knapp_tube_measure, make_quadrature, radial_fft_length, rho_split,
-                      stationary_phase_diagnostic)
+                      knapp_tube_measure, lookup_reach, make_quadrature, radial_grid,
+                      rho_split, stationary_phase_diagnostic)
 from .maximal import default_grid, wolff_example_check
 from .measures import (GENERATOR_PARAMS, MAXIMAL_PLANAR, MAXIMAL_RADII, generate,
                        generate_config)
@@ -287,12 +287,14 @@ def _sharpness_point(task):
 def _sharpness_cost(task, force):
     # one radial-table lookup per midpoint sample and sector node
     # (extension_separable skips the nodes off the sector), plus the table's
-    # padded FFT, sized as weighted_l2 sizes them
+    # fill: its samples and its two geometric tables, n_rho entries each, out
+    # to the lookups' reach, all sized as weighted_l2 sizes them
     _, R, gamma, q = task
     pts = cube_midpoints(knapp_tube_measure(R, gamma), MIDPOINTS) - knapp_center(R)
     quad = make_quadrature(*extension_bandwidths(pts), q)
-    support = int(np.count_nonzero(knapp_sector(gamma)[0](quad.phi)))
-    return len(pts) * support + radial_fft_length(quad)
+    phi = quad.phi[knapp_sector(gamma)[0](quad.phi) != 0]
+    n_keep = radial_grid(quad, lookup_reach(pts, phi))[1]
+    return len(pts) * len(phi) + (n_keep + sum(rho_split(n_keep))) * len(quad.rho)
 
 
 def _duality_point(task):

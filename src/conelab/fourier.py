@@ -15,10 +15,9 @@ an oversampling factor.
 
 For purely angular f = h(phi) the phi sum factors through the radial
 transform G(u) = sum_rho a rho drho exp(2 pi i rho u), which is sampled
-exactly on a fine u-grid by a zero-padded real FFT of the (real) radial
-weights, extended past half the period by Hermitian symmetry, turned by
-a phase that is an outer product of two short geometric tables, and then
-interpolated; Ef(x) = sum_phi h(phi) dphi G(x' . e(phi) + x3), which
+exactly on a fine u-grid, only as far as the lookups reach, by a direct sum
+over rho that splits each sample index into two short geometric tables, and
+then interpolated; Ef(x) = sum_phi h(phi) dphi G(x' . e(phi) + x3), which
 agrees with the full tensor sum to the interpolation error.  For f = 1 the
 phi integral is exact, E1 being radial:
 E1(r, x3) = sum_rho 2 pi a rho drho J0(2 pi rho r) exp(2 pi i rho x3), one
@@ -43,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.fft  # noqa: F401  lazy in numpy; load it here, not in a sweep point
 
 from .measures import CubeMeasure, max_plank_mass
 
@@ -126,9 +124,9 @@ def extension_bandwidths(points) -> tuple[float, float]:
 class RadialTable:
     """Samples of G(u) = sum_rho c_rho exp(2 pi i rho u) on a uniform u-grid.
 
-    Sampling is exact (a zero-padded real FFT, see radial_transform_table);
-    lookups interpolate linearly and use G(-u) = conj(G(u)), which, like the
-    real FFT, requires real radial coefficients.
+    Sampling is exact (a direct sum, see radial_transform_table); lookups
+    interpolate linearly and use G(-u) = conj(G(u)), which requires real
+    radial coefficients.
     """
 
     du: float
@@ -151,59 +149,74 @@ class RadialTable:
         return vals
 
 
-def radial_fft_length(quad: ConeQuadrature) -> int:
-    """Zero-padded FFT length of quad's radial table: SAMPLES_PER_UNIT per unit of u."""
-    return 1 << int(math.ceil(math.log2(SAMPLES_PER_UNIT / quad.drho)))
+def radial_grid(quad: ConeQuadrature, u_max: float) -> tuple[float, int]:
+    """Step du and sample count of quad's radial table for lookups at |u| <= u_max.
+
+    du = 1 / (drho 2^k) with the least k that gives SAMPLES_PER_UNIT samples
+    per unit of u.  The count keeps one sample past the interval of u_max, so
+    a lookup whose u_max / du has a fractional part near 1 stays in range.
+    """
+    du = 1.0 / (quad.drho * (1 << int(math.ceil(math.log2(SAMPLES_PER_UNIT / quad.drho)))))
+    return du, int(u_max / du) + 3
 
 
 def radial_transform_table(quad: ConeQuadrature, u_max: float) -> RadialTable:
     """Tabulate the radial transform of the amplitude out to |u| <= u_max.
 
-    The coefficients are real, so one real FFT gives the DFT samples up to
-    k = n_pad / 2; samples beyond it (n_keep > n_pad / 2 + 1, which happens
-    for q < 2) come from the Hermitian half, DFT[n_pad - k] = conj(DFT[k]).
+    G(k du) = sum_j c_j z_j^k with z_j = exp(2 pi i rho_j du).  The index
+    k = a + n_low b splits z_j^k into z_j^a (z_j^n_low)^b: two geometric
+    tables of about sqrt(n_keep) x n_rho entries, each entry the exponential
+    of its own angle, whose contraction over j gives every sample.  Every
+    product is an einsum: the contraction, because a BLAS product this small
+    stalls when BLAS runs more than one thread, and the outer products of the
+    angles, because a broadcast ufunc takes a buffer of about a table's size.
     """
-    c = quad.amplitude * quad.radial_weight
-    # G(k du) = exp(2 pi i rho_0 k du) * sum_j c_j exp(2 pi i j k / n_pad)
-    # with rho_j = rho_0 + j drho and n_pad = 1 / (drho du): exact DFT samples.
-    n_pad = radial_fft_length(quad)
-    du = 1.0 / (quad.drho * n_pad)
-    n_keep = int(u_max / du) + 2
-    if n_keep > n_pad:
-        raise ValueError("u_max beyond one DFT period; refine the quadrature")
-    inner = np.conj(np.fft.rfft(c, n_pad)[:n_keep])
-    if n_keep > len(inner):
-        inner = np.concatenate([inner, np.conj(inner[n_pad - np.arange(len(inner), n_keep)])])
-    # the phase exp(2 pi i rho_0 k du) at k = a + n_low b, an outer product of
-    # two geometric tables of about sqrt(n_keep) entries each
+    du, n_keep = radial_grid(quad, u_max)
     n_low, n_high = rho_split(n_keep)
-    turn = 2j * math.pi * quad.rho[0] * du
-    low = np.exp(turn * np.arange(n_low))
-    high = np.exp(turn * n_low * np.arange(n_high))
-    inner *= np.multiply.outer(high, low).reshape(-1)[:n_keep]
-    return RadialTable(du, inner)
+    turn = 2j * math.pi * du * quad.rho
+    low = np.einsum("a,j->aj", np.arange(n_low, dtype=complex), turn)
+    np.exp(low, out=low)
+    low *= quad.amplitude * quad.radial_weight  # before high exists: its buffer, too
+    high = np.einsum("b,j->bj", n_low * np.arange(n_high, dtype=complex), turn)
+    np.exp(high, out=high)
+    values = np.einsum("bj,aj->ba", high, low).reshape(-1)[:n_keep]
+    return RadialTable(du, values)
+
+
+def _lookup_u(pts: np.ndarray, phi: np.ndarray):
+    """Chunks of u = x' . e(phi) + x3, SEPARABLE_CHUNK (point, phi) pairs at most.
+
+    Yields each chunk's slice of the points with its (points, phi) array.
+    """
+    e1, e2 = np.cos(phi), np.sin(phi)
+    chunk = max(1, SEPARABLE_CHUNK // max(len(phi), 1))
+    for s in range(0, len(pts), chunk):
+        p = pts[s:s + chunk]
+        yield slice(s, s + chunk), p[:, 0, None] * e1 + p[:, 1, None] * e2 + p[:, 2, None]
+
+
+def lookup_reach(points, phi) -> float:
+    """Largest |u| that extension_separable looks up at these points and phi nodes."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    return max((float(np.max(np.abs(u), initial=0.0)) for _, u in _lookup_u(pts, phi)),
+               default=0.0)
 
 
 def extension_separable(points, quad: ConeQuadrature, h_phi=None) -> np.ndarray:
     """Ef for f(rho, phi) = h(phi) via the tabulated radial transform.
 
     Only the phi nodes with h != 0 are summed (a sector's support); the
-    dropped terms are exact zeros.
+    dropped terms are exact zeros.  A first pass over the lookups finds
+    their largest |u|, and the table reaches exactly that far.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     h = np.ones_like(quad.phi) if h_phi is None else np.asarray(h_phi(quad.phi))
     keep = h != 0
     h, phi = h[keep], quad.phi[keep]
-    planar = np.hypot(pts[:, 0], pts[:, 1]) if len(pts) else np.zeros(0)
-    u_max = float(np.max(planar + np.abs(pts[:, 2]), initial=0.0)) + 1.0
-    table = radial_transform_table(quad, u_max)
-    e1, e2 = np.cos(phi), np.sin(phi)
+    table = radial_transform_table(quad, lookup_reach(pts, phi))
     out = np.empty(len(pts), dtype=complex)
-    chunk = max(1, SEPARABLE_CHUNK // max(len(h), 1))
-    for s in range(0, len(pts), chunk):
-        p = pts[s:s + chunk]
-        u = p[:, 0, None] * e1 + p[:, 1, None] * e2 + p[:, 2, None]
-        out[s:s + chunk] = (table(u) * (h * quad.dphi)).sum(axis=1)
+    for rows, u in _lookup_u(pts, phi):
+        out[rows] = (table(u) * (h * quad.dphi)).sum(axis=1)
     return out
 
 
@@ -317,7 +330,7 @@ def sigma_check(points, q: float = 3.0) -> np.ndarray:
 def rho_split(n_rho: int) -> tuple[int, int]:
     """Step counts n_baby = ceil(sqrt(n_rho)), n_baby * n_giant >= n_rho.
 
-    decay_mean splits its rho nodes so, and radial_transform_table its phase samples.
+    decay_mean splits its rho nodes so, and radial_transform_table its samples.
     """
     n_baby = math.isqrt(n_rho - 1) + 1
     return n_baby, -(-n_rho // n_baby)

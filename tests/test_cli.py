@@ -348,7 +348,8 @@ class TestPipelines:
         # height, plus one entry per Gram matrix element; for decay, per phi
         # node and cube, the two step tables and their product, as sized by
         # the rho split decay_mean calls; for sharpness, the radial-table
-        # lookups and the length of the FFT that fills each table; for
+        # lookups and, per rho node, each table's samples and the entries of
+        # the two geometric tables that fill it; for
         # maximal, the two events of every annulus span; for pairs, the
         # pair-table entries plus the (2 * 2)^3 lattice keys the scan builds
         # per circle and scanned direction of every gamma_tau scan
@@ -367,7 +368,8 @@ class TestPipelines:
 
         def counting_table(quad, u_max):
             out = table(quad, u_max)
-            counted.append(round(1.0 / (quad.drho * out.du)))  # the padded FFT length
+            n_keep = len(out.values)
+            counted.append((n_keep + sum(rho_split(n_keep))) * len(quad.rho))
             return out
 
         def counting_e1_grid(r, z, quad):

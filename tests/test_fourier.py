@@ -9,7 +9,8 @@ Oracles:
     the phi x rho tensor sum ``extension_direct`` of ``oracle_suites``,
   * a direct tensor sum of |nu_hat|^2 over the decay quadrature's nodes, the
     closed-form oracle for ``decay_mean``,
-  * the direct sum over rho nodes for samples of the real-FFT radial table,
+  * the direct sum over rho nodes for samples of the radial table, and the
+    table sum over every phi node for the sector sum at the lookups' reach,
   * pair-sum (``decay_by_classes`` of ``oracle_suites``) versus
     quadrature-mean route agreement, which exercises two genuinely
     different algorithms for the same bilinear quantity,
@@ -39,7 +40,6 @@ from conelab.fourier import (
     knapp_sector,
     knapp_sharpness,
     make_quadrature,
-    radial_fft_length,
     radial_transform_table,
     rho_split,
     sigma_check,
@@ -300,6 +300,32 @@ class TestExtensionRoutes:
         all_phi = (table(u) * (hv * quad.dphi)).sum(axis=1)
         assert float(np.max(np.abs(all_phi - sep))) <= 1e-13 * float(np.max(np.abs(all_phi)))
 
+    @pytest.mark.parametrize("pts", [
+        [[8191.9995, 0.0, 0.0]],  # max |u| / du = 8191.9995, at phi = 0
+        [[0.0, 0.0, -8191.99999]],  # |u| / du = 8191.99999 with u < 0 at every node
+        [[0.0, 0.0, 0.0]],  # max |u| = 0
+        [[2560.0, 0.0, 0.0], [-1024.0, 512.0, -2048.0], [300.0, -1200.0, 400.0]],  # both signs
+    ])
+    @pytest.mark.parametrize("sector", [False, True])
+    def test_table_reaches_the_largest_lookup(self, pts, sector):
+        # the table is sized from the largest |u| looked up (points given in
+        # units of du); a fractional part of max |u| / du above 0.999 needs
+        # the sample kept past its interval
+        quad = make_quadrature(8.0, 8.0, q=2.0)
+        du = radial_transform_table(quad, 0.0).du
+        pts = np.asarray(pts) * du
+        h = knapp_sector(4.0)[0] if sector else None
+        hv = np.ones_like(quad.phi) if h is None else h(quad.phi)
+        u = pts[:, :2] @ np.stack([np.cos(quad.phi), np.sin(quad.phi)]) + pts[:, 2:]
+        if len(pts) == 1 and pts.any():
+            assert np.max(np.abs(u[:, hv != 0])) / du % 1 > 0.999
+        sep = extension_separable(pts, quad, h)
+        all_phi = (radial_transform_table(quad, 10.0)(u) * (hv * quad.dphi)).sum(axis=1)
+        # each sample of G rounds to about eps sum |c_rho|, and 8 units off
+        # the cone G is 1e-4 of that, so the sums compare on that scale
+        scale = float(np.sum(quad.amplitude * quad.radial_weight) * np.sum(hv) * quad.dphi)
+        assert float(np.max(np.abs(all_phi - sep))) <= 1e-13 * scale
+
     @pytest.mark.parametrize("b_rho,q,u_max", [
         (8.0, 4.0, 24.0),  # n_rho = 32: samples past k = n_pad / 2 by choice of u_max
         (56.0, 1.25, 40.0),  # n_rho = 70: a sharpness-like table beyond its half period
@@ -307,7 +333,7 @@ class TestExtensionRoutes:
     def test_radial_table_matches_direct_sum(self, b_rho, q, u_max):
         quad = make_quadrature(b_rho, 8.0, q)
         table = radial_transform_table(quad, u_max)
-        n_pad, n_keep = radial_fft_length(quad), len(table.values)
+        n_pad, n_keep = round(1.0 / (quad.drho * table.du)), len(table.values)
         assert n_keep > n_pad // 2 + 1
         c = quad.amplitude * quad.radial_weight
         scale = float(np.max(np.abs(table.values)))
@@ -537,16 +563,19 @@ class TestKernelMemory:
         peak = traced_peak(lambda: decay_mean(nu))
         assert peak <= 1.5 * 16 * fourier.DECAY_BLOCK_BUDGET
 
-    def test_radial_table_keeps_the_half_spectrum(self, monkeypatch):
-        # the R=64, gamma=64, q=4 sharpness point: a 2^19-point FFT whose
-        # complex spectrum alone takes 8.4 MB
-        peaks = []
+    def test_radial_table_holds_only_its_lookups(self, monkeypatch):
+        # the R=64, gamma=64, q=4 sharpness point looks up |u| <= 0.84, about
+        # 1,350 samples of the table (22 kB) from two 37 x 327 geometric
+        # tables (0.39 MB together)
+        peaks, sizes = [], []
         table = fourier.radial_transform_table
 
         def traced(quad, u_max):
             peaks.append(traced_peak(lambda: table(quad, u_max)))
-            return table(quad, u_max)
+            out = table(quad, u_max)
+            sizes.append(len(out.values))
+            return out
 
         monkeypatch.setattr(fourier, "radial_transform_table", traced)
         knapp_sharpness(64, 64, q=4.0)
-        assert len(peaks) == 1 and peaks[0] < 10 * 10 ** 6
+        assert len(peaks) == 1 and sizes[0] <= 1400 and peaks[0] < 0.5 * 10 ** 6

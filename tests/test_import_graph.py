@@ -61,6 +61,17 @@ def test_numpy_ma_stays_unloaded():
     assert out.stdout.split() == ["False", "False"]
 
 
+def test_numpy_fft_stays_unloaded():
+    # the radial table is a direct sum, so nothing in the package transforms;
+    # numpy loads numpy.fft lazily, and neither the import nor a sweep point should
+    code = ("import sys, conelab, conelab.cli; print('numpy.fft' in sys.modules)\n"
+            + SWEEP_POINTS.replace("print(sorted(set(sys.modules) - before))",
+                                   "print('numpy.fft' in sys.modules)"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    assert out.stdout.split() == ["False", "False"]
+
+
 def _imported(module: str) -> set:
     """Module and imported names of every import statement in the package file."""
     imported = set()
